@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .rootsys import (RootSystem, RootSystemError, SimpleComponent, Weight,
+from .rootsys import (RootSystem, SimpleComponent, Weight,
                       _dynkin_edges, _simple_block)
 from .sl2branch import Sl2Embedding, g0, invariant_dim
 

@@ -14,8 +14,8 @@ operations.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -26,11 +26,12 @@ from .rootsys import (
     Weight,
     dominant_representative,
     simple_reflection,
-    weyl_dimension,
 )
 
 DEFAULT_BOX_CAP = 10**7
 DEFAULT_WEYL_ORDER_CAP = 1200  # covers all rank <= 4 simple factors (F4: 1152)
+# Above the 400 boxes of the G2 20x20 tables, so no benchmark workload evicts.
+BOX_MEMO_SIZE = 512
 
 
 class CharacterError(ArithmeticError):
@@ -52,13 +53,6 @@ class Character:
             "lambda": list(self.highest_weight.coords),
             "mults": [[list(mu.coords), m] for mu, m in items],
         }
-
-    @staticmethod
-    def from_json_dict(obj) -> "Character":
-        return Character(
-            highest_weight=Weight(obj["lambda"]),
-            mults={Weight(c): int(m) for c, m in obj["mults"]},
-        )
 
 
 @dataclass(frozen=True)
@@ -92,7 +86,7 @@ def _root_coords_int(rs: RootSystem, mu: Weight):
                              "root-coordinate vector")
 
 
-def _dominant_box_points(rs: RootSystem, lam: Weight, box_cap: int):
+def _dominant_box_points(rs: RootSystem, lam: Weight):
     """Enumerate dominant mu with mu <= lam (dominance order).
 
     Returns (kmax, k-vectors array sorted by level, weight-coords array).
@@ -102,9 +96,9 @@ def _dominant_box_points(rs: RootSystem, lam: Weight, box_cap: int):
     ncells = 1
     for k in kmax:
         ncells *= k + 1
-    if ncells > box_cap:
+    if ncells > DEFAULT_BOX_CAP:
         raise CharacterError(
-            f"character box has {ncells} cells, exceeds cap {box_cap}")
+            f"character box has {ncells} cells, exceeds cap {DEFAULT_BOX_CAP}")
     grids = np.indices([k + 1 for k in kmax]).reshape(rs.rank, -1).T
     A = rs._np["A"]
     wc = np.asarray(lam.coords, dtype=np.int64) - grids @ A.T
@@ -145,11 +139,11 @@ def _orbit_fill(rs: RootSystem, grid, kvec, wc, mult):
         frontier = new
 
 
-def _freudenthal_box(rs: RootSystem, lam: Weight,
-                     box_cap: int = DEFAULT_BOX_CAP) -> _CharacterBox:
+@lru_cache(maxsize=BOX_MEMO_SIZE)
+def _freudenthal_box(rs: RootSystem, lam: Weight) -> _CharacterBox:
     if not lam.is_dominant:
         raise RootSystemError("dominant_character expects a dominant weight")
-    kmax, ks, wcs = _dominant_box_points(rs, lam, box_cap)
+    kmax, ks, wcs = _dominant_box_points(rs, lam)
     rank = rs.rank
     grid = np.zeros([k + 1 for k in kmax], dtype=np.int64)
     dom = {}
@@ -198,48 +192,13 @@ def _freudenthal_box(rs: RootSystem, lam: Weight,
     return _CharacterBox(lam=lam, kmax=tuple(kmax), grid=grid, dom=dom)
 
 
-class _BoxCache:
-    """In-memory memo of character boxes, keyed by (fingerprint, lambda).
-
-    Concurrent readers are safe; writes are serialized by a lock.  Distinct
-    highest weights may be computed concurrently (last write wins, values
-    are identical).
-    """
-
-    def __init__(self):
-        self._store = {}
-        self._lock = threading.Lock()
-
-    def get(self, rs: RootSystem, lam: Weight, box_cap: int) -> _CharacterBox:
-        key = (rs.fingerprint, lam.coords)
-        box = self._store.get(key)
-        if box is None:
-            box = _freudenthal_box(rs, lam, box_cap)
-            with self._lock:
-                self._store[key] = box
-        return box
-
-    def clear(self):
-        with self._lock:
-            self._store.clear()
-
-
-_box_cache = _BoxCache()
-
-
-def clear_cache():
-    _box_cache.clear()
-
-
-def dominant_character(rs: RootSystem, lam: Weight,
-                       box_cap: int = DEFAULT_BOX_CAP) -> Character:
+def dominant_character(rs: RootSystem, lam: Weight) -> Character:
     """Multiplicities of all dominant weights of L(lambda) (Freudenthal)."""
-    box = _box_cache.get(rs, lam, box_cap)
+    box = _freudenthal_box(rs, lam)
     return Character(highest_weight=lam, mults=dict(box.dom))
 
 
-def full_weight_values(rs: RootSystem, lam: Weight, marks,
-                       box_cap: int = DEFAULT_BOX_CAP) -> dict:
+def full_weight_values(rs: RootSystem, lam: Weight, marks) -> dict:
     """Histogram of mu(h) over all weights mu of L(lambda), with
     multiplicity, where h has the given marks alpha_i(h).
 
@@ -250,7 +209,7 @@ def full_weight_values(rs: RootSystem, lam: Weight, marks,
     if len(marks) != rs.rank:
         raise RootSystemError(f"marks must have length {rs.rank}")
     lam_h = _lambda_of_h(rs, lam, marks)
-    box = _box_cache.get(rs, lam, box_cap)
+    box = _freudenthal_box(rs, lam)
     ks = np.indices(box.grid.shape).reshape(rs.rank, -1).T
     mults = box.grid.reshape(-1)
     nz = mults > 0
@@ -281,7 +240,7 @@ def _lambda_of_h(rs: RootSystem, lam: Weight, marks) -> int:
 # Weyl alternating-sum oracle
 
 
-def _signed_regular_orbit(rs: RootSystem, xi: Weight, order_cap: int):
+def _signed_regular_orbit(rs: RootSystem, xi: Weight):
     """Orbit of a regular dominant weight with the sign (-1)^{l(w)}.
 
     The stabilizer of a regular weight is trivial, so the sign is a
@@ -300,16 +259,14 @@ def _signed_regular_orbit(rs: RootSystem, xi: Weight, order_cap: int):
                 if im.coords not in seen:
                     seen[im.coords] = -sgn
                     new.append(im)
-                    if len(seen) > order_cap:
+                    if len(seen) > DEFAULT_WEYL_ORDER_CAP:
                         raise RootSystemError(
-                            f"Weyl group order exceeds cap {order_cap}")
+                            f"Weyl group order exceeds cap {DEFAULT_WEYL_ORDER_CAP}")
         frontier = new
     return seen
 
 
-def weyl_alternating_character(rs: RootSystem, lam: Weight,
-                               order_cap: int = DEFAULT_WEYL_ORDER_CAP,
-                               box_cap: int = DEFAULT_BOX_CAP) -> Character:
+def weyl_alternating_character(rs: RootSystem, lam: Weight) -> Character:
     """Character of L(lambda) by the alternating sum over the Weyl group,
     divided by the Weyl denominator (exact polynomial division).
 
@@ -327,12 +284,12 @@ def weyl_alternating_character(rs: RootSystem, lam: Weight,
     ncells = 1
     for k in kmax2:
         ncells *= k + 1
-    if ncells > box_cap:
+    if ncells > DEFAULT_BOX_CAP:
         raise CharacterError("oracle box exceeds cap")
     shape = [k + 1 for k in kmax2]
     num = np.zeros(shape, dtype=np.int64)
 
-    orbit = _signed_regular_orbit(rs, xi, order_cap)
+    orbit = _signed_regular_orbit(rs, xi)
     for coords, sgn in orbit.items():
         # numerator term e^{w(xi) - rho}: offset lambda - (w(xi) - rho)
         off = _root_coords_int(rs, lam + rho - Weight(coords))

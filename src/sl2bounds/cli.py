@@ -8,17 +8,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
-import io
 import json
-import os
 import sys
-import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 from . import bounds, semigroup
-from .character import CharacterError, Character, dominant_character, full_weight_values
+from .character import CharacterError, dominant_character
 from .rootsys import (RootSystem, RootSystemError, SimpleComponent, Weight,
                       build, weyl_dimension)
 from .sl2branch import (BranchingError, Sl2Embedding, invariant_dim, g0,
@@ -28,9 +23,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_GOLDEN_MISMATCH = 2
 EXIT_NUMERIC = 3
-
-CACHE_ENV = "SL2BOUNDS_CACHE_DIR"
-CACHE_VERSION = "1"
 
 
 class UsageError(ValueError):
@@ -49,68 +41,39 @@ def _parse_type(type_str: str, rank: int) -> RootSystem:
         raise UsageError(str(exc)) from exc
 
 
+def _int_tuple(text: str, what: str) -> tuple:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise UsageError(
+            f"{what} must be comma-separated integers, got {text!r}") from exc
+
+
+def _read_generators(path: str) -> list:
+    try:
+        with open(path) as f:
+            gens = json.load(f)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read generators file: {exc}") from exc
+    if not (isinstance(gens, list) and all(
+            isinstance(g, list) and all(type(x) is int for x in g)
+            for g in gens)):
+        raise UsageError(f"{path} must hold a JSON list of integer lists")
+    return gens
+
+
 def _parse_embedding(rs: RootSystem, spec: str) -> Sl2Embedding:
     if spec == "principal":
         return principal_embedding(rs)
     if spec.startswith("root="):
-        coords = tuple(int(x) for x in spec[5:].split(","))
-        return root_embedding(rs, coords)
+        return root_embedding(rs, _int_tuple(spec[5:], "root"))
     if spec.startswith("marks="):
-        marks = tuple(int(x) for x in spec[6:].split(","))
+        marks = _int_tuple(spec[6:], "marks")
         if len(marks) != rs.rank:
             raise UsageError(f"marks must have length {rs.rank}")
         return Sl2Embedding(marks=marks)
     raise UsageError(
         "embedding must be 'principal', 'root=c1,..,cr' or 'marks=m1,..,mr'")
-
-
-# ---------------------------------------------------------------------------
-# character disk cache
-
-
-def _cache_dir(args):
-    return args.cache_dir or os.environ.get(CACHE_ENV)
-
-
-def _cache_key(rs: RootSystem, lam: Weight) -> str:
-    blob = json.dumps([rs.fingerprint, rs.rank, list(lam.coords),
-                       CACHE_VERSION])
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _character_json_bytes(ch: Character) -> bytes:
-    return json.dumps({"version": CACHE_VERSION, **ch.to_json_dict()},
-                      sort_keys=True).encode()
-
-
-def cached_character(rs: RootSystem, lam: Weight, cache_dir=None,
-                     verify=False) -> Character:
-    """Character with optional persistent JSON cache (atomic writes)."""
-    if cache_dir is None:
-        return dominant_character(rs, lam)
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, _cache_key(rs, lam) + ".json")
-    if os.path.exists(path):
-        with open(path, "rb") as f:
-            raw = f.read()
-        ch = Character.from_json_dict(json.loads(raw))
-        if verify:
-            fresh = dominant_character(rs, lam)
-            if _character_json_bytes(fresh) != raw:
-                raise CharacterError(
-                    f"cache entry {path} differs from recomputation")
-        return ch
-    ch = dominant_character(rs, lam)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(_character_json_bytes(ch))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return ch
 
 
 # ---------------------------------------------------------------------------
@@ -138,19 +101,6 @@ def _emit_obj(args, obj, text_fn):
         print(json.dumps(obj, sort_keys=True))
     else:
         text_fn()
-
-
-def _fill_grid(fn, max_i, max_j, jobs):
-    cells = [(i, j) for i in range(max_i + 1) for j in range(max_j + 1)]
-    grid = [[0] * (max_j + 1) for _ in range(max_i + 1)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            for (i, j), v in zip(cells, ex.map(lambda c: fn(*c), cells)):
-                grid[i][j] = v
-    else:
-        for i, j in cells:
-            grid[i][j] = fn(i, j)
-    return grid
 
 
 def _golden_diff(grid, gold, label):
@@ -182,7 +132,7 @@ def cmd_character(args):
     lam = Weight(args.coords)
     if len(lam) != rs.rank or not lam.is_dominant:
         raise UsageError(f"expected {rs.rank} nonnegative coordinates")
-    ch = cached_character(rs, lam, _cache_dir(args), args.verify_cache)
+    ch = dominant_character(rs, lam)
     dim = weyl_dimension(rs, lam)
 
     def text():
@@ -200,15 +150,15 @@ def cmd_branch(args):
     if len(lam) != rs.rank or not lam.is_dominant:
         raise UsageError(f"expected {rs.rank} nonnegative coordinates")
     emb = _parse_embedding(rs, args.embedding)
-    N = full_weight_values(rs, lam, emb.marks)
     dec = sl2_decompose(rs, lam, emb)
+    N = dec.weight_values
     obj = {
         "lambda": list(lam.coords),
         "embedding": list(emb.marks),
         "weight_values": {str(k): v for k, v in sorted(N.items())},
         "decomposition": dec.to_json_dict(),
-        "invariant_dim": dec.mults.get(0, 0),
-        "g0": min(dec.mults) + 1,
+        "invariant_dim": dec.invariant_dim,
+        "g0": dec.g0,
     }
 
     def text():
@@ -224,8 +174,8 @@ def cmd_branch(args):
 def _table_cmd(args, entry_fn, fixture, label):
     rs = build([SimpleComponent("G", 2)])
     emb = principal_embedding(rs)
-    grid = _fill_grid(lambda i, j: entry_fn(rs, Weight((i, j)), emb),
-                      args.max_i, args.max_j, args.jobs)
+    grid = [[entry_fn(rs, Weight((i, j)), emb) for j in range(args.max_j + 1)]
+            for i in range(args.max_i + 1)]
     header = ["i\\j"] + list(range(args.max_j + 1))
     rows = [[i] + grid[i] for i in range(args.max_i + 1)]
     _emit_table(args, rows, header)
@@ -275,9 +225,9 @@ def cmd_exceptions(args):
 
 def cmd_complement(args):
     if args.generators_file:
-        gens = json.load(open(args.generators_file))
+        gens = _read_generators(args.generators_file)
     else:
-        gens = [tuple(int(x) for x in g.split(",")) for g in args.gen]
+        gens = [_int_tuple(g, "generator") for g in args.gen]
     if not gens:
         raise UsageError("no generators given (use --gen or --generators-file)")
     r = len(gens[0])
@@ -351,12 +301,6 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "csv", "json"),
                         default="text")
-    common.add_argument("--cache-dir", default=None,
-                        help=f"character cache directory (or ${CACHE_ENV})")
-    common.add_argument("--verify-cache", action="store_true",
-                        help="recompute on cache hits and compare bytes")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for table fill")
     p = argparse.ArgumentParser(
         prog="sl2bounds", parents=[common],
         description="sl2-branching tables, invariant dimensions and "

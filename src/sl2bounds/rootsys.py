@@ -182,16 +182,18 @@ class Weight:
         return "(" + ",".join(map(str, self.coords)) + ")"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RootSystem:
+    """Equal and hashed by components alone; every other field is derived
+    from them, so memos keyed by a root system are shared across builds."""
     components: tuple
-    rank: int
-    cartan: tuple          # rows: tuple of tuples of int
-    symmetrizers: tuple    # d[i], positive int
-    positive_roots: tuple  # each a tuple of simple-root coordinates
-    dynkin_edges: tuple    # ((i, j, bond_multiplicity), ...) 0-indexed
+    rank: int = field(compare=False)
+    cartan: tuple = field(compare=False)          # rows: tuple of tuples of int
+    symmetrizers: tuple = field(compare=False)    # d[i], positive int
+    positive_roots: tuple = field(compare=False)  # simple-root coordinates
+    dynkin_edges: tuple = field(compare=False)    # ((i, j, bond_mult), ...)
     # derived arrays, filled in build()
-    _np: dict = field(default_factory=dict, repr=False)
+    _np: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def rho(self) -> Weight:

@@ -95,7 +95,5 @@ def complement(gs: GeneratorSet, box_bound: int = 64) -> ComplementResult:
     nonmembers = [tuple(int(x) for x in v) for v in np.argwhere(~reach)]
 
     shell_ok = all(max(v) <= box_bound - gmax for v in nonmembers)
-    points = tuple(sorted(v for v in nonmembers)) if shell_ok else \
-        tuple(sorted(nonmembers))
-    return ComplementResult(points=points, certified=shell_ok,
-                            box_bound=box_bound)
+    return ComplementResult(points=tuple(sorted(nonmembers)),
+                            certified=shell_ok, box_bound=box_bound)

@@ -38,6 +38,17 @@ class Sl2Embedding:
 @dataclass(frozen=True)
 class Sl2Decomposition:
     mults: dict  # k -> multiplicity of V(k), dim V(k) = k+1
+    weight_values: dict  # the histogram N: mu(h) -> multiplicity
+
+    @property
+    def invariant_dim(self) -> int:
+        """dim L(lambda)^K = multiplicity of the trivial sl2-module V(0)."""
+        return self.mults.get(0, 0)
+
+    @property
+    def g0(self) -> int:
+        """Smallest dimension k+1 of an sl2 irreducible occurring."""
+        return min(self.mults) + 1
 
     def dimension(self) -> int:
         return sum((k + 1) * m for k, m in self.mults.items())
@@ -75,8 +86,8 @@ def root_embedding(rs: RootSystem, beta) -> Sl2Embedding:
 def sl2_decompose(rs: RootSystem, lam: Weight, emb: Sl2Embedding) -> Sl2Decomposition:
     """Decompose L(lambda) restricted to the sl2 given by emb.
 
-    Asserts the sl2-character certificate: N symmetric under negation and
-    every computed multiplicity nonnegative.
+    The single restriction routine: asserts the sl2-character certificate,
+    N symmetric under negation and every computed multiplicity nonnegative.
     """
     N = full_weight_values(rs, lam, emb.marks)
     for j, n in N.items():
@@ -92,22 +103,14 @@ def sl2_decompose(rs: RootSystem, lam: Weight, emb: Sl2Embedding) -> Sl2Decompos
                 f"negative multiplicity for V({k}) (marks {emb.marks})")
         if m:
             mults[k] = m
-    return Sl2Decomposition(mults=mults)
+    return Sl2Decomposition(mults=mults, weight_values=N)
 
 
 def invariant_dim(rs: RootSystem, lam: Weight, emb: Sl2Embedding) -> int:
     """dim L(lambda)^K = multiplicity of the trivial sl2-module V(0)."""
-    N = full_weight_values(rs, lam, emb.marks)
-    for j, n in N.items():
-        if N.get(-j, 0) != n:
-            raise BranchingError("weight-value histogram not symmetric")
-    m = N.get(0, 0) - N.get(2, 0)
-    if m < 0:
-        raise BranchingError("negative invariant dimension")
-    return m
+    return sl2_decompose(rs, lam, emb).invariant_dim
 
 
 def g0(rs: RootSystem, lam: Weight, emb: Sl2Embedding) -> int:
     """Smallest dimension k+1 of an sl2 irreducible occurring in L(lambda)."""
-    dec = sl2_decompose(rs, lam, emb)
-    return min(dec.mults) + 1
+    return sl2_decompose(rs, lam, emb).g0

@@ -117,3 +117,15 @@ def test_dominant_character_rejects_nondominant():
     rs = build([("A", 2)])
     with pytest.raises(RootSystemError):
         dominant_character(rs, Weight((-1, 0)))
+
+
+def test_box_memo_is_bounded_and_shared_across_builds():
+    from sl2bounds import character
+    info = character._freudenthal_box.cache_info
+    assert info().maxsize is not None
+    lam = Weight((4, 3))
+    first = dominant_character(build([("G", 2)]), lam)
+    hits = info().hits
+    again = dominant_character(build([("G", 2)]), lam)
+    assert info().hits == hits + 1
+    assert again == first

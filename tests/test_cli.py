@@ -3,6 +3,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2bounds.cli import (EXIT_GOLDEN_MISMATCH, EXIT_NUMERIC, EXIT_OK,
                            EXIT_USAGE, main)
@@ -131,29 +133,46 @@ def test_determinism():
     assert a == b
 
 
-def test_jobs_parallel_fill_matches_serial():
-    ser = run("table1", "--max-i", "4", "--max-j", "4", "--format", "csv")
-    par = run("table1", "--max-i", "4", "--max-j", "4", "--format", "csv",
-              "--jobs", "4")
-    assert ser[1] == par[1]
-
-
-def test_cache_roundtrip(tmp_path):
-    d = str(tmp_path / "cache")
-    cold = run("character", "G", "2", "2", "1", "--cache-dir", d,
-               "--format", "json")
-    assert cold[0] == EXIT_OK
-    warm = run("character", "G", "2", "2", "1", "--cache-dir", d,
-               "--verify-cache", "--format", "json")
-    assert warm[0] == EXIT_OK
-    assert cold[1] == warm[1]
-    plain = run("character", "G", "2", "2", "1", "--format", "json")
-    assert plain[1] == cold[1]
-
-
-def test_cache_env_var(tmp_path, monkeypatch):
-    d = tmp_path / "envcache"
-    monkeypatch.setenv("SL2BOUNDS_CACHE_DIR", str(d))
-    code, out, _ = run("character", "A", "2", "1", "0", "--format", "json")
+def test_complement_generators_file(tmp_path):
+    f = tmp_path / "gens.json"
+    f.write_text("[[2], [3]]")
+    code, out, _ = run("complement", "--generators-file", str(f),
+                       "--box-bound", "10", "--format", "json")
     assert code == EXIT_OK
-    assert list(d.glob("*.json"))
+    assert json.loads(out)["points"] == [[1]]
+
+
+@pytest.mark.parametrize("argv", [
+    ("complement", "--gen", "a,b"),
+    ("complement", "--gen", ""),
+    ("branch", "G", "2", "1", "1", "--embedding", "root=1,x"),
+    ("branch", "G", "2", "1", "1", "--embedding", "marks=1,x"),
+    ("complement", "--generators-file", "MISSING"),
+    ("complement", "--generators-file", "OBJECT"),
+], ids=["gen-letters", "gen-empty", "root-letter", "marks-letter",
+        "file-missing", "file-object"])
+def test_malformed_input_gives_one_error_line(argv, tmp_path):
+    obj = tmp_path / "object.json"
+    obj.write_text('{"generators": [[2], [3]]}')
+    paths = {"MISSING": str(tmp_path / "missing.json"), "OBJECT": str(obj)}
+    code, _, err = run(*(paths.get(a, a) for a in argv))
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+_FIELD = st.text(alphabet="0123456789,-x ", max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(["root=", "marks=", ""]), field=_FIELD,
+       gens=st.lists(_FIELD, max_size=3))
+def test_fuzzed_arguments_never_escape(spec, field, gens):
+    for argv in (("branch", "G", "2", "1", "1", "--embedding", spec + field),
+                 ("complement", "--box-bound", "12",
+                  *(a for g in gens for a in ("--gen", g)))):
+        code, _, err = run(*argv)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC), argv
+        assert "Traceback" not in err, argv
+        if code == EXIT_USAGE:
+            assert "error:" in err, argv

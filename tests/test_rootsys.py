@@ -208,3 +208,11 @@ def test_weyl_dimension_examples():
     assert weyl_dimension(a2, Weight((1, 1))) == 8
     e8 = build([("E", 8)])
     assert weyl_dimension(e8, Weight((0, 0, 0, 0, 0, 0, 0, 1))) == 248
+
+
+def test_root_systems_equal_and_hash_by_components():
+    a, b = build([("G", 2)]), build([("G", 2)])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert build([("A", 1), ("A", 1)]) == build([("A", 1), ("A", 1)])
+    assert build([("A", 2)]) != build([("G", 2)])
+    assert build([("B", 3)]) != build([("C", 3)])

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 
 import pytest
@@ -131,3 +133,39 @@ def test_semigroup_monotonicity_g2(g2):
         for mu in invariant_mus:
             bigger = set(sl2_decompose(g2, lam + mu, emb).mults)
             assert base <= bigger, (lam, mu)
+
+
+def test_branch_command_restricts_once(monkeypatch):
+    import sl2bounds
+    from sl2bounds import character, cli, sl2branch
+    real = character.full_weight_values
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod in (sl2bounds, character, sl2branch, cli):
+        for attr, value in list(vars(mod).items()):
+            if value is real:
+                monkeypatch.setattr(mod, attr, counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["branch", "G", "2", "1", "1"]) == 0
+    assert len(calls) == 1
+
+
+def test_decomposition_carries_histogram_invariants_and_g0(g2):
+    emb = principal_embedding(g2)
+    lam = Weight((1, 1))
+    dec = sl2_decompose(g2, lam, emb)
+    assert dec.weight_values == full_weight_values(g2, lam, emb.marks)
+    assert dec.invariant_dim == invariant_dim(g2, lam, emb)
+    assert dec.g0 == g0(g2, lam, emb)
+
+
+def test_invariant_dim_runs_the_full_certificate(a2):
+    # N is symmetric and V(0) comes out nonnegative, but V(1) is negative:
+    # (2, 3) are not the marks of an sl2 triple.
+    emb = Sl2Embedding(marks=(2, 3))
+    with pytest.raises(BranchingError, match="V\\(1\\)"):
+        invariant_dim(a2, Weight((2, 2)), emb)
