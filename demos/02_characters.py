@@ -24,8 +24,7 @@ for mu, m in sorted(ch.mults.items(), key=lambda kv: kv[0].coords):
 oracle = weyl_alternating_character(g2, lam)
 print("oracle agrees:", ch.mults == oracle.mults)
 
-# Repeated queries against the same ambient box are memoized, so
-# tabulating a whole grid of characters costs little more than the
-# largest one.
+# Characters are memoized by (root system, highest weight), so asking
+# for the same one again costs nothing.
 big = dominant_character(g2, Weight((19, 19)))
 print("dim L(19, 19) =", big.dimension(g2))

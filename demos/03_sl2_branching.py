@@ -10,7 +10,9 @@ g2 = build([SimpleComponent("G", 2)])
 
 # An sl2-subalgebra is described by its marks: the values of the simple
 # roots on the sl2's semisimple element h.  The principal sl2 has all
-# marks equal to 2.
+# marks equal to 2; its weight values come from the product formula
+# prod_{alpha>0} (1 - t^<lam+rho, alpha_vee>) / (1 - t^<rho, alpha_vee>)
+# without computing any weight multiplicity.
 prin = principal_embedding(g2)
 print("principal marks:", prin.marks)
 

@@ -10,6 +10,13 @@ coordinate vectors k with lambda - mu = sum k_i alpha_i; the box holds the
 multiplicity of *every* weight (dominant or not), which makes both the
 recursion's inner sums and the sl2 restriction in sl2branch plain array
 operations.
+
+Restriction to the principal sl2 (all marks 2) needs no box: its weight
+values are the principal specialization of the character,
+prod_{alpha>0} (1 - t^<lambda+rho, alpha_vee>) / (1 - t^<rho, alpha_vee>)
+(the q-analogue of Weyl's dimension formula; Kostant 1959), which
+full_weight_values evaluates with exact polynomial arithmetic over Python
+ints.
 """
 
 from __future__ import annotations
@@ -26,12 +33,16 @@ from .rootsys import (
     Weight,
     dominant_representative,
     simple_reflection,
+    weyl_dimension,
 )
 
 DEFAULT_BOX_CAP = 10**7
 DEFAULT_WEYL_ORDER_CAP = 1200  # covers all rank <= 4 simple factors (F4: 1152)
-# Above the 400 boxes of the G2 20x20 tables, so no benchmark workload evicts.
+# Boxes are built only for dominant_character and non-principal marks, so
+# the principal G2 tables leave the memo empty.
 BOX_MEMO_SIZE = 512
+# The grid and the recursion's per-root dot products are int64.
+_INT64_LIMIT = 2**63
 
 
 class CharacterError(ArithmeticError):
@@ -86,11 +97,9 @@ def _root_coords_int(rs: RootSystem, mu: Weight):
                              "root-coordinate vector")
 
 
-def _dominant_box_points(rs: RootSystem, lam: Weight):
-    """Enumerate dominant mu with mu <= lam (dominance order).
-
-    Returns (kmax, k-vectors array sorted by level, weight-coords array).
-    """
+def _box_kmax(rs: RootSystem, lam: Weight):
+    """Root coordinates of lambda - w0(lambda): every weight of L(lambda)
+    lies in the box 0 <= k <= kmax."""
     lam_dual = dominant_representative(rs, -lam)
     kmax = _root_coords_int(rs, lam + lam_dual)
     ncells = 1
@@ -99,6 +108,34 @@ def _dominant_box_points(rs: RootSystem, lam: Weight):
     if ncells > DEFAULT_BOX_CAP:
         raise CharacterError(
             f"character box has {ncells} cells, exceeds cap {DEFAULT_BOX_CAP}")
+    return kmax
+
+
+def _check_int64_headroom(rs: RootSystem, lam: Weight, kmax):
+    """Refuse a box whose recursion could overflow int64.
+
+    Every multiplicity is at most dim L(lambda).  A per-root dot product in
+    the recursion sums at most K = max(kmax) terms mult * ((mu, alpha) +
+    k (alpha, alpha)) with k <= K and 0 <= (mu, alpha) <= P = max over
+    positive alpha of (lambda, alpha), since mu is dominant and lies in the
+    convex hull of the Weyl orbit of lambda.
+    """
+    K = max(kmax)
+    P = max(int(p) for p in (rs._np["roots"] * rs._np["d"])
+            @ np.asarray(lam.coords, dtype=np.int64))
+    aa = int(rs._np["roots_norm"].max())
+    bound = weyl_dimension(rs, lam) * K * (P + K * aa)
+    if bound >= _INT64_LIMIT:
+        raise CharacterError(
+            f"character of {lam} may overflow int64 "
+            f"(dot-product bound {bound} >= {_INT64_LIMIT})")
+
+
+def _dominant_box_points(rs: RootSystem, lam: Weight, kmax):
+    """Enumerate dominant mu with mu <= lam (dominance order).
+
+    Returns (k-vectors array sorted by level, weight-coords array).
+    """
     grids = np.indices([k + 1 for k in kmax]).reshape(rs.rank, -1).T
     A = rs._np["A"]
     wc = np.asarray(lam.coords, dtype=np.int64) - grids @ A.T
@@ -106,7 +143,7 @@ def _dominant_box_points(rs: RootSystem, lam: Weight):
     ks = grids[mask]
     wcs = wc[mask]
     order = np.lexsort(tuple(ks.T) + (ks.sum(axis=1),))
-    return kmax, ks[order], wcs[order]
+    return ks[order], wcs[order]
 
 
 def _orbit_fill(rs: RootSystem, grid, kvec, wc, mult):
@@ -143,7 +180,9 @@ def _orbit_fill(rs: RootSystem, grid, kvec, wc, mult):
 def _freudenthal_box(rs: RootSystem, lam: Weight) -> _CharacterBox:
     if not lam.is_dominant:
         raise RootSystemError("dominant_character expects a dominant weight")
-    kmax, ks, wcs = _dominant_box_points(rs, lam)
+    kmax = _box_kmax(rs, lam)
+    _check_int64_headroom(rs, lam, kmax)
+    ks, wcs = _dominant_box_points(rs, lam, kmax)
     rank = rs.rank
     grid = np.zeros([k + 1 for k in kmax], dtype=np.int64)
     dom = {}
@@ -204,10 +243,18 @@ def full_weight_values(rs: RootSystem, lam: Weight, marks) -> dict:
 
     mu(h) = lambda(h) - sum k_i marks_i for lambda - mu = sum k_i alpha_i;
     lambda(h) is solved exactly from the marks via the coroot basis.
+    Principal marks (all 2) are answered by the product formula, any other
+    marks from the Freudenthal box.
     """
     marks = [int(m) for m in marks]
     if len(marks) != rs.rank:
         raise RootSystemError(f"marks must have length {rs.rank}")
+    if marks == [2] * rs.rank:
+        return _principal_weight_values(rs, lam)
+    return _box_weight_values(rs, lam, marks)
+
+
+def _box_weight_values(rs: RootSystem, lam: Weight, marks) -> dict:
     lam_h = _lambda_of_h(rs, lam, marks)
     box = _freudenthal_box(rs, lam)
     ks = np.indices(box.grid.shape).reshape(rs.rank, -1).T
@@ -218,6 +265,39 @@ def full_weight_values(rs: RootSystem, lam: Weight, marks) -> dict:
     for v, m in zip(vals.tolist(), mults[nz].tolist()):
         out[v] = out.get(v, 0) + m
     return out
+
+
+def _principal_weight_values(rs: RootSystem, lam: Weight) -> dict:
+    """Weight-value histogram for the principal sl2 (h = 2 rho_vee).
+
+    mu(h) = lambda(h) - 2 ht(lambda - mu), and the generating function of
+    the heights is prod_{alpha>0} (1 - t^a_alpha) / (1 - t^b_alpha) with
+    a_alpha = <lambda+rho, alpha_vee>, b_alpha = <rho, alpha_vee>.
+    Coefficients are Python ints, so they cannot overflow, and the work
+    grows with sum(a_alpha) rather than with a box.
+    """
+    if not lam.is_dominant:
+        raise RootSystemError("dominant_character expects a dominant weight")
+    roots_dwc = rs._np["roots"] * rs._np["d"]   # (alpha, mu) = roots_dwc @ mu
+    norms = rs._np["roots_norm"].tolist()       # (alpha, alpha)
+    lam_rho = np.asarray(lam.coords, dtype=np.int64) + 1
+    a = [2 * int(x) // n for x, n in zip(roots_dwc @ lam_rho, norms)]
+    b = [2 * int(x) // n for x, n in zip(roots_dwc.sum(axis=1), norms)]
+    poly = [1] + [0] * sum(a)
+    deg = 0
+    for e in a:                  # multiply by (1 - t^e), highest degree first
+        deg += e
+        for k in range(deg, e - 1, -1):
+            poly[k] -= poly[k - e]
+    for e in b:                  # divide by (1 - t^e): running sum
+        for k in range(e, len(poly)):
+            poly[k] += poly[k - e]
+    top = sum(a) - sum(b)
+    if any(poly[top + 1:]):
+        raise CharacterError(
+            f"principal specialization of {lam} is not a polynomial")
+    lam_h = _lambda_of_h(rs, lam, [2] * rs.rank)
+    return {lam_h - 2 * k: c for k, c in enumerate(poly[:top + 1]) if c}
 
 
 def _lambda_of_h(rs: RootSystem, lam: Weight, marks) -> int:
@@ -279,14 +359,7 @@ def weyl_alternating_character(rs: RootSystem, lam: Weight) -> Character:
     xi = lam + rho
 
     # exponents stored as k with e^nu at k = root coords of (lambda - nu)
-    xi_dual = dominant_representative(rs, -xi)
-    kmax2 = _root_coords_int(rs, xi + xi_dual)
-    ncells = 1
-    for k in kmax2:
-        ncells *= k + 1
-    if ncells > DEFAULT_BOX_CAP:
-        raise CharacterError("oracle box exceeds cap")
-    shape = [k + 1 for k in kmax2]
+    shape = [k + 1 for k in _box_kmax(rs, xi)]
     num = np.zeros(shape, dtype=np.int64)
 
     orbit = _signed_regular_orbit(rs, xi)

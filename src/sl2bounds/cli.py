@@ -242,6 +242,9 @@ def cmd_complement(args):
         f"{len(comp.points)} non-members (certified={comp.certified}):\n" +
         json.dumps(obj["points"])))
     if not comp.certified:
+        print(f"complement not certified within --box-bound {comp.box_bound}: "
+              "non-members reach the outer shell (the complement is infinite "
+              "or needs a larger bound)", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 

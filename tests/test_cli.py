@@ -106,11 +106,36 @@ def test_complement_command():
 
 
 def test_complement_uncertified_exit_code():
-    code, out, _ = run("complement", "--gen", "0,2", "--gen", "0,17",
+    code, out, err = run("complement", "--gen", "0,2", "--gen", "0,17",
                        "--gen", "4,0", "--gen", "15,0", "--gen", "5,1",
                        "--gen", "1,3", "--box-bound", "17",
                        "--format", "json")
     assert code == EXIT_NUMERIC
+    assert err.startswith("complement not certified") and err.count("\n") == 1
+    code, out, err = run("complement", "--gen", "2")
+    assert code == EXIT_NUMERIC
+    assert err.startswith("complement not certified") and err.count("\n") == 1
+
+
+class _BoxBuilt(Exception):
+    pass
+
+
+def test_principal_requests_build_no_box(monkeypatch):
+    from sl2bounds import character
+
+    def refuse(rs, lam):
+        raise _BoxBuilt(lam)
+
+    monkeypatch.setattr(character, "_freudenthal_box", refuse)
+    for argv in (("table1", "--golden"), ("table2", "--golden"),
+                 ("exceptions",), ("bound", "G", "2"),
+                 ("branch", "G", "2", "1", "1"),
+                 ("branch", "E", "8", "3", "0", "0", "0", "0", "0", "0", "5")):
+        code, _, err = run(*argv)
+        assert code == EXIT_OK, (argv, err)
+    with pytest.raises(_BoxBuilt):
+        run("branch", "G", "2", "1", "1", "--embedding", "root=1,0")
 
 
 def test_parabolic_and_e_tables():

@@ -169,3 +169,15 @@ def test_invariant_dim_runs_the_full_certificate(a2):
     emb = Sl2Embedding(marks=(2, 3))
     with pytest.raises(BranchingError, match="V\\(1\\)"):
         invariant_dim(a2, Weight((2, 2)), emb)
+
+
+def test_principal_restriction_past_the_box_cap():
+    # The box below this E8 weight is far past the Freudenthal cap; the
+    # principal restriction needs no box.
+    from sl2bounds import CharacterError, dominant_character
+    e8 = build([("E", 8)])
+    lam = Weight((3, 0, 0, 0, 0, 0, 0, 5))
+    with pytest.raises(CharacterError, match="exceeds cap"):
+        dominant_character(e8, lam)
+    dec = sl2_decompose(e8, lam, principal_embedding(e8))
+    assert dec.dimension() == weyl_dimension(e8, lam)
