@@ -5,10 +5,10 @@ maximal-parabolic dimension bookkeeping (dim g/l_ss, dim X, e, E).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
-from .rootsys import (RootSystem, SimpleComponent, Weight,
-                      _dynkin_edges, _simple_block)
+from .rootsys import RootSystem, SimpleComponent, Weight, _simple_block
 from .sl2branch import Sl2Embedding, g0, invariant_dim
 
 DEFAULT_M_CAP = 64
@@ -86,70 +86,39 @@ def b_bound(rs: RootSystem, emb: Sl2Embedding,
 # Maximal parabolics
 
 
-def _classify_component(nodes, edges, dvals):
-    """Identify the simple type of a connected Dynkin subdiagram.
+def _signature(cartan, d, nodes):
+    """Sorted per-node (is short, bond multiplicities, neighbour degrees) of
+    the connected Dynkin subdiagram on ``nodes``.  Two connected Dynkin
+    diagrams have equal signatures exactly when they are isomorphic."""
+    nbrs = {i: [j for j in nodes if j != i and cartan[i][j]] for i in nodes}
+    short = min(d[i] for i in nodes)
+    return tuple(sorted(
+        (d[i] == short,
+         tuple(sorted(cartan[i][j] * cartan[j][i] for j in nbrs[i])),
+         tuple(sorted(len(nbrs[j]) for j in nbrs[i])))
+        for i in nodes))
 
-    nodes: list of node ids; edges: {frozenset {i,j}: bond multiplicity};
-    dvals: node id -> half squared length (relative within the parent).
-    Returns a SimpleComponent, with B1/C1 -> A1, C2 -> B2, D3 -> A3.
-    """
-    n = len(nodes)
-    if n == 1:
-        return SimpleComponent("A", 1)
-    adj = {v: [] for v in nodes}
-    for e, mult in edges.items():
-        i, j = tuple(e)
-        adj[i].append((j, mult))
-        adj[j].append((i, mult))
-    degs = sorted(len(adj[v]) for v in nodes)
-    multiset = sorted(m for _, m in
-                      [(e, m) for e, m in edges.items()])
-    dset = {dvals[v] for v in nodes}
 
-    if max(multiset) == 3:
-        return SimpleComponent("G", 2)
-    if max(multiset) == 2:
-        # B, C or F4: exactly one double bond on a chain
-        if degs[-1] > 2:
-            raise BoundsError("unrecognized multiply-laced diagram")
-        short = [v for v in nodes if dvals[v] == min(dset)]
-        long_ = [v for v in nodes if dvals[v] == max(dset)]
-        if n == 2:
-            return SimpleComponent("B", 2)
-        if len(short) == len(long_) == 2 and n == 4:
-            return SimpleComponent("F", 4)
-        if len(short) == 1:
-            return SimpleComponent("B", n)
-        if len(long_) == 1:
-            return SimpleComponent("B", 2) if n == 2 else SimpleComponent("C", n)
-        raise BoundsError("unrecognized multiply-laced diagram")
+@lru_cache(maxsize=None)
+def _types_by_signature(rank: int) -> dict:
+    """Signature -> simple type of this rank, the first in
+    ``_all_simple_types`` order; that order names B2 = C2 as B2 and
+    A3 = D3 as A3."""
+    table = {}
+    for s in _all_simple_types(rank):
+        if s.rank == rank:
+            cartan, d = _simple_block(s)
+            table.setdefault(_signature(cartan, d, range(rank)), s)
+    return table
 
-    # simply laced: A (path), D (one triple point, two arms of length 1),
-    # E (one triple point, arms 1,2,k)
-    if degs[-1] <= 2:
-        if n == 3:
-            return SimpleComponent("A", 3)  # = D3
-        return SimpleComponent("A", n)
-    if degs[-1] > 3 or degs.count(3) > 1:
-        raise BoundsError("unrecognized simply-laced diagram")
-    hub = next(v for v in nodes if len(adj[v]) == 3)
-    arms = []
-    for w, _ in adj[hub]:
-        length = 1
-        prev, cur = hub, w
-        while True:
-            nxt = [u for u, _ in adj[cur] if u != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return SimpleComponent("D", n)
-    if arms[:2] == [1, 2] and arms[2] in (2, 3, 4):
-        return SimpleComponent("E", n)
-    raise BoundsError(f"unrecognized simply-laced diagram with arms {arms}")
+
+def _identify(cartan, d, nodes) -> SimpleComponent:
+    """Simple type of the connected Dynkin subdiagram on ``nodes``."""
+    return _types_by_signature(len(nodes))[_signature(cartan, d, nodes)]
+
+
+def _canonical(comp: SimpleComponent) -> SimpleComponent:
+    return _identify(*_simple_block(comp), range(comp.rank))
 
 
 def levi_ss_components(comp: SimpleComponent, k: int):
@@ -162,33 +131,15 @@ def levi_ss_components(comp: SimpleComponent, k: int):
     if not 1 <= k <= comp.rank:
         raise BoundsError(f"node {k} out of range for {comp}")
     cartan, d = _simple_block(comp)
-    keep = [i for i in range(comp.rank) if i != k - 1]
-    edges = {}
-    for i, j, mult in _dynkin_edges(cartan):
-        if i in keep and j in keep:
-            edges[frozenset((i, j))] = mult
-    # connected components
-    seen = set()
+    rest = [i for i in range(comp.rank) if i != k - 1]
     out = []
-    for v in keep:
-        if v in seen:
-            continue
-        comp_nodes = [v]
-        seen.add(v)
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for e in edges:
-                if u in e:
-                    w = next(x for x in e if x != u)
-                    if w not in seen:
-                        seen.add(w)
-                        comp_nodes.append(w)
-                        stack.append(w)
-        sub_edges = {e: m for e, m in edges.items()
-                     if all(x in comp_nodes for x in e)}
-        dvals = {i: d[i] for i in comp_nodes}
-        out.append(_classify_component(comp_nodes, sub_edges, dvals))
+    while rest:
+        nodes = [rest.pop(0)]
+        for i in nodes:  # nodes grows to the connected component of its head
+            linked = [j for j in rest if cartan[i][j]]
+            nodes += linked
+            rest = [j for j in rest if j not in linked]
+        out.append(_identify(cartan, d, nodes))
     return sorted(out, key=lambda c: (c.family, c.rank))
 
 
@@ -208,16 +159,6 @@ def parabolic_table(comp: SimpleComponent):
 def e_value(comp: SimpleComponent) -> int:
     """Minimum highest-weight-orbit dimension over the maximal parabolics."""
     return min(row.dim_X for row in parabolic_table(comp))
-
-
-def _canonical(comp: SimpleComponent) -> SimpleComponent:
-    if comp.family in ("B", "C") and comp.rank == 1:
-        return SimpleComponent("A", 1)
-    if comp.family == "C" and comp.rank == 2:
-        return SimpleComponent("B", 2)
-    if comp.family == "D" and comp.rank == 3:
-        return SimpleComponent("A", 3)
-    return comp
 
 
 def _all_simple_types(rank_cap: int):
@@ -250,11 +191,15 @@ def E_set(dim_k: int, rank_cap: int = 10):
         evals[(s.family, s.rank)] = e_value(s)
     for fam in "ABCD":
         ranks = sorted(r for f, r in evals if f == fam)
+        if not ranks:
+            raise BoundsError(
+                f"rank_cap {rank_cap} too small: no {fam} type of rank "
+                f"<= {rank_cap}")
         for a, b in zip(ranks, ranks[1:]):
             if evals[(fam, a)] >= evals[(fam, b)]:
                 raise BoundsError(
                     f"e not strictly increasing in rank for family {fam}")
-        if ranks and evals[(fam, ranks[-1])] <= dim_k:
+        if evals[(fam, ranks[-1])] <= dim_k:
             raise BoundsError(
                 f"rank_cap {rank_cap} too small: e({fam}{ranks[-1]}) = "
                 f"{evals[(fam, ranks[-1])]} <= dim_k = {dim_k}")

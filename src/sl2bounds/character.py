@@ -31,8 +31,8 @@ from .rootsys import (
     RootSystem,
     RootSystemError,
     Weight,
+    _orbit_levels,
     dominant_representative,
-    simple_reflection,
     weyl_dimension,
 )
 
@@ -320,32 +320,6 @@ def _lambda_of_h(rs: RootSystem, lam: Weight, marks) -> int:
 # Weyl alternating-sum oracle
 
 
-def _signed_regular_orbit(rs: RootSystem, xi: Weight):
-    """Orbit of a regular dominant weight with the sign (-1)^{l(w)}.
-
-    The stabilizer of a regular weight is trivial, so the sign is a
-    well-defined function of the orbit element.
-    """
-    seen = {xi.coords: 1}
-    frontier = [xi]
-    while frontier:
-        new = []
-        for w in frontier:
-            sgn = seen[w.coords]
-            for j in range(rs.rank):
-                im = simple_reflection(rs, j, w)
-                if im.coords == w.coords:
-                    raise CharacterError("weight is not regular")
-                if im.coords not in seen:
-                    seen[im.coords] = -sgn
-                    new.append(im)
-                    if len(seen) > DEFAULT_WEYL_ORDER_CAP:
-                        raise RootSystemError(
-                            f"Weyl group order exceeds cap {DEFAULT_WEYL_ORDER_CAP}")
-        frontier = new
-    return seen
-
-
 def weyl_alternating_character(rs: RootSystem, lam: Weight) -> Character:
     """Character of L(lambda) by the alternating sum over the Weyl group,
     divided by the Weyl denominator (exact polynomial division).
@@ -357,16 +331,19 @@ def weyl_alternating_character(rs: RootSystem, lam: Weight) -> Character:
     rank = rs.rank
     rho = rs.rho
     xi = lam + rho
+    if 0 in xi.coords:
+        raise CharacterError("weight is not regular")
 
     # exponents stored as k with e^nu at k = root coords of (lambda - nu)
     shape = [k + 1 for k in _box_kmax(rs, xi)]
     num = np.zeros(shape, dtype=np.int64)
 
-    orbit = _signed_regular_orbit(rs, xi)
-    for coords, sgn in orbit.items():
+    # xi is regular, so its orbit is W and the BFS level of w(xi) is l(w)
+    orbit = _orbit_levels(rs, xi, DEFAULT_WEYL_ORDER_CAP)
+    for coords, length in orbit.items():
         # numerator term e^{w(xi) - rho}: offset lambda - (w(xi) - rho)
         off = _root_coords_int(rs, lam + rho - Weight(coords))
-        num[tuple(off)] = sgn
+        num[tuple(off)] = (-1) ** length
 
     # divide by prod (1 - e^{-alpha}): multiply by the geometric series of
     # each positive root via the running sum P(k) += P(k - c), evaluated in

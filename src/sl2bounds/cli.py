@@ -71,6 +71,9 @@ def _parse_embedding(rs: RootSystem, spec: str) -> Sl2Embedding:
         marks = _int_tuple(spec[6:], "marks")
         if len(marks) != rs.rank:
             raise UsageError(f"marks must have length {rs.rank}")
+        print(f"warning: marks {list(marks)} are not certified as an sl2 "
+              "triple; only symmetry and nonnegativity of the restriction "
+              "are checked", file=sys.stderr)
         return Sl2Embedding(marks=marks)
     raise UsageError(
         "embedding must be 'principal', 'root=c1,..,cr' or 'marks=m1,..,mr'")
@@ -89,7 +92,7 @@ def _emit_table(args, rows, header):
         w.writerow(header)
         w.writerows(rows)
     else:
-        widths = [max(len(str(h)), *(len(str(r[i])) for r in rows))
+        widths = [max([len(str(h))] + [len(str(r[i])) for r in rows])
                   for i, h in enumerate(header)]
         print("  ".join(str(h).rjust(w) for h, w in zip(header, widths)))
         for r in rows:
@@ -172,6 +175,10 @@ def cmd_branch(args):
 
 
 def _table_cmd(args, entry_fn, fixture, label):
+    if min(args.max_i, args.max_j) < 0:
+        raise UsageError("--max-i and --max-j must be >= 0")
+    if args.golden and max(args.max_i, args.max_j) > 19:
+        raise UsageError("golden table covers 0..19 only")
     rs = build([SimpleComponent("G", 2)])
     emb = principal_embedding(rs)
     grid = [[entry_fn(rs, Weight((i, j)), emb) for j in range(args.max_j + 1)]
@@ -181,8 +188,6 @@ def _table_cmd(args, entry_fn, fixture, label):
     _emit_table(args, rows, header)
     if args.golden:
         gold = _load_fixture(fixture)["table"]
-        if args.max_i > 19 or args.max_j > 19:
-            raise UsageError("golden table covers 0..19 only")
         diffs = _golden_diff(grid, gold, label)
         if diffs:
             for d in diffs:
@@ -277,9 +282,19 @@ def cmd_parabolic_table(args):
     return EXIT_OK
 
 
+def _type_name(text: str) -> SimpleComponent:
+    """A simple type written as family letter and rank, like G2."""
+    try:
+        rank = int(text[1:])
+    except ValueError as exc:
+        raise UsageError(
+            f"type must be a family letter and a rank, like G2; got {text!r}"
+        ) from exc
+    return SimpleComponent(text[:1], rank)
+
+
 def cmd_e_table(args):
-    types = [SimpleComponent(t[0], int(t[1:]))
-             for t in args.types] if args.types else \
+    types = [_type_name(t) for t in args.types] if args.types else \
         list(bounds._all_simple_types(args.rank_cap))
     data = [[str(t), bounds.e_value(t)] for t in types]
     _emit_table(args, data, ["type", "e"])

@@ -69,18 +69,7 @@ class SimpleComponent:
     @property
     def dim(self) -> int:
         """Dimension of the simple Lie algebra of this type."""
-        n = self.rank
-        if self.family == "A":
-            return (n + 1) ** 2 - 1
-        if self.family in ("B", "C"):
-            return n * (2 * n + 1)
-        if self.family == "D":
-            return n * (2 * n - 1)
-        if self.family == "E":
-            return {6: 78, 7: 133, 8: 248}[n]
-        if self.family == "F":
-            return 52
-        return 14  # G2
+        return self.rank + 2 * self.num_positive_roots
 
     @property
     def num_positive_roots(self) -> int:
@@ -389,24 +378,33 @@ def dominant_representative(rs: RootSystem, mu: Weight) -> Weight:
     raise RootSystemError("dominant_representative failed to terminate")
 
 
-def weyl_orbit(rs: RootSystem, mu: Weight, cap: int = DEFAULT_ORBIT_CAP):
-    """Full Weyl orbit of a dominant weight, as a set of Weight."""
-    if not mu.is_dominant:
-        raise RootSystemError("weyl_orbit expects a dominant weight")
-    seen = {mu.coords}
+def _orbit_levels(rs: RootSystem, mu: Weight, cap: int) -> dict:
+    """Weyl orbit of mu by breadth-first search over the simple reflections,
+    as coords -> BFS level; raises once it holds more than cap weights.
+
+    For a regular dominant mu the level of w(mu) is the length l(w).
+    """
+    level = {mu.coords: 0}
     frontier = [mu]
     while frontier:
         new = []
         for w in frontier:
             for j in range(rs.rank):
                 im = simple_reflection(rs, j, w)
-                if im.coords not in seen:
-                    seen.add(im.coords)
+                if im.coords not in level:
+                    level[im.coords] = level[w.coords] + 1
                     new.append(im)
-                    if len(seen) > cap:
-                        raise RootSystemError("weyl_orbit cap exceeded")
+                    if len(level) > cap:
+                        raise RootSystemError(f"Weyl orbit exceeds cap {cap}")
         frontier = new
-    return {Weight(c) for c in seen}
+    return level
+
+
+def weyl_orbit(rs: RootSystem, mu: Weight):
+    """Full Weyl orbit of a dominant weight, as a set of Weight."""
+    if not mu.is_dominant:
+        raise RootSystemError("weyl_orbit expects a dominant weight")
+    return {Weight(c) for c in _orbit_levels(rs, mu, DEFAULT_ORBIT_CAP)}
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:

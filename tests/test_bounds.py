@@ -156,6 +156,14 @@ def test_exclusion_set_rank_cap_insufficient():
         E_set(50, 8)
 
 
+@pytest.mark.parametrize("dim_k,cap", [(8, 0), (1, 1), (1, 2)])
+def test_exclusion_set_rank_cap_misses_a_family(dim_k, cap):
+    # A classical family with no rank within the cap leaves completeness
+    # unchecked; E_set(8, 0) used to return [] instead of failing.
+    with pytest.raises(BoundsError, match="no [ABD] type"):
+        E_set(dim_k, cap)
+
+
 def test_levi_classification_needs_no_root_system(monkeypatch):
     # The Levi type depends only on the Cartan block and the symmetrizers;
     # building a root system per node made criterion 5 miss its budget.
@@ -171,6 +179,30 @@ def test_levi_classification_needs_no_root_system(monkeypatch):
     for s, rows in expected_tables.items():
         assert parabolic_table(s) == rows, s
     assert E_set(8) == expected_excl
+
+
+def test_dynkin_signatures_identify_every_simple_type(monkeypatch):
+    # Types are identified by comparing signatures of _simple_block alone.
+    # Among the simple types of rank <= 11 only the isomorphic pairs
+    # B2 = C2 and A3 = D3 share a signature, and each pair is named by its
+    # first member; a relabelled block identifies the same way.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("root system built for a type identification")
+
+    monkeypatch.setattr(rootsys, "_positive_roots_closure", forbidden)
+    renamed = {"C2": "B2", "D3": "A3"}
+    by_signature = {}
+    for s in bounds._all_simple_types(11):
+        cartan, d = rootsys._simple_block(s)
+        nodes = range(s.rank)
+        by_signature.setdefault(bounds._signature(cartan, d, nodes),
+                                []).append(str(s))
+        assert str(_canonical(s)) == renamed.get(str(s), str(s))
+        assert bounds._identify(cartan, d, nodes) == _canonical(s)
+        flipped = [row[::-1] for row in cartan[::-1]]
+        assert bounds._identify(flipped, d[::-1], nodes) == _canonical(s)
+    shared = sorted(v for v in by_signature.values() if len(v) > 1)
+    assert shared == [["A3", "D3"], ["B2", "C2"]]
 
 
 @pytest.mark.parametrize("comp", list(bounds._all_simple_types(8)), ids=str)

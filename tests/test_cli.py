@@ -144,12 +144,33 @@ def test_parabolic_and_e_tables():
     assert "1,A1,11,6" in out
     code, out, _ = run("e-table", "G2", "A2", "--format", "csv")
     assert "G2,6" in out and "A2,3" in out
+    # no type has rank <= 0: the text table is its header alone
+    assert run("e-table", "--rank-cap", "0") == (EXIT_OK, "type  e\n", "")
 
 
 def test_exclusion_set_command():
     code, out, _ = run("exclusion-set", "8", "--format", "json")
     assert code == EXIT_OK
     assert len(json.loads(out)["types"]) == 14
+
+
+def test_exclusion_set_rank_cap_without_a_family():
+    code, out, err = run("exclusion-set", "8", "--rank-cap", "0")
+    assert code == EXIT_NUMERIC
+    assert out == "" and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [("branch", "G", "2", "1", "1"),
+                                     ("bound", "G", "2")], ids=lambda c: c[0])
+def test_custom_marks_print_one_warning(command):
+    # marks=2,2 are G2's principal marks: the output is that of the
+    # principal embedding, plus one warning that marks are not certified.
+    principal = run(*command, "--format", "json")
+    code, out, err = run(*command, "--embedding", "marks=2,2",
+                         "--format", "json")
+    assert (code, out) == principal[:2] and principal[2] == ""
+    assert err.startswith("warning: marks [2, 2] are not certified")
+    assert err.count("\n") == 1
 
 
 def test_determinism():
@@ -174,14 +195,21 @@ def test_complement_generators_file(tmp_path):
     ("branch", "G", "2", "1", "1", "--embedding", "marks=1,x"),
     ("complement", "--generators-file", "MISSING"),
     ("complement", "--generators-file", "OBJECT"),
+    ("e-table", "G"),
+    ("e-table", "Gx"),
+    ("e-table", "2"),
+    ("table1", "--max-i", "-1"),
+    ("table1", "--max-i", "25", "--golden"),
 ], ids=["gen-letters", "gen-empty", "root-letter", "marks-letter",
-        "file-missing", "file-object"])
+        "file-missing", "file-object", "type-no-rank", "type-letter-rank",
+        "type-no-family", "table-negative", "golden-out-of-range"])
 def test_malformed_input_gives_one_error_line(argv, tmp_path):
     obj = tmp_path / "object.json"
     obj.write_text('{"generators": [[2], [3]]}')
     paths = {"MISSING": str(tmp_path / "missing.json"), "OBJECT": str(obj)}
-    code, _, err = run(*(paths.get(a, a) for a in argv))
+    code, out, err = run(*(paths.get(a, a) for a in argv))
     assert code == EXIT_USAGE
+    assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
 
