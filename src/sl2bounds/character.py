@@ -1,22 +1,22 @@
 """Weight multiplicities of irreducible representations.
 
-Production algorithm: Freudenthal's recursion, evaluated level by level
-over the dominant weights below the highest weight.  A small-rank
-alternating-sum oracle (enumerating the full Weyl group) is kept alongside
-for cross-checking.
+Production algorithm: Freudenthal's recursion over the dominant weights of
+L(lambda) alone, in Python ints (Moody and Patera, "Fast recursion formula
+for weight multiplicities", 1982).  The dominant weights are found from
+lambda by subtracting positive roots and keeping the dominant results
+(Stembridge, "The partial order of dominant weights", 1998); any weight has
+the multiplicity of its dominant Weyl conjugate.  L(lambda) may have at
+most WEIGHT_CAP weights, counted over the orbits of its dominant weights
+while they are enumerated.  A small-rank alternating-sum oracle
+(enumerating the full Weyl group) is kept alongside for cross-checking.
 
-Internally a character is computed on the integer box of simple-root
-coordinate vectors k with lambda - mu = sum k_i alpha_i; the box holds the
-multiplicity of *every* weight (dominant or not), which makes both the
-recursion's inner sums and the sl2 restriction in sl2branch plain array
-operations.
-
-Restriction to the principal sl2 (all marks 2) needs no box: its weight
-values are the principal specialization of the character,
+full_weight_values restricts a character to the sl2 with given marks.
+Principal marks (all 2) use the principal specialization
 prod_{alpha>0} (1 - t^<lambda+rho, alpha_vee>) / (1 - t^<rho, alpha_vee>)
-(the q-analogue of Weyl's dimension formula; Kostant 1959), which
-full_weight_values evaluates with exact polynomial arithmetic over Python
-ints.
+(the q-analogue of Weyl's dimension formula; Kostant 1959), evaluated with
+exact polynomial arithmetic.  Any other marks expand each dominant weight
+over its Weyl orbit, tracking the simple-root coordinates k of lambda - mu,
+so that mu(h) = lambda(h) - sum k_i marks_i.
 """
 
 from __future__ import annotations
@@ -33,20 +33,16 @@ from .rootsys import (
     Weight,
     _orbit_levels,
     dominant_representative,
-    weyl_dimension,
 )
 
-DEFAULT_BOX_CAP = 10**7
+WEIGHT_CAP = 10**7  # weights of L(lambda): sum over dominant mu of |W mu|
+DEFAULT_BOX_CAP = 10**7  # cells of the alternating-sum oracle's box
 DEFAULT_WEYL_ORDER_CAP = 1200  # covers all rank <= 4 simple factors (F4: 1152)
-# Boxes are built only for dominant_character and non-principal marks, so
-# the principal G2 tables leave the memo empty.
-BOX_MEMO_SIZE = 512
-# The grid and the recursion's per-root dot products are int64.
-_INT64_LIMIT = 2**63
 
 
 class CharacterError(ArithmeticError):
-    """Internal inconsistency (non-exact division, negative multiplicity)."""
+    """Internal inconsistency (non-exact division, negative multiplicity),
+    or a character past WEIGHT_CAP."""
 
 
 @dataclass(frozen=True)
@@ -64,20 +60,6 @@ class Character:
             "lambda": list(self.highest_weight.coords),
             "mults": [[list(mu.coords), m] for mu, m in items],
         }
-
-
-@dataclass(frozen=True)
-class _CharacterBox:
-    """Character on the simple-root coordinate box below lambda.
-
-    grid[k] = multiplicity of the weight lambda - sum k_i alpha_i (zero for
-    lattice points that are not weights).  dom maps dominant weights to
-    their multiplicity.
-    """
-    lam: Weight
-    kmax: tuple
-    grid: np.ndarray
-    dom: dict
 
 
 def _exact_int_vector(fr_vec, what):
@@ -111,130 +93,104 @@ def _box_kmax(rs: RootSystem, lam: Weight):
     return kmax
 
 
-def _check_int64_headroom(rs: RootSystem, lam: Weight, kmax):
-    """Refuse a box whose recursion could overflow int64.
+def _orbit_size(rs: RootSystem, mu) -> int:
+    """|W mu| for dominant mu: prod over positive alpha with (mu, alpha) > 0
+    of (ht alpha + 1) / ht alpha (Macdonald's product for |W| / |W_mu|)."""
+    num = den = 1
+    for c in rs.positive_roots:
+        if any(ci and mi for ci, mi in zip(c, mu)):
+            num *= sum(c) + 1
+            den *= sum(c)
+    return num // den
 
-    Every multiplicity is at most dim L(lambda).  A per-root dot product in
-    the recursion sums at most K = max(kmax) terms mult * ((mu, alpha) +
-    k (alpha, alpha)) with k <= K and 0 <= (mu, alpha) <= P = max over
-    positive alpha of (lambda, alpha), since mu is dominant and lies in the
-    convex hull of the Weyl orbit of lambda.
+
+@lru_cache(maxsize=512)
+def _dominant_weights(rs: RootSystem, lam: Weight) -> tuple:
+    """(mu, k, multiplicity) for every dominant weight mu of L(lambda), k
+    the simple-root coordinates of lambda - mu, in order of height of k.
+
+    Freudenthal: ((lambda+rho)^2 - (mu+rho)^2) m(mu) =
+    2 sum_{alpha>0} sum_{j>=1} m(mu + j alpha) (mu + j alpha, alpha), with
+    m(nu) = m(dom(nu)); each root string stops at its first non-weight,
+    and its partial sums are kept for the weights below.
     """
-    K = max(kmax)
-    P = max(int(p) for p in (rs._np["roots"] * rs._np["d"])
-            @ np.asarray(lam.coords, dtype=np.int64))
-    aa = int(rs._np["roots_norm"].max())
-    bound = weyl_dimension(rs, lam) * K * (P + K * aa)
-    if bound >= _INT64_LIMIT:
-        raise CharacterError(
-            f"character of {lam} may overflow int64 "
-            f"(dot-product bound {bound} >= {_INT64_LIMIT})")
-
-
-def _dominant_box_points(rs: RootSystem, lam: Weight, kmax):
-    """Enumerate dominant mu with mu <= lam (dominance order).
-
-    Returns (k-vectors array sorted by level, weight-coords array).
-    """
-    grids = np.indices([k + 1 for k in kmax]).reshape(rs.rank, -1).T
-    A = rs._np["A"]
-    wc = np.asarray(lam.coords, dtype=np.int64) - grids @ A.T
-    mask = (wc >= 0).all(axis=1)
-    ks = grids[mask]
-    wcs = wc[mask]
-    order = np.lexsort(tuple(ks.T) + (ks.sum(axis=1),))
-    return ks[order], wcs[order]
-
-
-def _orbit_fill(rs: RootSystem, grid, kvec, wc, mult):
-    """Write mult into every Weyl-orbit cell of the dominant weight wc.
-
-    Orbit tracked jointly in weight coords and root-box coords:
-    s_j shifts the k-vector by wc_j * e_j.
-    """
-    start = (tuple(int(x) for x in wc), tuple(int(x) for x in kvec))
-    seen = {start[0]}
-    frontier = [start]
-    A = rs._np["A"]
-    rank = rs.rank
-    shape = grid.shape
-    while frontier:
-        new = []
-        for w, k in frontier:
-            if all(0 <= k[i] < shape[i] for i in range(rank)):
-                grid[k] = mult
-            for j in range(rank):
-                m = w[j]
-                if m == 0:
-                    continue
-                im = tuple(w[i] - m * int(A[i, j]) for i in range(rank))
-                if im not in seen:
-                    seen.add(im)
-                    k2 = list(k)
-                    k2[j] += m
-                    new.append((im, tuple(k2)))
-        frontier = new
-
-
-@lru_cache(maxsize=BOX_MEMO_SIZE)
-def _freudenthal_box(rs: RootSystem, lam: Weight) -> _CharacterBox:
     if not lam.is_dominant:
         raise RootSystemError("dominant_character expects a dominant weight")
-    kmax = _box_kmax(rs, lam)
-    _check_int64_headroom(rs, lam, kmax)
-    ks, wcs = _dominant_box_points(rs, lam, kmax)
     rank = rs.rank
-    grid = np.zeros([k + 1 for k in kmax], dtype=np.int64)
-    dom = {}
+    roots_wc = [tuple(int(x) for x in r) for r in rs._np["roots_wc"]]
+    found = {lam.coords: (0,) * rank}   # dominant mu -> k
+    todo = [lam.coords]
+    nweights = 0
+    while todo:
+        mu = todo.pop()
+        nweights += _orbit_size(rs, mu)
+        if nweights > WEIGHT_CAP:
+            raise CharacterError(
+                f"character of {lam} has more than {WEIGHT_CAP} weights "
+                f"(weight cap)")
+        for c, a in zip(rs.positive_roots, roots_wc):
+            nu = tuple(x - y for x, y in zip(mu, a))
+            if min(nu) >= 0 and nu not in found:
+                found[nu] = tuple(k + ci for k, ci in zip(found[mu], c))
+                todo.append(nu)
 
-    d = rs._np["d"]
-    roots = rs._np["roots"]          # (nroots, rank) root coords
-    roots_dwc = roots * d            # c_i d_i per root, for pairings
-    roots_norm = rs._np["roots_norm"]
-    lam_np = np.asarray(lam.coords, dtype=np.int64)
-    two_rho = np.full(rank, 2, dtype=np.int64)
-    nroots = roots.shape[0]
+    alpha_wc = [tuple(row[j] for row in rs.cartan) for j in range(rank)]
+    mult = {lam.coords: 1}   # every weight looked up so far; 0 if none
 
-    # highest weight: multiplicity 1
-    dom[lam] = 1
-    _orbit_fill(rs, grid, ks[0], wcs[0], 1)
+    def lookup(nu):
+        if nu not in mult:
+            dom = nu
+            while min(dom) < 0:
+                j = next(i for i, x in enumerate(dom) if x < 0)
+                dom = tuple(x - dom[j] * a for x, a in zip(dom, alpha_wc[j]))
+            mult[nu] = mult.get(dom, 0)
+        return mult[nu]
 
-    for idx in range(1, len(ks)):
-        kvec = ks[idx]
-        wc = wcs[idx]
-        rhs = 0
-        for a in range(nroots):
-            c = roots[a]
-            pos = c > 0
-            kcap = int((kvec[pos] // c[pos]).min())
-            if kcap < 1:
-                continue
-            mu_dot_a = int(roots_dwc[a] @ wc)      # (mu, alpha)
-            aa = int(roots_norm[a])                # (alpha, alpha)
-            kk = np.arange(1, kcap + 1)
-            cells = kvec[None, :] - kk[:, None] * c[None, :]
-            vals = grid[tuple(cells.T)]
-            rhs += int(vals @ (mu_dot_a + kk * aa))
-        denom = int((kvec * d) @ (lam_np + wc + two_rho))
-        num = 2 * rhs
-        mult, rem = divmod(num, denom)
+    d = rs.symmetrizers
+    # per positive root: weight coords, and c_i d_i so that (nu, alpha) =
+    # sum c_i d_i nu_i; string[nu] = sum_{j>=0} m(nu + j alpha)(nu + j alpha,
+    # alpha), memoized so that each root string is summed once
+    roots = [(a, tuple(ci * di for ci, di in zip(c, d)), {})
+             for c, a in zip(rs.positive_roots, roots_wc)]
+
+    def string_sum(nu, a, cd, string):
+        chain = []
+        while nu not in string:
+            m = lookup(nu)
+            if not m:
+                string[nu] = 0
+                break
+            chain.append((nu, m))
+            nu = tuple(x + y for x, y in zip(nu, a))
+        total = string[nu]
+        for nu, m in reversed(chain):
+            total += m * sum(x * y for x, y in zip(cd, nu))
+            string[nu] = total
+        return total
+
+    order = sorted(found, key=lambda mu: sum(found[mu]))
+    out = [(lam.coords, found[lam.coords], 1)]
+    for mu in order[1:]:
+        rhs = sum(string_sum(tuple(x + y for x, y in zip(mu, a)), a, cd, st)
+                  for a, cd, st in roots)
+        k = found[mu]
+        denom = sum(ki * di * (li + mi + 2)
+                    for ki, di, li, mi in zip(k, d, lam.coords, mu))
+        m, rem = divmod(2 * rhs, denom)
         if rem:
+            raise CharacterError(f"Freudenthal division not exact at mu={mu}")
+        if m <= 0:
             raise CharacterError(
-                f"Freudenthal division not exact at mu={tuple(wc)}")
-        if mult <= 0:
-            raise CharacterError(
-                f"Freudenthal produced nonpositive multiplicity at mu={tuple(wc)}")
-        w = Weight(tuple(int(x) for x in wc))
-        dom[w] = mult
-        _orbit_fill(rs, grid, kvec, wc, mult)
-
-    return _CharacterBox(lam=lam, kmax=tuple(kmax), grid=grid, dom=dom)
+                f"Freudenthal produced nonpositive multiplicity at mu={mu}")
+        mult[mu] = m
+        out.append((mu, k, m))
+    return tuple(out)
 
 
 def dominant_character(rs: RootSystem, lam: Weight) -> Character:
     """Multiplicities of all dominant weights of L(lambda) (Freudenthal)."""
-    box = _freudenthal_box(rs, lam)
-    return Character(highest_weight=lam, mults=dict(box.dom))
+    return Character(highest_weight=lam, mults={
+        Weight(mu): m for mu, _, m in _dominant_weights(rs, lam)})
 
 
 def full_weight_values(rs: RootSystem, lam: Weight, marks) -> dict:
@@ -244,26 +200,63 @@ def full_weight_values(rs: RootSystem, lam: Weight, marks) -> dict:
     mu(h) = lambda(h) - sum k_i marks_i for lambda - mu = sum k_i alpha_i;
     lambda(h) is solved exactly from the marks via the coroot basis.
     Principal marks (all 2) are answered by the product formula, any other
-    marks from the Freudenthal box.
+    marks by expanding the dominant weights over their Weyl orbits.
     """
     marks = [int(m) for m in marks]
     if len(marks) != rs.rank:
         raise RootSystemError(f"marks must have length {rs.rank}")
     if marks == [2] * rs.rank:
         return _principal_weight_values(rs, lam)
-    return _box_weight_values(rs, lam, marks)
+    return _orbit_weight_values(rs, lam, marks)
 
 
-def _box_weight_values(rs: RootSystem, lam: Weight, marks) -> dict:
-    lam_h = _lambda_of_h(rs, lam, marks)
-    box = _freudenthal_box(rs, lam)
-    ks = np.indices(box.grid.shape).reshape(rs.rank, -1).T
-    mults = box.grid.reshape(-1)
-    nz = mults > 0
-    vals = lam_h - ks[nz] @ np.asarray(marks, dtype=np.int64)
+@lru_cache(maxsize=512)
+def _weight_orbits(rs: RootSystem, lam: Weight) -> tuple:
+    """Root coordinates of every weight of L(lambda), grouped by multiplicity.
+
+    Returns (K, groups): row r of K is the k with lambda - mu = sum k_i
+    alpha_i for one weight mu, and groups holds (start, stop, m) for the
+    rows of multiplicity m.  All orbits are walked at once, downwards from
+    their dominant weights: s_j with mu_j > 0 maps mu to mu - mu_j alpha_j
+    and adds mu_j to k_j.  A step is kept only if j is the least i with
+    (s_j mu)_i < 0, so each weight is reached once, from the weight that
+    reflecting at its first negative coordinate gives back.
+    """
+    doms = _dominant_weights(rs, lam)
+    mults = sorted({m for _, _, m in doms})
+    group = {m: g for g, m in enumerate(mults)}
+    rank = rs.rank
+    A = rs._np["A"]
+    # columns: weight coords mu, root coords k, multiplicity group; int32
+    # holds them, since WEIGHT_CAP bounds lambda
+    rows = np.array([(*mu, *k, group[m]) for mu, k, m in doms], dtype=np.int32)
+    levels = []
+    while len(rows):
+        levels.append(rows[:, rank:].copy())
+        new = []
+        for j in range(rank):
+            child = rows[rows[:, j] > 0]
+            step = child[:, j].copy()
+            child[:, :rank] -= step[:, None] * A[:, j]
+            child[:, rank + j] += step
+            new.append(child[(child[:, :j] >= 0).all(axis=1)])
+        rows = np.concatenate(new)
+    rows = np.concatenate(levels)
+    rows = rows[np.argsort(rows[:, -1], kind="stable")]
+    K = np.ascontiguousarray(rows[:, :rank])
+    K.setflags(write=False)
+    bounds = np.searchsorted(rows[:, -1], np.arange(len(mults) + 1)).tolist()
+    return K, tuple(zip(bounds[:-1], bounds[1:], mults))
+
+
+def _orbit_weight_values(rs: RootSystem, lam: Weight, marks) -> dict:
+    K, groups = _weight_orbits(rs, lam)
+    vals = _lambda_of_h(rs, lam, marks) - K @ np.asarray(marks, dtype=np.int64)
     out = {}
-    for v, m in zip(vals.tolist(), mults[nz].tolist()):
-        out[v] = out.get(v, 0) + m
+    for start, stop, m in groups:
+        v, n = np.unique(vals[start:stop], return_counts=True)
+        for x, c in zip(v.tolist(), n.tolist()):
+            out[x] = out.get(x, 0) + c * m
     return out
 
 
@@ -274,7 +267,7 @@ def _principal_weight_values(rs: RootSystem, lam: Weight) -> dict:
     the heights is prod_{alpha>0} (1 - t^a_alpha) / (1 - t^b_alpha) with
     a_alpha = <lambda+rho, alpha_vee>, b_alpha = <rho, alpha_vee>.
     Coefficients are Python ints, so they cannot overflow, and the work
-    grows with sum(a_alpha) rather than with a box.
+    grows with sum(a_alpha) rather than with the number of weights.
     """
     if not lam.is_dominant:
         raise RootSystemError("dominant_character expects a dominant weight")

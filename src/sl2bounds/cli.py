@@ -255,6 +255,8 @@ def cmd_complement(args):
 
 
 def cmd_bound(args):
+    if args.cap < 1:
+        raise UsageError("--cap must be >= 1")
     rs = _parse_type(args.type, args.rank)
     emb = _parse_embedding(rs, args.embedding)
     try:

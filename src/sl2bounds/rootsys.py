@@ -180,7 +180,6 @@ class RootSystem:
     cartan: tuple = field(compare=False)          # rows: tuple of tuples of int
     symmetrizers: tuple = field(compare=False)    # d[i], positive int
     positive_roots: tuple = field(compare=False)  # simple-root coordinates
-    dynkin_edges: tuple = field(compare=False)    # ((i, j, bond_mult), ...)
     # derived arrays, filled in build()
     _np: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -261,13 +260,6 @@ def _invert_rational(mat):
     return [row[n:] for row in aug]
 
 
-def _dynkin_edges(cartan):
-    """(i, j, bond multiplicity) for i < j joined in the Dynkin diagram."""
-    n = len(cartan)
-    return [(i, j, cartan[i][j] * cartan[j][i])
-            for i in range(n) for j in range(i + 1, n) if cartan[i][j]]
-
-
 def build(components) -> RootSystem:
     """Construct the root system of a semisimple type.
 
@@ -304,7 +296,6 @@ def build(components) -> RootSystem:
         cartan=tuple(tuple(row) for row in cartan),
         symmetrizers=tuple(d),
         positive_roots=tuple(roots),
-        dynkin_edges=tuple(_dynkin_edges(cartan)),
     )
     A = np.array(cartan, dtype=np.int64)
     rootmat = np.array(roots, dtype=np.int64)           # (nroots, rank)

@@ -1,17 +1,17 @@
-import contextlib
-import io
 import itertools
-from fractions import Fraction
+import json
+import math
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
 from sl2bounds import (
     CharacterError, Weight, build, dominant_character, full_weight_values,
-    inner_product, root_to_weight_coords, weyl_dimension,
-    weyl_alternating_character, weyl_orbit,
+    root_embedding, weyl_dimension, weyl_alternating_character, weyl_orbit,
 )
-from sl2bounds import character, cli
-from sl2bounds.rootsys import RootSystemError
+from sl2bounds import character
+from sl2bounds.rootsys import RootSystemError, weight_to_root_coords
 
 
 def mults_by_coords(ch):
@@ -125,45 +125,53 @@ def test_dominant_character_rejects_nondominant():
 
 
 def test_box_memo_is_bounded_and_shared_across_builds():
-    from sl2bounds import character, cli
-    info = character._freudenthal_box.cache_info
-    assert info().maxsize is not None
+    # Both character memos: the dominant weights (Freudenthal) and the
+    # orbit expansion that non-principal restrictions read.
     lam = Weight((4, 3))
-    first = dominant_character(build([("G", 2)]), lam)
-    hits = info().hits
-    again = dominant_character(build([("G", 2)]), lam)
-    assert info().hits == hits + 1
-    assert again == first
+    for memo, call in ((character._dominant_weights, dominant_character),
+                       (character._weight_orbits, lambda rs, lam:
+                        full_weight_values(rs, lam, (1, 0)))):
+        assert memo.cache_info().maxsize is not None
+        first = call(build([("G", 2)]), lam)
+        hits = memo.cache_info().hits
+        again = call(build([("G", 2)]), lam)
+        assert memo.cache_info().hits == hits + 1
+        assert again == first
 
 
-def _principal_values_from(rs, ch):
-    """Weight-value histogram for h = 2 rho_vee from a dominant character,
-    expanding each dominant weight to its Weyl orbit.  mu(h) is summed as
-    <mu, alpha_vee> over the positive roots, independently of the coroot
-    solve in full_weight_values."""
-    d = rs.symmetrizers
-    two_rho_vee = [Fraction(0)] * rs.rank  # coroot coordinates
-    for r in rs.positive_roots:
-        wr = root_to_weight_coords(rs, r)
-        norm = inner_product(rs, wr, wr)
-        for i in range(rs.rank):
-            two_rho_vee[i] += Fraction(2 * r[i] * d[i]) / norm
+@lru_cache(maxsize=None)
+def _oracle_expansion(rs, lam):
+    """(D q, m) for every weight nu = sum q_i alpha_i (rational q) of
+    L(lambda), from the alternating-sum oracle with each dominant weight
+    expanded to its Weyl orbit; m is the multiplicity and D a common
+    denominator of the q."""
+    ch = weyl_alternating_character(rs, lam)
+    D = math.lcm(*(x.denominator for row in rs._np["Ainv"] for x in row))
+    return D, [([int(x * D) for x in weight_to_root_coords(rs, nu)], m)
+               for mu, m in ch.mults.items() for nu in weyl_orbit(rs, mu)]
+
+
+def _weight_values_from(expansion, marks):
+    """Weight-value histogram for the h with alpha_i(h) = marks_i, summed
+    as nu(h) = sum q_i marks_i over an oracle expansion, independently of
+    the coroot solve in full_weight_values."""
+    D, weights = expansion
     out = {}
-    for mu, m in ch.mults.items():
-        for nu in weyl_orbit(rs, mu):
-            v = sum(c * x for c, x in zip(two_rho_vee, nu.coords))
-            assert v.denominator == 1
-            out[int(v)] = out.get(int(v), 0) + m
+    for q, m in weights:
+        v, rem = divmod(sum(qi * x for qi, x in zip(q, marks)), D)
+        assert rem == 0
+        out[v] = out.get(v, 0) + m
     return out
 
 
 def _assert_three_ways(rs, lam):
     lam = Weight(lam)
+    marks = [2] * rs.rank
     product = character._principal_weight_values(rs, lam)
-    box = character._box_weight_values(rs, lam, [2] * rs.rank)
-    oracle = _principal_values_from(rs, weyl_alternating_character(rs, lam))
-    assert product == box == oracle, lam
-    assert full_weight_values(rs, lam, (2,) * rs.rank) == product
+    orbits = character._orbit_weight_values(rs, lam, marks)
+    oracle = _weight_values_from(_oracle_expansion(rs, lam), marks)
+    assert product == orbits == oracle, lam
+    assert full_weight_values(rs, lam, marks) == product
 
 
 def test_principal_values_three_ways_g2_box():
@@ -172,13 +180,20 @@ def test_principal_values_three_ways_g2_box():
         _assert_three_ways(rs, lam)
 
 
-@pytest.mark.parametrize("fam,rank,lam", [
+_SMALL_WEIGHTS = [
     ("A", 1, (5,)), ("A", 2, (2, 1)), ("A", 3, (1, 0, 2)),
     ("A", 4, (1, 0, 1, 0)), ("B", 2, (1, 2)), ("B", 3, (1, 0, 1)),
     ("B", 4, (0, 1, 0, 1)), ("C", 2, (2, 1)), ("C", 3, (0, 1, 1)),
     ("C", 4, (1, 0, 0, 1)), ("D", 3, (1, 1, 0)), ("D", 4, (1, 0, 1, 1)),
     ("F", 4, (0, 0, 0, 1)), ("G", 2, (3, 2)),
-], ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else str(v))
+]
+
+
+def _weight_id(v):
+    return "".join(map(str, v)) if isinstance(v, tuple) else str(v)
+
+
+@pytest.mark.parametrize("fam,rank,lam", _SMALL_WEIGHTS, ids=_weight_id)
 def test_principal_values_three_ways_simple_types(fam, rank, lam):
     _assert_three_ways(build([(fam, rank)]), lam)
 
@@ -189,6 +204,34 @@ def test_principal_values_three_ways_non_simple():
         _assert_three_ways(rs, lam)
 
 
+def _assert_root_sl2s_two_ways(rs, lam):
+    """Orbit expansion against the alternating-sum oracle, for the sl2 of
+    every positive root."""
+    lam = Weight(lam)
+    oracle = _oracle_expansion(rs, lam)
+    for beta in rs.positive_roots:
+        marks = root_embedding(rs, beta).marks
+        assert full_weight_values(rs, lam, marks) == \
+            _weight_values_from(oracle, marks), (lam, beta)
+
+
+@pytest.mark.parametrize("fam,rank,lam", _SMALL_WEIGHTS, ids=_weight_id)
+def test_root_sl2_values_two_ways_simple_types(fam, rank, lam):
+    _assert_root_sl2s_two_ways(build([(fam, rank)]), lam)
+
+
+def test_root_sl2_values_two_ways_non_simple():
+    rs = build([("A", 1), ("G", 2)])
+    for lam in [(0, 0, 0), (1, 1, 0), (2, 0, 1), (1, 2, 1)]:
+        _assert_root_sl2s_two_ways(rs, lam)
+
+
+def test_root_sl2_values_two_ways_g2_box():
+    rs = build([("G", 2)])
+    for lam in itertools.product(range(8), repeat=2):
+        _assert_root_sl2s_two_ways(rs, lam)
+
+
 def test_principal_values_e6_against_freudenthal():
     # W(E6) has 51840 elements, past the alternating-sum oracle's cap, so
     # E6 is checked against Freudenthal and the Weyl dimension only.
@@ -196,7 +239,7 @@ def test_principal_values_e6_against_freudenthal():
     for lam in [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1)]:
         lam = Weight(lam)
         product = character._principal_weight_values(rs, lam)
-        assert product == character._box_weight_values(rs, lam, [2] * 6)
+        assert product == character._orbit_weight_values(rs, lam, [2] * 6)
         assert sum(product.values()) == weyl_dimension(rs, lam)
 
 
@@ -208,24 +251,6 @@ def test_principal_values_reject_inexact_quotient(monkeypatch):
         monkeypatch.setitem(rs._np, key, rs._np[key][:-1])
     with pytest.raises(CharacterError, match="not a polynomial"):
         character._principal_weight_values(rs, Weight((1, 0)))
-
-
-def test_int64_headroom_check_fires(monkeypatch):
-    rs = build([("G", 2)])
-    lam = Weight((2, 1))
-    uncached = character._freudenthal_box.__wrapped__
-    assert uncached(rs, lam).dom[lam] == 1
-    monkeypatch.setattr(character, "_INT64_LIMIT", 2**10)
-    with pytest.raises(CharacterError, match="overflow int64"):
-        uncached(rs, lam)
-    monkeypatch.setattr(character, "_freudenthal_box", uncached)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        code = cli.main(["character", "G", "2", "2", "1"])
-    assert code == cli.EXIT_NUMERIC
-    assert err.getvalue().startswith("numeric error:")
-    assert err.getvalue().count("\n") == 1
 
 
 # The spec weights of the benchmark's large-root-branching workload and the
@@ -241,6 +266,28 @@ _LARGE_WEIGHTS = [
 @pytest.mark.parametrize("fam,rank,lam", _LARGE_WEIGHTS,
                          ids=[f"{f}{r}" for f, r, _ in _LARGE_WEIGHTS])
 def test_int64_headroom_check_passes_large_characters(fam, rank, lam):
+    # Multiplicities are Python ints, so no int64 headroom limits these
+    # characters; their orbit expansion must count dim L(lambda) weights.
     rs = build([(fam, rank)])
     lam = Weight(lam)
-    character._check_int64_headroom(rs, lam, character._box_kmax(rs, lam))
+    assert character._orbit_weight_values(rs, lam, [0] * rank) == \
+        {0: weyl_dimension(rs, lam)}
+
+
+# Histograms of the spec weights under their root sl2s (highest root,
+# highest short root, alpha_1), frozen from the dense Freudenthal box that
+# the orbit expansion replaced.  They are the second algorithm where the
+# alternating-sum oracle cannot go (E6 is past its Weyl-group cap) or is too
+# slow for the suite (about 5 s for B4 (3,3,3,3)).
+_FROZEN = json.loads(
+    (Path(__file__).parent / "data" / "large_root_histograms.json").read_text())
+
+
+@pytest.mark.parametrize("entry", _FROZEN, ids=[
+    "{}{}-{}".format(*e["type"], "".join(map(str, e["root"]))) for e in _FROZEN])
+def test_large_root_histograms_match_frozen_box(entry):
+    rs = build([tuple(entry["type"])])
+    marks = root_embedding(rs, entry["root"]).marks
+    assert list(marks) == entry["marks"]
+    N = full_weight_values(rs, Weight(entry["lambda"]), marks)
+    assert sorted([v, n] for v, n in N.items()) == entry["weight_values"]

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -122,12 +123,17 @@ class _BoxBuilt(Exception):
 
 
 def test_principal_requests_build_no_box(monkeypatch):
+    # Principal requests answer from the product formula and never touch
+    # the dominant-weight memo; the orbit memo is bypassed so that a
+    # non-principal request cannot answer from an earlier test's entry.
     from sl2bounds import character
 
     def refuse(rs, lam):
         raise _BoxBuilt(lam)
 
-    monkeypatch.setattr(character, "_freudenthal_box", refuse)
+    monkeypatch.setattr(character, "_dominant_weights", refuse)
+    monkeypatch.setattr(character, "_weight_orbits",
+                        character._weight_orbits.__wrapped__)
     for argv in (("table1", "--golden"), ("table2", "--golden"),
                  ("exceptions",), ("bound", "G", "2"),
                  ("branch", "G", "2", "1", "1"),
@@ -136,6 +142,32 @@ def test_principal_requests_build_no_box(monkeypatch):
         assert code == EXIT_OK, (argv, err)
     with pytest.raises(_BoxBuilt):
         run("branch", "G", "2", "1", "1", "--embedding", "root=1,0")
+
+
+_E8_PAST_CAP = ("E", "8", "3", "0", "0", "0", "0", "0", "0", "5")
+
+
+@pytest.mark.parametrize("argv", [
+    ("character", *_E8_PAST_CAP),
+    ("branch", *_E8_PAST_CAP, "--embedding", "root=2,3,4,6,5,4,3,2"),
+], ids=["character", "root-branch"])
+def test_weight_cap_refuses_fast(argv):
+    start = time.perf_counter()
+    code, out, err = run(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.startswith("numeric error:") and err.count("\n") == 1
+    assert "weight cap" in err
+
+
+def test_character_e8_omega1():
+    code, out, _ = run("character", "E", "8", "1", "0", "0", "0", "0", "0",
+                       "0", "0", "--format", "json")
+    assert code == EXIT_OK
+    obj = json.loads(out)
+    assert obj["dimension"] == 3875
+    assert sorted(m for _, m in obj["mults"]) == [1, 7, 35]
 
 
 def test_parabolic_and_e_tables():
@@ -200,9 +232,12 @@ def test_complement_generators_file(tmp_path):
     ("e-table", "2"),
     ("table1", "--max-i", "-1"),
     ("table1", "--max-i", "25", "--golden"),
+    ("bound", "G", "2", "--cap", "0"),
+    ("bound", "G", "2", "--cap", "-1"),
 ], ids=["gen-letters", "gen-empty", "root-letter", "marks-letter",
         "file-missing", "file-object", "type-no-rank", "type-letter-rank",
-        "type-no-family", "table-negative", "golden-out-of-range"])
+        "type-no-family", "table-negative", "golden-out-of-range",
+        "bound-cap-zero", "bound-cap-negative"])
 def test_malformed_input_gives_one_error_line(argv, tmp_path):
     obj = tmp_path / "object.json"
     obj.write_text('{"generators": [[2], [3]]}')
