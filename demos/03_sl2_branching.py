@@ -38,3 +38,15 @@ hr = root_embedding(g2, (3, 2))
 print("highest-root sl2 marks:", hr.marks)
 print("L(0,1) | root sl2 mults:",
       dict(sorted(sl2_decompose(g2, Weight((0, 1)), hr).mults.items())))
+
+# Any other sl2 is answered by the Weyl character formula grouped by the
+# cosets of W_J (J = the zero marks) and evaluated at h.  The highest root
+# of E6 has marks (0, 1, 0, 0, 0, 0), so J is the A5 Levi and there are
+# only 72 cosets.  The adjoint rep splits as the sl2 itself, 20 doublets and
+# the 35-dim centralizer A5.
+e6 = build([SimpleComponent("E", 6)])
+theta = root_embedding(e6, e6.positive_roots[-1])
+print("E6 highest-root sl2 marks:", theta.marks)
+print("E6 adjoint | highest-root sl2 mults:",
+      dict(sorted(sl2_decompose(e6, Weight((0, 1, 0, 0, 0, 0)),
+                                theta).mults.items())))

@@ -6,24 +6,38 @@ for weight multiplicities", 1982).  The dominant weights are found from
 lambda by subtracting positive roots and keeping the dominant results
 (Stembridge, "The partial order of dominant weights", 1998); any weight has
 the multiplicity of its dominant Weyl conjugate.  L(lambda) may have at
-most WEIGHT_CAP weights, counted over the orbits of its dominant weights
-while they are enumerated.  A small-rank alternating-sum oracle
-(enumerating the full Weyl group) is kept alongside for cross-checking.
+most WEIGHT_CAP weights, counted over the orbits of its dominant weights,
+and at most DOMINANT_CAP dominant weights, both checked while they are
+enumerated.  A small-rank alternating-sum oracle (enumerating the full Weyl
+group) is kept alongside for cross-checking.
 
-full_weight_values restricts a character to the sl2 with given marks.
-Principal marks (all 2) use the principal specialization
-prod_{alpha>0} (1 - t^<lambda+rho, alpha_vee>) / (1 - t^<rho, alpha_vee>)
-(the q-analogue of Weyl's dimension formula; Kostant 1959), evaluated with
-exact polynomial arithmetic.  Any other marks expand each dominant weight
-over its Weyl orbit, tracking the simple-root coordinates k of lambda - mu,
-so that mu(h) = lambda(h) - sum k_i marks_i.
+full_weight_values restricts a character to the sl2 with given marks; it
+is the one place that picks among three algorithms:
+
+* Principal marks (all 2): the principal specialization
+  prod_{alpha>0} (1 - t^<lambda+rho, alpha_vee>) / (1 - t^<rho, alpha_vee>)
+  (the q-analogue of Weyl's dimension formula; Kostant 1959).
+* Any other marks, while W_J\\W has at most PARABOLIC_CAP cosets (J the
+  zero marks once the marks are conjugated to dominant) and the sum's
+  polynomial has degree at most PARABOLIC_CAP: the Weyl character
+  formula grouped by W_J cosets and evaluated at h (Bourbaki, Lie Groups
+  and Lie Algebras VIII 9; Humphreys, Introduction to Lie Algebras and
+  Representation Theory 24).
+* Past either: each dominant weight expanded over its Weyl orbit,
+  tracking the simple-root coordinates k of lambda - mu, so that
+  mu(h) = lambda(h) - sum k_i marks_i.
+
+The first two evaluate a quotient of polynomials in t exactly over Python
+ints; the third is bounded by WEIGHT_CAP.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -36,13 +50,15 @@ from .rootsys import (
 )
 
 WEIGHT_CAP = 10**7  # weights of L(lambda): sum over dominant mu of |W mu|
+DOMINANT_CAP = 5 * 10**4  # dominant weights of L(lambda)
+PARABOLIC_CAP = 10**5  # cosets W_J\W and degree of the parabolic sum
 DEFAULT_BOX_CAP = 10**7  # cells of the alternating-sum oracle's box
 DEFAULT_WEYL_ORDER_CAP = 1200  # covers all rank <= 4 simple factors (F4: 1152)
 
 
 class CharacterError(ArithmeticError):
     """Internal inconsistency (non-exact division, negative multiplicity),
-    or a character past WEIGHT_CAP."""
+    or a character past WEIGHT_CAP or DOMINANT_CAP."""
 
 
 @dataclass(frozen=True)
@@ -51,8 +67,8 @@ class Character:
     mults: dict  # dominant Weight -> positive int
 
     def dimension(self, rs: RootSystem) -> int:
-        from .rootsys import weyl_orbit
-        return sum(len(weyl_orbit(rs, mu)) * m for mu, m in self.mults.items())
+        return sum(_orbit_size(rs, mu.coords) * m
+                   for mu, m in self.mults.items())
 
     def to_json_dict(self) -> dict:
         items = sorted(self.mults.items(), key=lambda kv: kv[0].coords)
@@ -124,10 +140,10 @@ def _dominant_weights(rs: RootSystem, lam: Weight) -> tuple:
     while todo:
         mu = todo.pop()
         nweights += _orbit_size(rs, mu)
-        if nweights > WEIGHT_CAP:
+        if nweights > WEIGHT_CAP or len(found) > DOMINANT_CAP:
             raise CharacterError(
-                f"character of {lam} has more than {WEIGHT_CAP} weights "
-                f"(weight cap)")
+                f"character of {lam} has more than {WEIGHT_CAP} weights or "
+                f"{DOMINANT_CAP} dominant weights (weight cap)")
         for c, a in zip(rs.positive_roots, roots_wc):
             nu = tuple(x - y for x, y in zip(mu, a))
             if min(nu) >= 0 and nu not in found:
@@ -199,15 +215,111 @@ def full_weight_values(rs: RootSystem, lam: Weight, marks) -> dict:
 
     mu(h) = lambda(h) - sum k_i marks_i for lambda - mu = sum k_i alpha_i;
     lambda(h) is solved exactly from the marks via the coroot basis.
-    Principal marks (all 2) are answered by the product formula, any other
-    marks by expanding the dominant weights over their Weyl orbits.
+    Principal marks (all 2) are answered by the product formula; any other
+    marks by the parabolic sum while it has at most PARABOLIC_CAP cosets
+    and a polynomial of degree at most PARABOLIC_CAP, and past that by
+    expanding the dominant weights over their Weyl orbits.
     """
     marks = [int(m) for m in marks]
     if len(marks) != rs.rank:
         raise RootSystemError(f"marks must have length {rs.rank}")
     if marks == [2] * rs.rank:
         return _principal_weight_values(rs, lam)
+    dom, _ = _dominant_marks(rs, lam, marks)
+    xi = lam + rs.rho
+    # (xi - w0 xi)(h) is the degree of the parabolic sum's polynomial
+    degree = _lambda_of_h(rs, xi + dominant_representative(rs, -xi), dom)
+    if max(_orbit_size(rs, [int(m > 0) for m in dom]), degree) \
+            <= PARABOLIC_CAP:
+        return _parabolic_weight_values(rs, lam, marks)
     return _orbit_weight_values(rs, lam, marks)
+
+
+def _dominant_marks(rs: RootSystem, lam: Weight, marks):
+    """(marks of the dominant Weyl conjugate h' of h, lambda(h')).
+
+    alpha_i(s_j h) = marks_i - marks_j cartan[j][i] and lambda(s_j h) =
+    (s_j lambda)(h) = lambda(h) - lambda_j marks_j; the weights of L(lambda)
+    are W-stable, so h and h' have the same weight-value histogram.
+    """
+    lam_h = _lambda_of_h(rs, lam, marks)
+    marks = list(marks)
+    while min(marks) < 0:
+        j = next(i for i, m in enumerate(marks) if m < 0)
+        lam_h -= lam.coords[j] * marks[j]
+        marks = [m - marks[j] * a for m, a in zip(marks, rs.cartan[j])]
+    return marks, lam_h
+
+
+def _parabolic_weight_values(rs: RootSystem, lam: Weight, marks) -> dict:
+    """Weight-value histogram from the Weyl character formula grouped by
+    the cosets of W_J, J = {i : alpha_i(h) = 0}, for h conjugated to
+    dominant:
+
+    sum_mu mult(mu) t^{(lambda-mu)(h)} = sum_w sgn(w) dim_J(w xi - rho)
+    t^{(xi - w xi)(h)} / prod_{alpha>0, alpha(h)>0} (1 - t^{alpha(h)}),
+
+    with xi = lambda + rho, w over the minimal representatives of W_J\\W
+    (exactly the w with w xi strictly J-dominant), and dim_J(x - rho) =
+    prod_{alpha in Phi_J+} (x, alpha) / (rho, alpha) the Levi factor's Weyl
+    dimension.  Roots of Phi_J vanish on h, so each coset's Levi character
+    collapses to dim_J times one power of t.
+    """
+    if not lam.is_dominant:
+        raise RootSystemError("dominant_character expects a dominant weight")
+    marks, lam_h = _dominant_marks(rs, lam, marks)
+    rank = rs.rank
+    A, d, roots = rs._np["A"], rs._np["d"], rs._np["roots"]
+    cartan = np.asarray(rs.cartan, dtype=np.int64)
+    xi = np.asarray(lam.coords, dtype=np.int64) + 1
+    J = [i for i in range(rank) if marks[i] == 0]
+    # Breadth-first by right multiplication w -> w s_j, which lengthens w
+    # iff w(alpha_j) > 0.  The representatives are closed under prefixes
+    # (Deodhar), so level l holds those of length l; each is reached once,
+    # from w s_j for the least j with w(alpha_j) < 0.  Per representative:
+    # K = root coordinates of xi - w xi, R[:, :, j] = those of w(alpha_j).
+    K = np.zeros((1, rank), dtype=np.int64)
+    R = np.eye(rank, dtype=np.int64)[None]
+    levels = []
+    while len(K):
+        levels.append(K)
+        new_K, new_R = [], []
+        for j in range(rank):
+            up = R[:, :, j].sum(axis=1) > 0
+            step = R[up, :, j]
+            Kj = K[up] + xi[j] * step
+            Rj = R[up] - step[:, :, None] * cartan[j]
+            ok = (((xi - Kj @ A.T)[:, J] > 0).all(axis=1)
+                  & (Rj[:, :, :j].sum(axis=1) > 0).all(axis=1))
+            new_K.append(Kj[ok])
+            new_R.append(Rj[ok])
+        K, R = np.concatenate(new_K), np.concatenate(new_R)
+    K = np.concatenate(levels)
+    signs = np.repeat([(-1) ** n for n in range(len(levels))],
+                      [len(k) for k in levels]).tolist()
+
+    # h is dominant, so Phi_J+ are the positive roots vanishing on h; rows
+    # c*d of levi give (x, alpha) = (c*d) @ x, and (rho, alpha) = sum(c*d)
+    alpha_h = roots @ marks
+    levi = roots[alpha_h == 0] * d
+    den = math.prod(levi.sum(axis=1).tolist())
+    degrees = (K @ marks).tolist()
+    poly = [0] * (max(degrees) + 1)
+    for k, sgn, row in zip(degrees, signs,
+                           ((xi - K @ A.T) @ levi.T).tolist()):
+        dim_j, rem = divmod(math.prod(row), den)
+        if rem:
+            raise CharacterError(f"Levi dimension of {lam} is not integral")
+        poly[k] += sgn * dim_j
+    exps = alpha_h[alpha_h > 0].tolist()
+    for e in exps:               # divide by (1 - t^e): running sum, stride e
+        for r in range(e):
+            poly[r::e] = accumulate(poly[r::e])
+    top = len(poly) - 1 - sum(exps)
+    if top < 0 or any(poly[top + 1:]):
+        raise CharacterError(
+            f"parabolic character sum of {lam} is not a polynomial")
+    return {lam_h - k: c for k, c in enumerate(poly[:top + 1]) if c}
 
 
 @lru_cache(maxsize=512)

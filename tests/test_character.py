@@ -130,7 +130,7 @@ def test_box_memo_is_bounded_and_shared_across_builds():
     lam = Weight((4, 3))
     for memo, call in ((character._dominant_weights, dominant_character),
                        (character._weight_orbits, lambda rs, lam:
-                        full_weight_values(rs, lam, (1, 0)))):
+                        character._orbit_weight_values(rs, lam, (1, 0)))):
         assert memo.cache_info().maxsize is not None
         first = call(build([("G", 2)]), lam)
         hits = memo.cache_info().hits
@@ -204,32 +204,79 @@ def test_principal_values_three_ways_non_simple():
         _assert_three_ways(rs, lam)
 
 
-def _assert_root_sl2s_two_ways(rs, lam):
-    """Orbit expansion against the alternating-sum oracle, for the sl2 of
-    every positive root."""
+def _assert_root_sl2s_three_ways(rs, lam):
+    """Parabolic sum, orbit expansion and alternating-sum oracle agree for
+    the sl2 of every positive root.  A simple root's marks, such as
+    (2, -1, 0, 0) in B4, are not dominant, so the parabolic sum must first
+    conjugate them."""
     lam = Weight(lam)
     oracle = _oracle_expansion(rs, lam)
     for beta in rs.positive_roots:
         marks = root_embedding(rs, beta).marks
-        assert full_weight_values(rs, lam, marks) == \
-            _weight_values_from(oracle, marks), (lam, beta)
+        parabolic = character._parabolic_weight_values(rs, lam, marks)
+        assert parabolic == character._orbit_weight_values(rs, lam, marks) \
+            == _weight_values_from(oracle, marks), (lam, beta)
+        assert full_weight_values(rs, lam, marks) == parabolic
 
 
 @pytest.mark.parametrize("fam,rank,lam", _SMALL_WEIGHTS, ids=_weight_id)
 def test_root_sl2_values_two_ways_simple_types(fam, rank, lam):
-    _assert_root_sl2s_two_ways(build([(fam, rank)]), lam)
+    _assert_root_sl2s_three_ways(build([(fam, rank)]), lam)
 
 
 def test_root_sl2_values_two_ways_non_simple():
     rs = build([("A", 1), ("G", 2)])
     for lam in [(0, 0, 0), (1, 1, 0), (2, 0, 1), (1, 2, 1)]:
-        _assert_root_sl2s_two_ways(rs, lam)
+        _assert_root_sl2s_three_ways(rs, lam)
 
 
 def test_root_sl2_values_two_ways_g2_box():
     rs = build([("G", 2)])
     for lam in itertools.product(range(8), repeat=2):
-        _assert_root_sl2s_two_ways(rs, lam)
+        _assert_root_sl2s_three_ways(rs, lam)
+
+
+def test_marks_conjugate_to_dominant():
+    # alpha_1 is a long root of B4, so its sl2 is conjugate to the
+    # highest-root sl2, whose marks are dominant; lambda(h) follows the
+    # conjugation.
+    rs = build([("B", 4)])
+    lam = Weight((0, 1, 0, 1))
+    marks, lam_h = character._dominant_marks(rs, lam, (2, -1, 0, 0))
+    assert marks == list(root_embedding(rs, (1, 2, 2, 2)).marks) \
+        == [0, 1, 0, 0]
+    assert lam_h == character._lambda_of_h(rs, lam, marks)
+    assert character._parabolic_weight_values(rs, lam, (2, -1, 0, 0)) == \
+        character._parabolic_weight_values(rs, lam, marks) == \
+        _weight_values_from(_oracle_expansion(rs, lam), (2, -1, 0, 0))
+
+
+class _PathTaken(Exception):
+    pass
+
+
+def _refuse(*args):
+    raise _PathTaken(args)
+
+
+def test_parabolic_cap_falls_back_to_orbit_expansion(monkeypatch):
+    # Every positive-root sl2 of the small weights, and the sum of the
+    # highest root's and alpha_1's marks (h = theta_vee + alpha_1_vee, not
+    # an sl2): under the default cap the parabolic sum answers, with the cap
+    # at 0 the orbit expansion does, and the histograms are the same.
+    cases = []
+    for fam, rank, lam in _SMALL_WEIGHTS:
+        rs = build([(fam, rank)])
+        marks = [root_embedding(rs, b).marks for b in rs.positive_roots]
+        alpha_1 = root_embedding(rs, (1,) + (0,) * (rank - 1)).marks
+        marks.append(tuple(a + b for a, b in zip(alpha_1, marks[-1])))
+        cases += [(rs, Weight(lam), m) for m in marks if list(m) != [2] * rank]
+    with monkeypatch.context() as m:
+        m.setattr(character, "_orbit_weight_values", _refuse)
+        parabolic = [full_weight_values(*case) for case in cases]
+    monkeypatch.setattr(character, "PARABOLIC_CAP", 0)
+    monkeypatch.setattr(character, "_parabolic_weight_values", _refuse)
+    assert [full_weight_values(*case) for case in cases] == parabolic
 
 
 def test_principal_values_e6_against_freudenthal():

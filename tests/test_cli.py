@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -118,47 +119,84 @@ def test_complement_uncertified_exit_code():
     assert err.startswith("complement not certified") and err.count("\n") == 1
 
 
-class _BoxBuilt(Exception):
+class _WeightsWalked(Exception):
     pass
 
 
-def test_principal_requests_build_no_box(monkeypatch):
-    # Principal requests answer from the product formula and never touch
-    # the dominant-weight memo; the orbit memo is bypassed so that a
-    # non-principal request cannot answer from an earlier test's entry.
+@pytest.fixture
+def refuse_weights(monkeypatch):
+    """Make the dominant-weight enumeration and the orbit expansion raise,
+    so that a request answers only from the product formula or the
+    parabolic sum."""
     from sl2bounds import character
 
     def refuse(rs, lam):
-        raise _BoxBuilt(lam)
+        raise _WeightsWalked(lam)
 
     monkeypatch.setattr(character, "_dominant_weights", refuse)
-    monkeypatch.setattr(character, "_weight_orbits",
-                        character._weight_orbits.__wrapped__)
+    monkeypatch.setattr(character, "_weight_orbits", refuse)
+
+
+def test_principal_requests_build_no_box(refuse_weights):
     for argv in (("table1", "--golden"), ("table2", "--golden"),
                  ("exceptions",), ("bound", "G", "2"),
                  ("branch", "G", "2", "1", "1"),
+                 ("branch", "G", "2", "1", "1", "--embedding", "root=1,0"),
                  ("branch", "E", "8", "3", "0", "0", "0", "0", "0", "0", "5")):
         code, _, err = run(*argv)
         assert code == EXIT_OK, (argv, err)
-    with pytest.raises(_BoxBuilt):
-        run("branch", "G", "2", "1", "1", "--embedding", "root=1,0")
+    with pytest.raises(_WeightsWalked):
+        run("character", "G", "2", "1", "1")
+
+
+_FROZEN = json.loads((Path(__file__).parent / "data"
+                      / "large_root_histograms.json").read_text())
+
+
+@pytest.mark.parametrize("entry", _FROZEN, ids=[
+    "{}{}-{}".format(*e["type"], "".join(map(str, e["root"]))) for e in _FROZEN])
+def test_root_requests_answer_without_weights(refuse_weights, entry):
+    # The benchmark's root-sl2 requests, answered by the parabolic sum.
+    code, out, err = run("branch", *map(str, entry["type"]),
+                         *map(str, entry["lambda"]), "--embedding",
+                         "root=" + ",".join(map(str, entry["root"])),
+                         "--format", "json")
+    assert code == EXIT_OK, err
+    N = json.loads(out)["weight_values"]
+    assert sorted([int(v), n] for v, n in N.items()) == entry["weight_values"]
 
 
 _E8_PAST_CAP = ("E", "8", "3", "0", "0", "0", "0", "0", "0", "5")
 
 
-@pytest.mark.parametrize("argv", [
-    ("character", *_E8_PAST_CAP),
-    ("branch", *_E8_PAST_CAP, "--embedding", "root=2,3,4,6,5,4,3,2"),
-], ids=["character", "root-branch"])
-def test_weight_cap_refuses_fast(argv):
+@pytest.mark.parametrize("argv,budget", [
+    (("character", *_E8_PAST_CAP), 1.0),
+    (("character", "A", "1", "9999999"), 2.0),
+    (("branch", "A", "2", "1000000", "1000000", "--embedding", "root=1,1"),
+     1.0),
+], ids=["character", "dominant-weights", "parabolic-degree"])
+def test_weight_cap_refuses_fast(argv, budget):
     start = time.perf_counter()
     code, out, err = run(*argv)
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < budget
     assert code == EXIT_NUMERIC
     assert out == ""
     assert err.startswith("numeric error:") and err.count("\n") == 1
     assert "weight cap" in err
+
+
+def test_e8_root_branch_answers():
+    # Past the weight cap, but the highest-root sl2 has only 240 cosets.
+    from sl2bounds import Weight, build, weyl_dimension
+    start = time.perf_counter()
+    code, out, err = run("branch", *_E8_PAST_CAP,
+                         "--embedding", "root=2,3,4,6,5,4,3,2",
+                         "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (EXIT_OK, "")
+    dec = json.loads(out)["decomposition"]
+    assert sum((int(k) + 1) * m for k, m in dec.items()) == weyl_dimension(
+        build([("E", 8)]), Weight(tuple(map(int, _E8_PAST_CAP[2:]))))
 
 
 def test_character_e8_omega1():
