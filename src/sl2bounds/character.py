@@ -11,24 +11,32 @@ and at most DOMINANT_CAP dominant weights, both checked while they are
 enumerated.  A small-rank alternating-sum oracle (enumerating the full Weyl
 group) is kept alongside for cross-checking.
 
-full_weight_values restricts a character to the sl2 with given marks; it
-is the one place that picks among three algorithms:
+full_weight_values restricts a character to the sl2 with given marks
+alpha_i(h).  It is the one restriction pipeline, and every step happens
+there once: it validates lambda and the marks, solves lambda(h) in
+integers, conjugates non-principal marks to dominant, picks one of three
+algorithms, and maps each degree k of
+
+    sum_mu mult(mu) t^{(lambda - mu)(h)}
+
+to mu(h) = lambda(h) - k.  Two algorithms only build the numerator of a
+quotient of polynomials in t, which full_weight_values divides exactly
+over Python ints:
 
 * Principal marks (all 2): the principal specialization
   prod_{alpha>0} (1 - t^<lambda+rho, alpha_vee>) / (1 - t^<rho, alpha_vee>)
-  (the q-analogue of Weyl's dimension formula; Kostant 1959).
-* Any other marks, while W_J\\W has at most PARABOLIC_CAP cosets (J the
-  zero marks once the marks are conjugated to dominant) and the sum's
-  polynomial has degree at most PARABOLIC_CAP: the Weyl character
-  formula grouped by W_J cosets and evaluated at h (Bourbaki, Lie Groups
-  and Lie Algebras VIII 9; Humphreys, Introduction to Lie Algebras and
-  Representation Theory 24).
-* Past either: each dominant weight expanded over its Weyl orbit,
-  tracking the simple-root coordinates k of lambda - mu, so that
-  mu(h) = lambda(h) - sum k_i marks_i.
+  (the q-analogue of Weyl's dimension formula; Kostant 1959), in t^2.
+* Any other marks: the Weyl character formula grouped by the cosets of
+  W_J, J the zero marks of the dominant conjugate, and evaluated at h
+  (Bourbaki, Lie Groups and Lie Algebras VIII 9; Humphreys, Introduction
+  to Lie Algebras and Representation Theory 24).
 
-The first two evaluate a quotient of polynomials in t exactly over Python
-ints; the third is bounded by WEIGHT_CAP.
+Either runs while its polynomial has degree at most PARABOLIC_CAP, and the
+coset sum also while W_J\\W has at most PARABOLIC_CAP cosets; both are
+counted in Python ints before anything is allocated.  Past the cap, the
+third algorithm expands each dominant weight over its Weyl orbit, tracking
+the simple-root coordinates k of lambda - mu, so that (lambda - mu)(h) =
+sum k_i marks_i; it is bounded by WEIGHT_CAP.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul, sub
 
 import numpy as np
 
@@ -46,12 +55,14 @@ from .rootsys import (
     RootSystemError,
     Weight,
     _orbit_levels,
+    _orbit_size,
+    _reflect_to_dominant,
     dominant_representative,
 )
 
 WEIGHT_CAP = 10**7  # weights of L(lambda): sum over dominant mu of |W mu|
 DOMINANT_CAP = 5 * 10**4  # dominant weights of L(lambda)
-PARABOLIC_CAP = 10**5  # cosets W_J\W and degree of the parabolic sum
+PARABOLIC_CAP = 10**5  # degree of either formula, and cosets W_J\W
 DEFAULT_BOX_CAP = 10**7  # cells of the alternating-sum oracle's box
 DEFAULT_WEYL_ORDER_CAP = 1200  # covers all rank <= 4 simple factors (F4: 1152)
 
@@ -78,21 +89,13 @@ class Character:
         }
 
 
-def _exact_int_vector(fr_vec, what):
-    out = []
-    for x in fr_vec:
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                raise CharacterError(f"{what} is not integral: {x}")
-            x = x.numerator
-        out.append(int(x))
-    return out
-
-
 def _root_coords_int(rs: RootSystem, mu: Weight):
-    from .rootsys import weight_to_root_coords
-    return _exact_int_vector(weight_to_root_coords(rs, mu),
-                             "root-coordinate vector")
+    """Simple-root coordinates of mu, which must lie in the root lattice."""
+    den, N = rs._np["Ainv_int"]
+    q = [divmod(sum(map(mul, row, mu.coords)), den) for row in N]
+    if any(r for _, r in q):
+        raise CharacterError(f"{mu} is not in the root lattice")
+    return [x for x, _ in q]
 
 
 def _box_kmax(rs: RootSystem, lam: Weight):
@@ -107,17 +110,6 @@ def _box_kmax(rs: RootSystem, lam: Weight):
         raise CharacterError(
             f"character box has {ncells} cells, exceeds cap {DEFAULT_BOX_CAP}")
     return kmax
-
-
-def _orbit_size(rs: RootSystem, mu) -> int:
-    """|W mu| for dominant mu: prod over positive alpha with (mu, alpha) > 0
-    of (ht alpha + 1) / ht alpha (Macdonald's product for |W| / |W_mu|)."""
-    num = den = 1
-    for c in rs.positive_roots:
-        if any(ci and mi for ci, mi in zip(c, mu)):
-            num *= sum(c) + 1
-            den *= sum(c)
-    return num // den
 
 
 @lru_cache(maxsize=512)
@@ -137,10 +129,12 @@ def _dominant_weights(rs: RootSystem, lam: Weight) -> tuple:
     found = {lam.coords: (0,) * rank}   # dominant mu -> k
     todo = [lam.coords]
     nweights = 0
+    # lambda - sum k_i alpha_i is dominant whenever 0 <= 2 k_i <= lambda_i
+    least = math.prod(x // 2 + 1 for x in lam.coords)
     while todo:
         mu = todo.pop()
         nweights += _orbit_size(rs, mu)
-        if nweights > WEIGHT_CAP or len(found) > DOMINANT_CAP:
+        if nweights > WEIGHT_CAP or max(len(found), least) > DOMINANT_CAP:
             raise CharacterError(
                 f"character of {lam} has more than {WEIGHT_CAP} weights or "
                 f"{DOMINANT_CAP} dominant weights (weight cap)")
@@ -150,16 +144,13 @@ def _dominant_weights(rs: RootSystem, lam: Weight) -> tuple:
                 found[nu] = tuple(k + ci for k, ci in zip(found[mu], c))
                 todo.append(nu)
 
-    alpha_wc = [tuple(row[j] for row in rs.cartan) for j in range(rank)]
+    alpha_wc = tuple(zip(*rs.cartan))
     mult = {lam.coords: 1}   # every weight looked up so far; 0 if none
 
     def lookup(nu):
         if nu not in mult:
-            dom = nu
-            while min(dom) < 0:
-                j = next(i for i, x in enumerate(dom) if x < 0)
-                dom = tuple(x - dom[j] * a for x, a in zip(dom, alpha_wc[j]))
-            mult[nu] = mult.get(dom, 0)
+            dom = _reflect_to_dominant(nu, alpha_wc)[0]
+            mult[nu] = mult.get(tuple(dom), 0)
         return mult[nu]
 
     d = rs.symmetrizers
@@ -213,48 +204,88 @@ def full_weight_values(rs: RootSystem, lam: Weight, marks) -> dict:
     """Histogram of mu(h) over all weights mu of L(lambda), with
     multiplicity, where h has the given marks alpha_i(h).
 
-    mu(h) = lambda(h) - sum k_i marks_i for lambda - mu = sum k_i alpha_i;
-    lambda(h) is solved exactly from the marks via the coroot basis.
-    Principal marks (all 2) are answered by the product formula; any other
-    marks by the parabolic sum while it has at most PARABOLIC_CAP cosets
-    and a polynomial of degree at most PARABOLIC_CAP, and past that by
-    expanding the dominant weights over their Weyl orbits.
+    The one restriction pipeline; the module docstring describes it.
     """
     marks = [int(m) for m in marks]
     if len(marks) != rs.rank:
         raise RootSystemError(f"marks must have length {rs.rank}")
-    if marks == [2] * rs.rank:
-        return _principal_weight_values(rs, lam)
-    dom, _ = _dominant_marks(rs, lam, marks)
-    xi = lam + rs.rho
-    # (xi - w0 xi)(h) is the degree of the parabolic sum's polynomial
-    degree = _lambda_of_h(rs, xi + dominant_representative(rs, -xi), dom)
-    if max(_orbit_size(rs, [int(m > 0) for m in dom]), degree) \
-            <= PARABOLIC_CAP:
-        return _parabolic_weight_values(rs, lam, marks)
-    return _orbit_weight_values(rs, lam, marks)
-
-
-def _dominant_marks(rs: RootSystem, lam: Weight, marks):
-    """(marks of the dominant Weyl conjugate h' of h, lambda(h')).
-
-    alpha_i(s_j h) = marks_i - marks_j cartan[j][i] and lambda(s_j h) =
-    (s_j lambda)(h) = lambda(h) - lambda_j marks_j; the weights of L(lambda)
-    are W-stable, so h and h' have the same weight-value histogram.
-    """
+    if not lam.is_dominant:
+        raise RootSystemError("full_weight_values expects a dominant weight")
     lam_h = _lambda_of_h(rs, lam, marks)
-    marks = list(marks)
-    while min(marks) < 0:
-        j = next(i for i, m in enumerate(marks) if m < 0)
-        lam_h -= lam.coords[j] * marks[j]
-        marks = [m - marks[j] * a for m, a in zip(marks, rs.cartan[j])]
-    return marks, lam_h
+    xi = [x + 1 for x in lam.coords]
+    if marks == [2] * rs.rank:
+        # degrees in q = t^2; the numerator has degree
+        # sum_{alpha>0} <xi, alpha_vee> = xi(h) = lambda(h) + rho(h)
+        step, numerator = 2, _principal_numerator
+        size = lam_h + int(rs._np["coroots"].sum())
+    else:
+        step, numerator = 1, _parabolic_numerator
+        marks, lam_h = _dominant_marks(rs, lam, marks, lam_h)
+        # -xi - xi* = sum k_j alpha_j for xi* = -w0 xi, so the numerator
+        # has degree (xi - w0 xi)(h) = -k . marks
+        k = _reflect_to_dominant([-x for x in xi], tuple(zip(*rs.cartan)))[1]
+        size = max(-sum(map(mul, k, marks)),
+                   _orbit_size(rs, [int(m > 0) for m in marks]))
+    if size > PARABOLIC_CAP:
+        step, degrees = 1, _orbit_degrees(rs, lam, marks).items()
+    else:
+        poly, exps = numerator(rs, xi, marks)
+        for e in exps:           # divide by (1 - t^e): running sum, stride e
+            for r in range(e):
+                poly[r::e] = accumulate(poly[r::e])
+        top = len(poly) - 1 - sum(exps)
+        if top < 0 or any(poly[top + 1:]):
+            raise CharacterError(
+                f"character sum of {lam} at marks {marks} is not a polynomial")
+        degrees = enumerate(poly[:top + 1])
+    return {lam_h - step * deg: c for deg, c in degrees if c}
 
 
-def _parabolic_weight_values(rs: RootSystem, lam: Weight, marks) -> dict:
-    """Weight-value histogram from the Weyl character formula grouped by
-    the cosets of W_J, J = {i : alpha_i(h) = 0}, for h conjugated to
-    dominant:
+def _lambda_of_h(rs: RootSystem, lam: Weight, marks) -> int:
+    """lambda(h) = sum_j marks_j q_j for lambda = sum_j q_j alpha_j, in
+    Python ints: q = N lambda / den, with N = den * A^-1 integral."""
+    den, N = rs._np["Ainv_int"]
+    val = sum(m * sum(map(mul, row, lam.coords)) for m, row in zip(marks, N))
+    if val % den:
+        raise CharacterError(
+            f"lambda(h) is not integral: {Fraction(val, den)}")
+    return val // den
+
+
+def _dominant_marks(rs: RootSystem, lam: Weight, marks, lam_h: int):
+    """(marks of the dominant Weyl conjugate h' of h, lambda(h')), given
+    lambda(h).
+
+    alpha_i(s_j h) = marks_i - marks_j cartan[j][i], so h - h' = sum k_j
+    alpha_j_vee and lambda(h') = lambda(h) - sum k_j lambda_j; the weights
+    of L(lambda) are W-stable, so h and h' have the same weight-value
+    histogram.
+    """
+    dom, k = _reflect_to_dominant(marks, rs.cartan)
+    return dom, lam_h - sum(map(mul, k, lam.coords))
+
+
+def _principal_numerator(rs: RootSystem, xi, marks):
+    """prod_{alpha>0} (1 - q^a_alpha) and the exponents b_alpha of its
+    divisor prod_{alpha>0} (1 - q^b_alpha), with a_alpha = <xi, alpha_vee>
+    and b_alpha = <rho, alpha_vee>: for the principal h = 2 rho_vee, their
+    quotient is sum_mu mult(mu) q^{ht(lambda - mu)}, and (lambda - mu)(h) =
+    2 ht(lambda - mu).  The work grows with sum(a_alpha), not with the
+    number of weights.
+    """
+    coroots = rs._np["coroots"]
+    a = (coroots @ np.asarray(xi, dtype=np.int64)).tolist()
+    poly = [1] + [0] * sum(a)
+    deg = 0
+    for e in a:                  # multiply by (1 - q^e)
+        deg += e
+        poly[e:deg + 1] = map(sub, poly[e:deg + 1], poly[:deg + 1 - e])
+    return poly, coroots.sum(axis=1).tolist()
+
+
+def _parabolic_numerator(rs: RootSystem, xi, marks):
+    """Numerator and divisor exponents of the Weyl character formula grouped
+    by the cosets of W_J, J = {i : alpha_i(h) = 0}, for dominant marks:
 
     sum_mu mult(mu) t^{(lambda-mu)(h)} = sum_w sgn(w) dim_J(w xi - rho)
     t^{(xi - w xi)(h)} / prod_{alpha>0, alpha(h)>0} (1 - t^{alpha(h)}),
@@ -265,13 +296,10 @@ def _parabolic_weight_values(rs: RootSystem, lam: Weight, marks) -> dict:
     dimension.  Roots of Phi_J vanish on h, so each coset's Levi character
     collapses to dim_J times one power of t.
     """
-    if not lam.is_dominant:
-        raise RootSystemError("dominant_character expects a dominant weight")
-    marks, lam_h = _dominant_marks(rs, lam, marks)
     rank = rs.rank
     A, d, roots = rs._np["A"], rs._np["d"], rs._np["roots"]
     cartan = np.asarray(rs.cartan, dtype=np.int64)
-    xi = np.asarray(lam.coords, dtype=np.int64) + 1
+    xi = np.asarray(xi, dtype=np.int64)
     J = [i for i in range(rank) if marks[i] == 0]
     # Breadth-first by right multiplication w -> w s_j, which lengthens w
     # iff w(alpha_j) > 0.  The representatives are closed under prefixes
@@ -309,17 +337,10 @@ def _parabolic_weight_values(rs: RootSystem, lam: Weight, marks) -> dict:
                            ((xi - K @ A.T) @ levi.T).tolist()):
         dim_j, rem = divmod(math.prod(row), den)
         if rem:
-            raise CharacterError(f"Levi dimension of {lam} is not integral")
+            raise CharacterError(
+                f"Levi dimension at marks {marks} is not integral")
         poly[k] += sgn * dim_j
-    exps = alpha_h[alpha_h > 0].tolist()
-    for e in exps:               # divide by (1 - t^e): running sum, stride e
-        for r in range(e):
-            poly[r::e] = accumulate(poly[r::e])
-    top = len(poly) - 1 - sum(exps)
-    if top < 0 or any(poly[top + 1:]):
-        raise CharacterError(
-            f"parabolic character sum of {lam} is not a polynomial")
-    return {lam_h - k: c for k, c in enumerate(poly[:top + 1]) if c}
+    return poly, alpha_h[alpha_h > 0].tolist()
 
 
 @lru_cache(maxsize=512)
@@ -361,64 +382,19 @@ def _weight_orbits(rs: RootSystem, lam: Weight) -> tuple:
     return K, tuple(zip(bounds[:-1], bounds[1:], mults))
 
 
-def _orbit_weight_values(rs: RootSystem, lam: Weight, marks) -> dict:
+def _orbit_degrees(rs: RootSystem, lam: Weight, marks) -> dict:
+    """(lambda - mu)(h) = k . marks -> multiplicity, over all weights mu of
+    L(lambda) and their root coordinates k from the orbit expansion."""
     K, groups = _weight_orbits(rs, lam)
-    vals = _lambda_of_h(rs, lam, marks) - K @ np.asarray(marks, dtype=np.int64)
+    # K is int32 and the marks are dominant, so int64 is exact while
+    # sum(marks) < 2^32; past that, Python ints
+    degrees = K @ np.array(marks, np.int64 if sum(marks) < 2**32 else object)
     out = {}
     for start, stop, m in groups:
-        v, n = np.unique(vals[start:stop], return_counts=True)
+        v, n = np.unique(degrees[start:stop], return_counts=True)
         for x, c in zip(v.tolist(), n.tolist()):
             out[x] = out.get(x, 0) + c * m
     return out
-
-
-def _principal_weight_values(rs: RootSystem, lam: Weight) -> dict:
-    """Weight-value histogram for the principal sl2 (h = 2 rho_vee).
-
-    mu(h) = lambda(h) - 2 ht(lambda - mu), and the generating function of
-    the heights is prod_{alpha>0} (1 - t^a_alpha) / (1 - t^b_alpha) with
-    a_alpha = <lambda+rho, alpha_vee>, b_alpha = <rho, alpha_vee>.
-    Coefficients are Python ints, so they cannot overflow, and the work
-    grows with sum(a_alpha) rather than with the number of weights.
-    """
-    if not lam.is_dominant:
-        raise RootSystemError("dominant_character expects a dominant weight")
-    roots_dwc = rs._np["roots"] * rs._np["d"]   # (alpha, mu) = roots_dwc @ mu
-    norms = rs._np["roots_norm"].tolist()       # (alpha, alpha)
-    lam_rho = np.asarray(lam.coords, dtype=np.int64) + 1
-    a = [2 * int(x) // n for x, n in zip(roots_dwc @ lam_rho, norms)]
-    b = [2 * int(x) // n for x, n in zip(roots_dwc.sum(axis=1), norms)]
-    poly = [1] + [0] * sum(a)
-    deg = 0
-    for e in a:                  # multiply by (1 - t^e), highest degree first
-        deg += e
-        for k in range(deg, e - 1, -1):
-            poly[k] -= poly[k - e]
-    for e in b:                  # divide by (1 - t^e): running sum
-        for k in range(e, len(poly)):
-            poly[k] += poly[k - e]
-    top = sum(a) - sum(b)
-    if any(poly[top + 1:]):
-        raise CharacterError(
-            f"principal specialization of {lam} is not a polynomial")
-    lam_h = _lambda_of_h(rs, lam, [2] * rs.rank)
-    return {lam_h - 2 * k: c for k, c in enumerate(poly[:top + 1]) if c}
-
-
-def _lambda_of_h(rs: RootSystem, lam: Weight, marks) -> int:
-    """lambda(h) where h is given by marks alpha_i(h).
-
-    h = sum c_j alpha_j_vee with marks = A^T c (coroot-basis coordinates
-    solved exactly); then lambda(h) = sum lambda_j c_j.
-    """
-    AinvT = rs._np["AinvT"]
-    c = [sum(AinvT[i][j] * marks[j] for j in range(rs.rank))
-         for i in range(rs.rank)]
-    val = sum((Fraction(lam.coords[i]) * c[i] for i in range(rs.rank)),
-              start=Fraction(0))
-    if val.denominator != 1:
-        raise CharacterError(f"lambda(h) is not integral: {val}")
-    return int(val)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +420,10 @@ def weyl_alternating_character(rs: RootSystem, lam: Weight) -> Character:
     num = np.zeros(shape, dtype=np.int64)
 
     # xi is regular, so its orbit is W and the BFS level of w(xi) is l(w)
-    orbit = _orbit_levels(rs, xi, DEFAULT_WEYL_ORDER_CAP)
+    if _orbit_size(rs, xi.coords) > DEFAULT_WEYL_ORDER_CAP:
+        raise RootSystemError(
+            f"Weyl orbit exceeds cap {DEFAULT_WEYL_ORDER_CAP}")
+    orbit = _orbit_levels(rs, xi)
     for coords, length in orbit.items():
         # numerator term e^{w(xi) - rho}: offset lambda - (w(xi) - rho)
         off = _root_coords_int(rs, lam + rho - Weight(coords))

@@ -17,9 +17,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
 
 import numpy as np
 
@@ -300,14 +300,21 @@ def build(components) -> RootSystem:
     A = np.array(cartan, dtype=np.int64)
     rootmat = np.array(roots, dtype=np.int64)           # (nroots, rank)
     rs._np["A"] = A
-    rs._np["Ainv"] = _invert_rational(cartan)
-    rs._np["AinvT"] = _invert_rational([list(r) for r in zip(*cartan)])
+    Ainv = _invert_rational(cartan)
+    rs._np["Ainv"] = Ainv
+    # (den, den * Ainv) in Python ints: exact root coordinates of any weight
+    den = math.lcm(*(x.denominator for row in Ainv for x in row))
+    rs._np["Ainv_int"] = (den, tuple(tuple(int(x * den) for x in row)
+                                     for row in Ainv))
     rs._np["d"] = np.array(d, dtype=np.int64)
     rs._np["roots"] = rootmat
     rs._np["roots_wc"] = rootmat @ A.T                  # weight coords per root
     # (alpha, alpha) per root: sum_i c_i d_i <alpha, alpha_i_vee> d_i ... via
     # (alpha, alpha_i) = d_i * wc(alpha)_i
     rs._np["roots_norm"] = (rootmat * rs._np["d"] * rs._np["roots_wc"]).sum(axis=1)
+    # simple-coroot coordinates of alpha_vee = 2 alpha / (alpha, alpha)
+    rs._np["coroots"] = (2 * rootmat * rs._np["d"]
+                         // rs._np["roots_norm"][:, None])
 
     # fix of orientation required by the G2 labeling: dim L(omega_1) = 7
     off = 0
@@ -357,21 +364,44 @@ def simple_reflection(rs: RootSystem, j: int, mu: Weight) -> Weight:
                         for i in range(rs.rank)))
 
 
+def _reflect_to_dominant(x, simple):
+    """(x', k): x' the dominant vector in the Weyl orbit of x, and k the
+    simple-root coordinates of x - x', in Python ints.
+
+    simple[j] holds the coordinates of the j-th simple root in those of x,
+    so that s_j x = x - x_j simple[j]: the columns of the Cartan matrix for
+    a weight, its rows for the marks alpha_i(h) of an h.  Reflecting at the
+    first negative coordinate shortens the Weyl group element that maps x'
+    to x, so there are at most |Phi+| steps.
+    """
+    x, k = list(x), [0] * len(x)
+    while min(x) < 0:
+        j = next(i for i, c in enumerate(x) if c < 0)
+        c = x[j]
+        k[j] += c
+        x = [a - c * b for a, b in zip(x, simple[j])]
+    return x, k
+
+
 def dominant_representative(rs: RootSystem, mu: Weight) -> Weight:
     """The unique dominant weight in the Weyl orbit of mu."""
-    cap = len(rs.positive_roots) * (sum(abs(c) for c in mu.coords) + 1) + 1
-    cur = mu
-    for _ in range(cap):
-        j = next((i for i, c in enumerate(cur.coords) if c < 0), None)
-        if j is None:
-            return cur
-        cur = simple_reflection(rs, j, cur)
-    raise RootSystemError("dominant_representative failed to terminate")
+    return Weight(_reflect_to_dominant(mu.coords, tuple(zip(*rs.cartan)))[0])
 
 
-def _orbit_levels(rs: RootSystem, mu: Weight, cap: int) -> dict:
+def _orbit_size(rs: RootSystem, mu) -> int:
+    """|W mu| for dominant mu: prod over positive alpha with (mu, alpha) > 0
+    of (ht alpha + 1) / ht alpha (Macdonald's product for |W| / |W_mu|)."""
+    num = den = 1
+    for c in rs.positive_roots:
+        if any(ci and mi for ci, mi in zip(c, mu)):
+            num *= sum(c) + 1
+            den *= sum(c)
+    return num // den
+
+
+def _orbit_levels(rs: RootSystem, mu: Weight) -> dict:
     """Weyl orbit of mu by breadth-first search over the simple reflections,
-    as coords -> BFS level; raises once it holds more than cap weights.
+    as coords -> BFS level; callers bound |W mu| with _orbit_size first.
 
     For a regular dominant mu the level of w(mu) is the length l(w).
     """
@@ -385,8 +415,6 @@ def _orbit_levels(rs: RootSystem, mu: Weight, cap: int) -> dict:
                 if im.coords not in level:
                     level[im.coords] = level[w.coords] + 1
                     new.append(im)
-                    if len(level) > cap:
-                        raise RootSystemError(f"Weyl orbit exceeds cap {cap}")
         frontier = new
     return level
 
@@ -395,7 +423,9 @@ def weyl_orbit(rs: RootSystem, mu: Weight):
     """Full Weyl orbit of a dominant weight, as a set of Weight."""
     if not mu.is_dominant:
         raise RootSystemError("weyl_orbit expects a dominant weight")
-    return {Weight(c) for c in _orbit_levels(rs, mu, DEFAULT_ORBIT_CAP)}
+    if _orbit_size(rs, mu.coords) > DEFAULT_ORBIT_CAP:
+        raise RootSystemError(f"Weyl orbit exceeds cap {DEFAULT_ORBIT_CAP}")
+    return {Weight(c) for c in _orbit_levels(rs, mu)}
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:

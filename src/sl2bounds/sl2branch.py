@@ -10,9 +10,6 @@ mult V(k) = N_k - N_{k+2}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-import numpy as np
 
 from .rootsys import RootSystem, RootSystemError, Weight
 from .character import full_weight_values
@@ -64,23 +61,14 @@ def principal_embedding(rs: RootSystem) -> Sl2Embedding:
 
 def root_embedding(rs: RootSystem, beta) -> Sl2Embedding:
     """Root sl2 for a positive root beta (simple-root coordinates):
-    marks_i = <alpha_i, beta_vee>."""
+    marks_i = <alpha_i, beta_vee> = sum_j c_j cartan[j][i] for beta_vee =
+    sum_j c_j alpha_j_vee."""
     beta = tuple(int(b) for b in beta)
     if beta not in rs.positive_roots:
         raise RootSystemError(f"{beta} is not a positive root")
-    c = np.asarray(beta, dtype=np.int64)
-    d = rs._np["d"]
-    wc = rs._np["A"] @ c  # weight coords of beta
-    beta_norm = int((c * d * wc).sum())  # (beta, beta)
-    marks = []
-    for i in range(rs.rank):
-        # <alpha_i, beta_vee> = 2 (alpha_i, beta) / (beta, beta);
-        # (alpha_i, beta) = d_i * wc(beta)_i
-        v = Fraction(2 * int(d[i]) * int(wc[i]), beta_norm)
-        if v.denominator != 1:
-            raise BranchingError("root embedding marks not integral")
-        marks.append(int(v))
-    return Sl2Embedding(marks=tuple(marks), kind=f"root{beta}")
+    coroot = rs._np["coroots"][rs.positive_roots.index(beta)]
+    return Sl2Embedding(marks=tuple((coroot @ rs._np["A"]).tolist()),
+                        kind=f"root{beta}")
 
 
 def sl2_decompose(rs: RootSystem, lam: Weight, emb: Sl2Embedding) -> Sl2Decomposition:

@@ -130,7 +130,7 @@ def test_box_memo_is_bounded_and_shared_across_builds():
     lam = Weight((4, 3))
     for memo, call in ((character._dominant_weights, dominant_character),
                        (character._weight_orbits, lambda rs, lam:
-                        character._orbit_weight_values(rs, lam, (1, 0)))):
+                        character._orbit_degrees(rs, lam, (1, 0)))):
         assert memo.cache_info().maxsize is not None
         first = call(build([("G", 2)]), lam)
         hits = memo.cache_info().hits
@@ -164,11 +164,37 @@ def _weight_values_from(expansion, marks):
     return out
 
 
+class _PathTaken(Exception):
+    pass
+
+
+def _refuse(*args):
+    raise _PathTaken(args)
+
+
+def _by_formula(rs, lam, marks):
+    """full_weight_values with the orbit expansion refused, so that the
+    product formula or the parabolic sum answers."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(character, "_orbit_degrees", _refuse)
+        return full_weight_values(rs, lam, marks)
+
+
+def _by_orbits(rs, lam, marks):
+    """full_weight_values with both formulas refused and past the cap, so
+    that the orbit expansion answers."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(character, "PARABOLIC_CAP", 0)
+        m.setattr(character, "_principal_numerator", _refuse)
+        m.setattr(character, "_parabolic_numerator", _refuse)
+        return full_weight_values(rs, lam, marks)
+
+
 def _assert_three_ways(rs, lam):
     lam = Weight(lam)
     marks = [2] * rs.rank
-    product = character._principal_weight_values(rs, lam)
-    orbits = character._orbit_weight_values(rs, lam, marks)
+    product = _by_formula(rs, lam, marks)
+    orbits = _by_orbits(rs, lam, marks)
     oracle = _weight_values_from(_oracle_expansion(rs, lam), marks)
     assert product == orbits == oracle, lam
     assert full_weight_values(rs, lam, marks) == product
@@ -213,8 +239,8 @@ def _assert_root_sl2s_three_ways(rs, lam):
     oracle = _oracle_expansion(rs, lam)
     for beta in rs.positive_roots:
         marks = root_embedding(rs, beta).marks
-        parabolic = character._parabolic_weight_values(rs, lam, marks)
-        assert parabolic == character._orbit_weight_values(rs, lam, marks) \
+        parabolic = _by_formula(rs, lam, marks)
+        assert parabolic == _by_orbits(rs, lam, marks) \
             == _weight_values_from(oracle, marks), (lam, beta)
         assert full_weight_values(rs, lam, marks) == parabolic
 
@@ -242,21 +268,14 @@ def test_marks_conjugate_to_dominant():
     # conjugation.
     rs = build([("B", 4)])
     lam = Weight((0, 1, 0, 1))
-    marks, lam_h = character._dominant_marks(rs, lam, (2, -1, 0, 0))
+    marks, lam_h = character._dominant_marks(
+        rs, lam, (2, -1, 0, 0), character._lambda_of_h(rs, lam, (2, -1, 0, 0)))
     assert marks == list(root_embedding(rs, (1, 2, 2, 2)).marks) \
         == [0, 1, 0, 0]
     assert lam_h == character._lambda_of_h(rs, lam, marks)
-    assert character._parabolic_weight_values(rs, lam, (2, -1, 0, 0)) == \
-        character._parabolic_weight_values(rs, lam, marks) == \
+    assert _by_formula(rs, lam, (2, -1, 0, 0)) == \
+        _by_formula(rs, lam, marks) == \
         _weight_values_from(_oracle_expansion(rs, lam), (2, -1, 0, 0))
-
-
-class _PathTaken(Exception):
-    pass
-
-
-def _refuse(*args):
-    raise _PathTaken(args)
 
 
 def test_parabolic_cap_falls_back_to_orbit_expansion(monkeypatch):
@@ -272,11 +291,43 @@ def test_parabolic_cap_falls_back_to_orbit_expansion(monkeypatch):
         marks.append(tuple(a + b for a, b in zip(alpha_1, marks[-1])))
         cases += [(rs, Weight(lam), m) for m in marks if list(m) != [2] * rank]
     with monkeypatch.context() as m:
-        m.setattr(character, "_orbit_weight_values", _refuse)
+        m.setattr(character, "_orbit_degrees", _refuse)
         parabolic = [full_weight_values(*case) for case in cases]
     monkeypatch.setattr(character, "PARABOLIC_CAP", 0)
-    monkeypatch.setattr(character, "_parabolic_weight_values", _refuse)
+    monkeypatch.setattr(character, "_parabolic_numerator", _refuse)
     assert [full_weight_values(*case) for case in cases] == parabolic
+
+
+def test_one_solve_and_one_conjugation_per_request(monkeypatch):
+    # lambda(h) is solved once per request and the marks are conjugated
+    # once; a principal request conjugates nothing.
+    calls = []
+    for name in ("_lambda_of_h", "_dominant_marks", "dominant_representative"):
+        real = getattr(character, name)
+        monkeypatch.setattr(character, name, lambda *a, _r=real, _n=name:
+                            calls.append(_n) or _r(*a))
+    rs = build([("B", 3)])
+    lam = Weight((1, 0, 1))
+    full_weight_values(rs, lam, (2, 2, 2))
+    assert calls == ["_lambda_of_h"]
+    calls.clear()
+    full_weight_values(rs, lam, root_embedding(rs, (1, 0, 0)).marks)
+    assert calls == ["_lambda_of_h", "_dominant_marks"]
+
+
+def test_principal_degree_cap_boundary(monkeypatch):
+    # A1 L(n) under the principal sl2: the product formula's polynomial has
+    # degree n + 1, so n = 99999 is the last request it answers; past it
+    # the orbit expansion does (and refuses L(100000) at the weight cap).
+    rs = build([("A", 1)])
+    monkeypatch.setattr(character, "_orbit_degrees", _refuse)
+    assert full_weight_values(rs, Weight((99999,)), (2,)) == \
+        {v: 1 for v in range(-99999, 100000, 2)}
+    with pytest.raises(_PathTaken):
+        full_weight_values(rs, Weight((100000,)), (2,))
+    monkeypatch.undo()
+    with pytest.raises(CharacterError, match="weight cap"):
+        full_weight_values(rs, Weight((100000,)), (2,))
 
 
 def test_principal_values_e6_against_freudenthal():
@@ -285,8 +336,8 @@ def test_principal_values_e6_against_freudenthal():
     rs = build([("E", 6)])
     for lam in [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1)]:
         lam = Weight(lam)
-        product = character._principal_weight_values(rs, lam)
-        assert product == character._orbit_weight_values(rs, lam, [2] * 6)
+        product = _by_formula(rs, lam, [2] * 6)
+        assert product == _by_orbits(rs, lam, [2] * 6)
         assert sum(product.values()) == weyl_dimension(rs, lam)
 
 
@@ -294,10 +345,9 @@ def test_principal_values_reject_inexact_quotient(monkeypatch):
     # Without the highest root the product over the remaining positive
     # roots is not a polynomial, and the exactness check must say so.
     rs = build([("G", 2)])
-    for key in ("roots", "roots_norm"):
-        monkeypatch.setitem(rs._np, key, rs._np[key][:-1])
+    monkeypatch.setitem(rs._np, "coroots", rs._np["coroots"][:-1])
     with pytest.raises(CharacterError, match="not a polynomial"):
-        character._principal_weight_values(rs, Weight((1, 0)))
+        full_weight_values(rs, Weight((1, 0)), (2, 2))
 
 
 # The spec weights of the benchmark's large-root-branching workload and the
@@ -317,7 +367,7 @@ def test_int64_headroom_check_passes_large_characters(fam, rank, lam):
     # characters; their orbit expansion must count dim L(lambda) weights.
     rs = build([(fam, rank)])
     lam = Weight(lam)
-    assert character._orbit_weight_values(rs, lam, [0] * rank) == \
+    assert character._orbit_degrees(rs, lam, [0] * rank) == \
         {0: weyl_dimension(rs, lam)}
 
 

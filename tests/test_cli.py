@@ -174,7 +174,11 @@ _E8_PAST_CAP = ("E", "8", "3", "0", "0", "0", "0", "0", "0", "5")
     (("character", "A", "1", "9999999"), 2.0),
     (("branch", "A", "2", "1000000", "1000000", "--embedding", "root=1,1"),
      1.0),
-], ids=["character", "dominant-weights", "parabolic-degree"])
+    (("branch", "A", "1", "2000000"), 1.0),
+    (("branch", "A", "1", "9223372036854775806"), 1.0),
+    (("branch", "A", "2", "4611686018427387904", "4611686018427387904"), 1.0),
+], ids=["character", "dominant-weights", "parabolic-degree",
+        "principal-degree", "principal-huge", "principal-int64"])
 def test_weight_cap_refuses_fast(argv, budget):
     start = time.perf_counter()
     code, out, err = run(*argv)
@@ -302,3 +306,25 @@ def test_fuzzed_arguments_never_escape(spec, field, gens):
         assert "Traceback" not in err, argv
         if code == EXIT_USAGE:
             assert "error:" in err, argv
+
+
+_SMALL_OR_HUGE = st.one_of(st.integers(0, 6), st.integers(2**32, 2**64))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_fuzzed_huge_weights_never_escape(data):
+    # Weights past any cap, past int64 included, under the principal sl2
+    # and every root sl2: an answer, or exit 3 with one line.
+    from sl2bounds import build
+    fam, rank = data.draw(st.sampled_from([("A", 1), ("A", 2), ("G", 2)]))
+    lam = data.draw(st.lists(_SMALL_OR_HUGE, min_size=rank, max_size=rank))
+    specs = ["principal"] + ["root=" + ",".join(map(str, beta))
+                             for beta in build([(fam, rank)]).positive_roots]
+    for spec in specs:
+        code, out, err = run("branch", fam, str(rank), *map(str, lam),
+                             "--embedding", spec)
+        assert code in (EXIT_OK, EXIT_NUMERIC), (lam, spec)
+        if code == EXIT_NUMERIC:
+            assert out == "" and err.count("\n") == 1, (lam, spec)
+            assert err.startswith("numeric error:"), (lam, spec)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from sl2bounds import (
     RootSystemError, SimpleComponent, Weight, build, dominant_representative,
     inner_product, root_to_weight_coords, weyl_dimension, weyl_orbit,
 )
-from sl2bounds.rootsys import simple_reflection
+from sl2bounds import rootsys
+from sl2bounds.rootsys import _reflect_to_dominant, simple_reflection
 
 ALL_SIMPLE = (
     [("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)] +
@@ -182,6 +184,61 @@ def test_dominant_representative_weyl_invariant_g2(mu, refls):
     for j in refls:
         img = simple_reflection(rs, j, img)
     assert dominant_representative(rs, img) == dom
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_reflect_to_dominant_tracks_root_coordinates(fam, rank):
+    # Weights reflect along the columns of the Cartan matrix and marks
+    # along its rows; either way x - x' = sum k_j simple[j] and x' is
+    # dominant, and for weights x' is the dominant weight of x's orbit.
+    rs = build([(fam, rank)])
+    cols = tuple(zip(*rs.cartan))
+    for x in itertools.product(range(-3, 4), repeat=rank):
+        for simple in (cols, rs.cartan):
+            dom, k = _reflect_to_dominant(x, simple)
+            assert min(dom) >= 0
+            assert [a - b for a, b in zip(x, dom)] == [
+                sum(kj * s[i] for kj, s in zip(k, simple))
+                for i in range(rank)]
+        dom = Weight(_reflect_to_dominant(x, cols)[0])
+        assert Weight(x) in weyl_orbit(rs, dom)
+
+
+def test_reflect_to_dominant_is_exact_for_huge_weights():
+    # -xi - xi* = -(2^64)(alpha_1 + alpha_2) for xi = 2^64 omega_1 in A2,
+    # past int64 and exact.
+    a2 = build([("A", 2)])
+    assert _reflect_to_dominant([-2**64, 0], tuple(zip(*a2.cartan))) == \
+        ([0, 2**64], [-2**64, -2**64])
+
+
+def test_build_inverts_the_cartan_matrix_once(monkeypatch):
+    calls = []
+    real = rootsys._invert_rational
+    monkeypatch.setattr(rootsys, "_invert_rational",
+                        lambda m: calls.append(m) or real(m))
+    rs = build([("B", 3)])
+    assert len(calls) == 1
+    den, scaled = rs._np["Ainv_int"]
+    assert [[Fraction(x, den) for x in row] for row in scaled] == \
+        rs._np["Ainv"]
+
+
+class _Walked(Exception):
+    pass
+
+
+def test_weyl_orbit_refuses_before_walking(monkeypatch):
+    # |W(E8)| = 696729600 is past the cap, so the regular orbit of rho is
+    # refused from Macdonald's product without a step of the walk.
+    def walk(*args):
+        raise _Walked(args)
+
+    monkeypatch.setattr(rootsys, "_orbit_levels", walk)
+    e8 = build([("E", 8)])
+    with pytest.raises(RootSystemError,
+                       match="Weyl orbit exceeds cap 10000000"):
+        weyl_orbit(e8, e8.rho)
 
 
 def test_weyl_orbit_sizes():
