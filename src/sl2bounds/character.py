@@ -8,8 +8,9 @@ lambda by subtracting positive roots and keeping the dominant results
 the multiplicity of its dominant Weyl conjugate.  L(lambda) may have at
 most WEIGHT_CAP weights, counted over the orbits of its dominant weights,
 and at most DOMINANT_CAP dominant weights, both checked while they are
-enumerated.  A small-rank alternating-sum oracle (enumerating the full Weyl
-group) is kept alongside for cross-checking.
+enumerated.  A small-rank alternating-sum oracle is kept alongside for
+cross-checking: it walks W by rootsys's shared orbit walk and divides by
+the Weyl denominator with semigroup's partition-function kernel.
 
 full_weight_values restricts a character to the sl2 with given marks
 alpha_i(h).  It is the one restriction pipeline, and every step happens
@@ -54,11 +55,12 @@ from .rootsys import (
     RootSystem,
     RootSystemError,
     Weight,
-    _orbit_levels,
+    _orbit_rows,
     _orbit_size,
+    _orbit_walk,
     _reflect_to_dominant,
-    dominant_representative,
 )
+from .semigroup import _partition_fill
 
 WEIGHT_CAP = 10**7  # weights of L(lambda): sum over dominant mu of |W mu|
 DOMINANT_CAP = 5 * 10**4  # dominant weights of L(lambda)
@@ -87,29 +89,6 @@ class Character:
             "lambda": list(self.highest_weight.coords),
             "mults": [[list(mu.coords), m] for mu, m in items],
         }
-
-
-def _root_coords_int(rs: RootSystem, mu: Weight):
-    """Simple-root coordinates of mu, which must lie in the root lattice."""
-    den, N = rs._np["Ainv_int"]
-    q = [divmod(sum(map(mul, row, mu.coords)), den) for row in N]
-    if any(r for _, r in q):
-        raise CharacterError(f"{mu} is not in the root lattice")
-    return [x for x, _ in q]
-
-
-def _box_kmax(rs: RootSystem, lam: Weight):
-    """Root coordinates of lambda - w0(lambda): every weight of L(lambda)
-    lies in the box 0 <= k <= kmax."""
-    lam_dual = dominant_representative(rs, -lam)
-    kmax = _root_coords_int(rs, lam + lam_dual)
-    ncells = 1
-    for k in kmax:
-        ncells *= k + 1
-    if ncells > DEFAULT_BOX_CAP:
-        raise CharacterError(
-            f"character box has {ncells} cells, exceeds cap {DEFAULT_BOX_CAP}")
-    return kmax
 
 
 @lru_cache(maxsize=512)
@@ -299,14 +278,16 @@ def _parabolic_numerator(rs: RootSystem, xi, marks):
     rank = rs.rank
     A, d, roots = rs._np["A"], rs._np["d"], rs._np["roots"]
     cartan = np.asarray(rs.cartan, dtype=np.int64)
-    xi = np.asarray(xi, dtype=np.int64)
+    # the degree cap bounds xi only where some mark is nonzero; past int64
+    # headroom, the walk and the Levi pairings run in Python ints
+    xi = np.array(xi, dtype=np.int64 if max(xi) < 2**32 else object)
     J = [i for i in range(rank) if marks[i] == 0]
     # Breadth-first by right multiplication w -> w s_j, which lengthens w
     # iff w(alpha_j) > 0.  The representatives are closed under prefixes
     # (Deodhar), so level l holds those of length l; each is reached once,
     # from w s_j for the least j with w(alpha_j) < 0.  Per representative:
     # K = root coordinates of xi - w xi, R[:, :, j] = those of w(alpha_j).
-    K = np.zeros((1, rank), dtype=np.int64)
+    K = np.zeros((1, rank), dtype=xi.dtype)
     R = np.eye(rank, dtype=np.int64)[None]
     levels = []
     while len(K):
@@ -349,34 +330,18 @@ def _weight_orbits(rs: RootSystem, lam: Weight) -> tuple:
 
     Returns (K, groups): row r of K is the k with lambda - mu = sum k_i
     alpha_i for one weight mu, and groups holds (start, stop, m) for the
-    rows of multiplicity m.  All orbits are walked at once, downwards from
-    their dominant weights: s_j with mu_j > 0 maps mu to mu - mu_j alpha_j
-    and adds mu_j to k_j.  A step is kept only if j is the least i with
-    (s_j mu)_i < 0, so each weight is reached once, from the weight that
-    reflecting at its first negative coordinate gives back.
+    rows of multiplicity m.  The orbits of all dominant weights are walked
+    at once by _orbit_walk, with the multiplicity group riding along.
     """
     doms = _dominant_weights(rs, lam)
     mults = sorted({m for _, _, m in doms})
     group = {m: g for g, m in enumerate(mults)}
-    rank = rs.rank
-    A = rs._np["A"]
     # columns: weight coords mu, root coords k, multiplicity group; int32
     # holds them, since WEIGHT_CAP bounds lambda
     rows = np.array([(*mu, *k, group[m]) for mu, k, m in doms], dtype=np.int32)
-    levels = []
-    while len(rows):
-        levels.append(rows[:, rank:].copy())
-        new = []
-        for j in range(rank):
-            child = rows[rows[:, j] > 0]
-            step = child[:, j].copy()
-            child[:, :rank] -= step[:, None] * A[:, j]
-            child[:, rank + j] += step
-            new.append(child[(child[:, :j] >= 0).all(axis=1)])
-        rows = np.concatenate(new)
-    rows = np.concatenate(levels)
+    rows = np.concatenate(_orbit_walk(rs, rows))
     rows = rows[np.argsort(rows[:, -1], kind="stable")]
-    K = np.ascontiguousarray(rows[:, :rank])
+    K = np.ascontiguousarray(rows[:, :rs.rank])
     K.setflags(write=False)
     bounds = np.searchsorted(rows[:, -1], np.arange(len(mults) + 1)).tolist()
     return K, tuple(zip(bounds[:-1], bounds[1:], mults))
@@ -409,55 +374,36 @@ def weyl_alternating_character(rs: RootSystem, lam: Weight) -> Character:
     """
     if not lam.is_dominant:
         raise RootSystemError("expects a dominant weight")
-    rank = rs.rank
-    rho = rs.rho
-    xi = lam + rho
+    xi = lam + rs.rho
     if 0 in xi.coords:
         raise CharacterError("weight is not regular")
-
-    # exponents stored as k with e^nu at k = root coords of (lambda - nu)
-    shape = [k + 1 for k in _box_kmax(rs, xi)]
-    num = np.zeros(shape, dtype=np.int64)
-
-    # xi is regular, so its orbit is W and the BFS level of w(xi) is l(w)
     if _orbit_size(rs, xi.coords) > DEFAULT_WEYL_ORDER_CAP:
         raise RootSystemError(
             f"Weyl orbit exceeds cap {DEFAULT_WEYL_ORDER_CAP}")
-    orbit = _orbit_levels(rs, xi)
-    for coords, length in orbit.items():
-        # numerator term e^{w(xi) - rho}: offset lambda - (w(xi) - rho)
-        off = _root_coords_int(rs, lam + rho - Weight(coords))
-        num[tuple(off)] = (-1) ** length
 
-    # divide by prod (1 - e^{-alpha}): multiply by the geometric series of
-    # each positive root via the running sum P(k) += P(k - c), evaluated in
-    # ascending order along an axis where the root has a positive entry
-    # (cells referenced are then already final).
-    for c in rs._np["roots"]:
-        c = [int(x) for x in c]
-        ax = next(i for i in range(rank) if c[i])
-        for t in range(c[ax], shape[ax]):
-            dst = tuple(
-                t if i == ax else
-                (slice(c[i], None) if c[i] else slice(None))
-                for i in range(rank))
-            src = tuple(
-                t - c[ax] if i == ax else
-                (slice(None, shape[i] - c[i]) if c[i] else slice(None))
-                for i in range(rank))
-            num[dst] += num[src]
+    # Exponents are stored as k with e^nu at k = root coords of lambda - nu.
+    # xi is regular, so the shared orbit walk visits each w(xi) once, at
+    # level l(w), and its k (root coords of xi - w xi) is the offset of the
+    # numerator term sgn(w) e^{w(xi) - rho}; the k of w0 is the largest.
+    levels = _orbit_walk(rs, _orbit_rows(xi.coords))
+    shape = np.concatenate(levels).max(axis=0) + 1
+    ncells = math.prod(shape.tolist())
+    if ncells > DEFAULT_BOX_CAP:
+        raise CharacterError(
+            f"character box has {ncells} cells, exceeds cap {DEFAULT_BOX_CAP}")
+    num = np.zeros(shape.tolist(), dtype=np.int64)
+    for length, k in enumerate(levels):
+        num[tuple(k.T)] = (-1) ** length
 
-    mults = {}
-    it = np.ndindex(*shape)
-    A = rs._np["A"]
-    lam_np = np.asarray(lam.coords, dtype=np.int64)
-    for k in it:
-        m = int(num[k])
-        if m == 0:
-            continue
-        wc = lam_np - A @ np.asarray(k, dtype=np.int64)
-        if (wc >= 0).all():
-            if m < 0:
-                raise CharacterError("oracle produced negative multiplicity")
-            mults[Weight(tuple(int(x) for x in wc))] = m
-    return Character(highest_weight=lam, mults=mults)
+    # divide by prod (1 - e^{-alpha}), i.e. multiply by Kostant's partition
+    # function: the semigroup's running-sum kernel, generators the roots
+    _partition_fill(num, rs.positive_roots)
+
+    K = np.argwhere(num)
+    weights = np.array(lam.coords) - K @ rs._np["A"].T
+    dominant = (weights >= 0).all(axis=1)
+    m = num[tuple(K[dominant].T)]
+    if (m < 0).any():
+        raise CharacterError("oracle produced negative multiplicity")
+    return Character(highest_weight=lam, mults={
+        Weight(w): c for w, c in zip(weights[dominant].tolist(), m.tolist())})

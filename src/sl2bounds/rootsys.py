@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -208,38 +209,21 @@ class RootSystem:
 
 
 def _positive_roots_closure(cartan, rank):
-    """All positive roots in simple-root coordinates, by height closure.
+    """All positive roots in simple-root coordinates, sorted by height.
 
-    beta + alpha_i is a root iff p - <beta, alpha_i_vee> > 0 where p is the
-    largest k with beta - k*alpha_i a root (root-string property).
+    Every positive root that is not simple is s_i of a lower one, so the
+    roots are the closure of the simple roots under beta -> s_i beta =
+    beta + c alpha_i for c = -<beta, alpha_i_vee> > 0.
     """
-    A = np.array(cartan, dtype=np.int64)
-    simple = [tuple(int(v) for v in np.eye(rank, dtype=np.int64)[i])
-              for i in range(rank)]
-    roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        new = []
-        for beta in frontier:
-            b = np.array(beta, dtype=np.int64)
-            pair = A @ b  # pair[i] = <beta, alpha_i_vee>
-            for i in range(rank):
-                cand = list(beta)
-                cand[i] += 1
-                cand = tuple(cand)
-                if cand in roots:
-                    continue
-                p = 0
-                down = list(beta)
-                while True:
-                    down[i] -= 1
-                    if down[i] < 0 or tuple(down) not in roots:
-                        break
-                    p += 1
-                if p - pair[i] > 0:
-                    roots.add(cand)
-                    new.append(cand)
-        frontier = new
+    roots = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    seen = set(roots)
+    for beta in roots:               # the list grows while it is walked
+        for i, row in enumerate(cartan):
+            c = -sum(map(mul, row, beta))
+            up = beta[:i] + (beta[i] + c,) + beta[i + 1:]
+            if c > 0 and up not in seen:
+                seen.add(up)
+                roots.append(up)
     return sorted(roots, key=lambda c: (sum(c), c))
 
 
@@ -265,7 +249,8 @@ def build(components) -> RootSystem:
 
     ``components`` is a list of SimpleComponent (or (family, rank) pairs).
     The Cartan matrix is block diagonal with Bourbaki numbering inside each
-    block; positive roots are generated by height closure.
+    block; positive roots are the closure of the simple roots under the
+    simple reflections that raise height.
     """
     comps = tuple(c if isinstance(c, SimpleComponent) else SimpleComponent(*c)
                   for c in components)
@@ -399,24 +384,39 @@ def _orbit_size(rs: RootSystem, mu) -> int:
     return num // den
 
 
-def _orbit_levels(rs: RootSystem, mu: Weight) -> dict:
-    """Weyl orbit of mu by breadth-first search over the simple reflections,
-    as coords -> BFS level; callers bound |W mu| with _orbit_size first.
+def _orbit_walk(rs: RootSystem, rows) -> list:
+    """Walk the Weyl orbits of several dominant weights at once.
 
-    For a regular dominant mu the level of w(mu) is the length l(w).
+    rows has columns (mu, k, riding columns...) for dominant mu, k the
+    simple-root coordinates of some lambda - mu.  The walk goes down from
+    each mu: s_j with mu_j > 0 maps mu to mu - mu_j alpha_j and adds mu_j
+    to k_j.  A step is kept only if j is the least i with (s_j mu)_i < 0,
+    so each weight is reached once, from the weight that reflecting at its
+    first negative coordinate gives back; for a regular mu the level of
+    w(mu) is the length l(w).  Returns, per level, a copy of the columns
+    after mu.  Callers bound the orbit sizes with _orbit_size first.
     """
-    level = {mu.coords: 0}
-    frontier = [mu]
-    while frontier:
+    rank = rs.rank
+    A = rs._np["A"]
+    levels = []
+    while len(rows):
+        levels.append(rows[:, rank:].copy())
         new = []
-        for w in frontier:
-            for j in range(rs.rank):
-                im = simple_reflection(rs, j, w)
-                if im.coords not in level:
-                    level[im.coords] = level[w.coords] + 1
-                    new.append(im)
-        frontier = new
-    return level
+        for j in range(rank):
+            child = rows[rows[:, j] > 0]
+            step = child[:, j].copy()
+            child[:, :rank] -= step[:, None] * A[:, j]
+            child[:, rank + j] += step
+            new.append(child[(child[:, :j] >= 0).all(axis=1)])
+        rows = np.concatenate(new)
+    return levels
+
+
+def _orbit_rows(mu) -> np.ndarray:
+    """The one row (mu, k = 0) of _orbit_walk, in int64 while mu leaves
+    headroom and in Python ints past it."""
+    return np.array([(*mu, *[0] * len(mu))],
+                    dtype=np.int64 if max(mu) < 2**32 else object)
 
 
 def weyl_orbit(rs: RootSystem, mu: Weight):
@@ -425,7 +425,9 @@ def weyl_orbit(rs: RootSystem, mu: Weight):
         raise RootSystemError("weyl_orbit expects a dominant weight")
     if _orbit_size(rs, mu.coords) > DEFAULT_ORBIT_CAP:
         raise RootSystemError(f"Weyl orbit exceeds cap {DEFAULT_ORBIT_CAP}")
-    return {Weight(c) for c in _orbit_levels(rs, mu)}
+    K = np.concatenate(_orbit_walk(rs, _orbit_rows(mu.coords)))
+    return {Weight(w) for w in (np.array(mu.coords, K.dtype)
+                                - K @ rs._np["A"].T).tolist()}
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:

@@ -1,16 +1,17 @@
 """Membership and certified finite complements of subsemigroups of N^r.
 
-Membership is decided by dynamic programming over a box; the complement
-routine certifies finiteness when each coordinate axis carries a generator
-supported on that axis alone and the outer shell of the box is fully
-covered (every lattice point beyond the box is then a member by adding
-axis generators).
+Membership is read off a box: the indicator of the origin multiplied by
+prod_g 1 / (1 - x^g) over the generators g, one running sum per generator
+(the same kernel divides by Kostant's partition function in the character
+oracle).  The complement routine certifies finiteness when each coordinate
+axis carries a generator supported on that axis alone and the outer shell
+of the box is fully covered (every lattice point beyond the box is then a
+member by adding axis generators).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -45,19 +46,30 @@ class ComplementResult:
     box_bound: int
 
 
+def _partition_fill(grid, gens):
+    """Multiply grid in place by prod_g 1 / (1 - x^g), a cell v being the
+    coefficient of x^v: for each g, the running sum P(v) += P(v - g) in
+    ascending order along an axis where g is positive, so the cells it
+    reads are already final.  On a bool grid += is an or.  A generator
+    that does not fit the box adds nothing and is skipped.
+    """
+    shape = grid.shape
+    for g in gens:
+        if any(x >= s for x, s in zip(g, shape)):
+            continue
+        ax = next(i for i, x in enumerate(g) if x)
+        dst = [slice(x, None) for x in g]
+        src = [slice(None, s - x) for x, s in zip(g, shape)]
+        for t in range(g[ax], shape[ax]):
+            dst[ax], src[ax] = t, t - g[ax]
+            grid[tuple(dst)] += grid[tuple(src)]
+
+
 def _reach_grid(gs: GeneratorSet, shape):
     """Boolean membership grid over the box prod [0, shape_i)."""
     reach = np.zeros(shape, dtype=bool)
     reach[(0,) * gs.r] = True
-    # ascending lexicographic order: all v - g cells precede v
-    for v in product(*(range(s) for s in shape)):
-        if reach[v]:
-            continue
-        for g in gs.gens:
-            w = tuple(a - b for a, b in zip(v, g))
-            if all(x >= 0 for x in w) and reach[w]:
-                reach[v] = True
-                break
+    _partition_fill(reach, gs.gens)
     return reach
 
 

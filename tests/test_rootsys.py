@@ -234,7 +234,7 @@ def test_weyl_orbit_refuses_before_walking(monkeypatch):
     def walk(*args):
         raise _Walked(args)
 
-    monkeypatch.setattr(rootsys, "_orbit_levels", walk)
+    monkeypatch.setattr(rootsys, "_orbit_walk", walk)
     e8 = build([("E", 8)])
     with pytest.raises(RootSystemError,
                        match="Weyl orbit exceeds cap 10000000"):
@@ -254,6 +254,40 @@ def test_weyl_orbit_size_divides_group_order():
     g2 = build([("G", 2)])
     for mu in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]:
         assert 12 % len(weyl_orbit(g2, Weight(mu))) == 0
+
+
+RANK_4 = [t for t in ALL_SIMPLE if t[1] <= 4]
+
+
+@pytest.mark.parametrize("fam,rank", RANK_4)
+def test_weyl_orbit_sizes_and_closure(fam, rank):
+    # Against Macdonald's product and simple_reflection, neither of which
+    # walks: each orbit has |W mu| weights and is W-stable.
+    rs = build([(fam, rank)])
+    for mu in itertools.product(range(3), repeat=rank):
+        orbit = weyl_orbit(rs, Weight(mu))
+        assert len(orbit) == rootsys._orbit_size(rs, mu)
+        assert all(simple_reflection(rs, j, w) in orbit
+                   for w in orbit for j in range(rank))
+
+
+@pytest.mark.parametrize("fam,rank", RANK_4)
+def test_orbit_walk_levels_are_lengths(fam, rank):
+    # rho is regular, so the level of w(rho) is l(w): one longest element
+    # at level |Phi+|, and sum_w (-1)^l(w) = 0.
+    rs = build([(fam, rank)])
+    levels = rootsys._orbit_walk(rs, rootsys._orbit_rows(rs.rho.coords))
+    sizes = [len(k) for k in levels]
+    assert len(sizes) == len(rs.positive_roots) + 1
+    assert sizes[-1] == 1
+    assert sum((-1) ** n * s for n, s in enumerate(sizes)) == 0
+
+
+def test_weyl_orbit_is_exact_past_int64():
+    a2 = build([("A", 2)])
+    n = 2**64
+    assert weyl_orbit(a2, Weight((n, 0))) == {
+        Weight((n, 0)), Weight((-n, n)), Weight((0, -n))}
 
 
 def test_weyl_dimension_examples():

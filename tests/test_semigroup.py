@@ -1,6 +1,7 @@
 import json
 import random
 from importlib import resources
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -104,3 +105,43 @@ def test_invalid_generators_rejected():
         GeneratorSet(2, [(1, -1)])
     with pytest.raises(SemigroupError):
         GeneratorSet(2, [(1, 2, 3)])
+
+
+def _combinations(gens, bound):
+    """Every N-combination of gens with all coordinates <= bound, by
+    enumerating the coefficient vectors."""
+    r = len(gens[0])
+    out = set()
+    for n in product(*(range(bound // max(g) + 1) for g in gens)):
+        v = tuple(sum(c * g[i] for c, g in zip(n, gens)) for i in range(r))
+        if max(v) <= bound:
+            out.add(v)
+    return out
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_against_brute_force(r):
+    # Small axis generators give some certified complements in r = 1, 2
+    # (16 and 6 of the 20 sets); r = 3 checks the box alone.
+    rng = random.Random(r)
+    bound = (15, 8, 5)[r - 1]
+    for _ in range(20):
+        gens = [tuple(rng.randint(1, 3) if i == a else 0
+                      for i in range(r)) for a in range(r)]
+        gens += [tuple(rng.randint(0, 3) for _ in range(r))
+                 for _ in range(rng.randint(0, 2))]
+        gens.append(tuple(bound + rng.randint(1, 3) for _ in range(r)))
+        gs = GeneratorSet(r, [g for g in gens if any(g)])
+        members = _combinations(gs.gens, bound)
+        for v in product(range(bound + 1), repeat=r):
+            assert member(gs, v) == (v in members), (gs.gens, v)
+        # the generator past the box leaves the complement's box too
+        fits = GeneratorSet(r, [g for g in gs.gens if max(g) <= bound])
+        res = complement(fits, bound)
+        assert set(res.points) == set(product(range(bound + 1), repeat=r)) \
+            - members
+        if res.certified:
+            wider = _combinations(gs.gens, 2 * bound)
+            assert all(v in wider for v in product(range(2 * bound + 1),
+                                                   repeat=r)
+                       if v not in res.points)
