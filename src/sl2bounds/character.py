@@ -30,7 +30,8 @@ over Python ints:
 * Any other marks: the Weyl character formula grouped by the cosets of
   W_J, J the zero marks of the dominant conjugate, and evaluated at h
   (Bourbaki, Lie Groups and Lie Algebras VIII 9; Humphreys, Introduction
-  to Lie Algebras and Representation Theory 24).
+  to Lie Algebras and Representation Theory 24).  The cosets are the
+  points of the Weyl orbit of h, walked by the same orbit walk as weights.
 
 Either runs while its polynomial has degree at most PARABOLIC_CAP, and the
 coset sum also while W_J\\W has at most PARABOLIC_CAP cosets; both are
@@ -46,7 +47,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import mul, sub
 
 import numpy as np
@@ -60,12 +61,11 @@ from .rootsys import (
     _orbit_walk,
     _reflect_to_dominant,
 )
-from .semigroup import _partition_fill
+from .semigroup import DEFAULT_BOX_CAP, _partition_fill
 
 WEIGHT_CAP = 10**7  # weights of L(lambda): sum over dominant mu of |W mu|
 DOMINANT_CAP = 5 * 10**4  # dominant weights of L(lambda)
 PARABOLIC_CAP = 10**5  # degree of either formula, and cosets W_J\W
-DEFAULT_BOX_CAP = 10**7  # cells of the alternating-sum oracle's box
 DEFAULT_WEYL_ORDER_CAP = 1200  # covers all rank <= 4 simple factors (F4: 1152)
 
 
@@ -269,54 +269,35 @@ def _parabolic_numerator(rs: RootSystem, xi, marks):
     sum_mu mult(mu) t^{(lambda-mu)(h)} = sum_w sgn(w) dim_J(w xi - rho)
     t^{(xi - w xi)(h)} / prod_{alpha>0, alpha(h)>0} (1 - t^{alpha(h)}),
 
-    with xi = lambda + rho, w over the minimal representatives of W_J\\W
-    (exactly the w with w xi strictly J-dominant), and dim_J(x - rho) =
-    prod_{alpha in Phi_J+} (x, alpha) / (rho, alpha) the Levi factor's Weyl
-    dimension.  Roots of Phi_J vanish on h, so each coset's Levi character
-    collapses to dim_J times one power of t.
+    with xi = lambda + rho, w over the minimal representatives of W_J\\W,
+    and dim_J(x - rho) = prod_{alpha in Phi_J+} (x, alpha) / (rho, alpha)
+    the Levi factor's Weyl dimension (roots of Phi_J vanish on h, so each
+    coset's Levi character collapses to dim_J times one power of t).  The w
+    are the points h' = w^-1 h of the W-orbit of h, at level l(w) of
+    _orbit_walk, with K the coroot coordinates of h - h'.  So (xi - w xi)(h)
+    = xi(h - h') = K . xi, and w^-1 maps Phi_J+ onto the positive roots
+    beta vanishing on h': dim_J(w xi - rho) has numerator prod (xi, beta).
     """
-    rank = rs.rank
     A, d, roots = rs._np["A"], rs._np["d"], rs._np["roots"]
-    cartan = np.asarray(rs.cartan, dtype=np.int64)
-    # the degree cap bounds xi only where some mark is nonzero; past int64
-    # headroom, the walk and the Levi pairings run in Python ints
-    xi = np.array(xi, dtype=np.int64 if max(xi) < 2**32 else object)
-    J = [i for i in range(rank) if marks[i] == 0]
-    # Breadth-first by right multiplication w -> w s_j, which lengthens w
-    # iff w(alpha_j) > 0.  The representatives are closed under prefixes
-    # (Deodhar), so level l holds those of length l; each is reached once,
-    # from w s_j for the least j with w(alpha_j) < 0.  Per representative:
-    # K = root coordinates of xi - w xi, R[:, :, j] = those of w(alpha_j).
-    K = np.zeros((1, rank), dtype=xi.dtype)
-    R = np.eye(rank, dtype=np.int64)[None]
-    levels = []
-    while len(K):
-        levels.append(K)
-        new_K, new_R = [], []
-        for j in range(rank):
-            up = R[:, :, j].sum(axis=1) > 0
-            step = R[up, :, j]
-            Kj = K[up] + xi[j] * step
-            Rj = R[up] - step[:, :, None] * cartan[j]
-            ok = (((xi - Kj @ A.T)[:, J] > 0).all(axis=1)
-                  & (Rj[:, :, :j].sum(axis=1) > 0).all(axis=1))
-            new_K.append(Kj[ok])
-            new_R.append(Rj[ok])
-        K, R = np.concatenate(new_K), np.concatenate(new_R)
+    levels = _orbit_walk(_orbit_rows(marks), A)
     K = np.concatenate(levels)
     signs = np.repeat([(-1) ** n for n in range(len(levels))],
                       [len(k) for k in levels]).tolist()
+    # the degree cap bounds xi only where some mark is nonzero; past int64
+    # headroom, the degrees and the Levi pairings run in Python ints
+    xi = np.array(xi, dtype=np.int64 if max(xi) < 2**32 else object)
+    degrees = (K @ xi).tolist()
 
-    # h is dominant, so Phi_J+ are the positive roots vanishing on h; rows
-    # c*d of levi give (x, alpha) = (c*d) @ x, and (rho, alpha) = sum(c*d)
+    # beta(h') = beta(h) - sum_j K_j <beta, alpha_j_vee>; rows c*d of the
+    # roots give (x, beta) = (c*d) @ x, kept for roots vanishing on some h'
     alpha_h = roots @ marks
-    levi = roots[alpha_h == 0] * d
-    den = math.prod(levi.sum(axis=1).tolist())
-    degrees = (K @ marks).tolist()
+    vanish = K @ rs._np["roots_wc"].T == alpha_h
+    used = vanish.any(axis=0)
+    pairs = ((roots[used] * d) @ xi).tolist()
+    den = math.prod((roots[alpha_h == 0] * d).sum(axis=1).tolist())
     poly = [0] * (max(degrees) + 1)
-    for k, sgn, row in zip(degrees, signs,
-                           ((xi - K @ A.T) @ levi.T).tolist()):
-        dim_j, rem = divmod(math.prod(row), den)
+    for k, sgn, row in zip(degrees, signs, vanish[:, used].tolist()):
+        dim_j, rem = divmod(math.prod(compress(pairs, row)), den)
         if rem:
             raise CharacterError(
                 f"Levi dimension at marks {marks} is not integral")
@@ -339,7 +320,7 @@ def _weight_orbits(rs: RootSystem, lam: Weight) -> tuple:
     # columns: weight coords mu, root coords k, multiplicity group; int32
     # holds them, since WEIGHT_CAP bounds lambda
     rows = np.array([(*mu, *k, group[m]) for mu, k, m in doms], dtype=np.int32)
-    rows = np.concatenate(_orbit_walk(rs, rows))
+    rows = np.concatenate(_orbit_walk(rows, rs._np["A"].T))
     rows = rows[np.argsort(rows[:, -1], kind="stable")]
     K = np.ascontiguousarray(rows[:, :rs.rank])
     K.setflags(write=False)
@@ -385,7 +366,7 @@ def weyl_alternating_character(rs: RootSystem, lam: Weight) -> Character:
     # xi is regular, so the shared orbit walk visits each w(xi) once, at
     # level l(w), and its k (root coords of xi - w xi) is the offset of the
     # numerator term sgn(w) e^{w(xi) - rho}; the k of w0 is the largest.
-    levels = _orbit_walk(rs, _orbit_rows(xi.coords))
+    levels = _orbit_walk(_orbit_rows(xi.coords), rs._np["A"].T)
     shape = np.concatenate(levels).max(axis=0) + 1
     ncells = math.prod(shape.tolist())
     if ncells > DEFAULT_BOX_CAP:

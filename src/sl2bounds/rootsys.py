@@ -384,20 +384,22 @@ def _orbit_size(rs: RootSystem, mu) -> int:
     return num // den
 
 
-def _orbit_walk(rs: RootSystem, rows) -> list:
-    """Walk the Weyl orbits of several dominant weights at once.
+def _orbit_walk(rows, simple) -> list:
+    """Walk the Weyl orbits of several dominant vectors at once.
 
-    rows has columns (mu, k, riding columns...) for dominant mu, k the
-    simple-root coordinates of some lambda - mu.  The walk goes down from
-    each mu: s_j with mu_j > 0 maps mu to mu - mu_j alpha_j and adds mu_j
-    to k_j.  A step is kept only if j is the least i with (s_j mu)_i < 0,
-    so each weight is reached once, from the weight that reflecting at its
-    first negative coordinate gives back; for a regular mu the level of
-    w(mu) is the length l(w).  Returns, per level, a copy of the columns
-    after mu.  Callers bound the orbit sizes with _orbit_size first.
+    rows has columns (x, k, riding columns...) for dominant x, k the
+    coordinates of some lambda - x in the basis of simple, which holds the
+    step as in _reflect_to_dominant: A.T for weights, A for marks of an h.
+    The walk goes down from each x: s_j with x_j > 0 maps x to x - x_j
+    simple[j] and adds x_j to k_j.  A step is kept only if j is the least
+    i with (s_j x)_i < 0, so each vector is reached once, from the vector
+    that reflecting at its first negative coordinate gives back.  A step
+    makes one more positive root negative on x, so w(x) is at level l(w)
+    for the shortest such w, the minimal coset representative.  Returns,
+    per level, a copy of the columns after x.  Callers bound the orbit
+    sizes with _orbit_size first.
     """
-    rank = rs.rank
-    A = rs._np["A"]
+    rank = len(simple)
     levels = []
     while len(rows):
         levels.append(rows[:, rank:].copy())
@@ -405,7 +407,7 @@ def _orbit_walk(rs: RootSystem, rows) -> list:
         for j in range(rank):
             child = rows[rows[:, j] > 0]
             step = child[:, j].copy()
-            child[:, :rank] -= step[:, None] * A[:, j]
+            child[:, :rank] -= step[:, None] * simple[j]
             child[:, rank + j] += step
             new.append(child[(child[:, :j] >= 0).all(axis=1)])
         rows = np.concatenate(new)
@@ -425,7 +427,7 @@ def weyl_orbit(rs: RootSystem, mu: Weight):
         raise RootSystemError("weyl_orbit expects a dominant weight")
     if _orbit_size(rs, mu.coords) > DEFAULT_ORBIT_CAP:
         raise RootSystemError(f"Weyl orbit exceeds cap {DEFAULT_ORBIT_CAP}")
-    K = np.concatenate(_orbit_walk(rs, _orbit_rows(mu.coords)))
+    K = np.concatenate(_orbit_walk(_orbit_rows(mu.coords), rs._np["A"].T))
     return {Weight(w) for w in (np.array(mu.coords, K.dtype)
                                 - K @ rs._np["A"].T).tolist()}
 

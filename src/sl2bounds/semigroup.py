@@ -3,17 +3,21 @@
 Membership is read off a box: the indicator of the origin multiplied by
 prod_g 1 / (1 - x^g) over the generators g, one running sum per generator
 (the same kernel divides by Kostant's partition function in the character
-oracle).  The complement routine certifies finiteness when each coordinate
-axis carries a generator supported on that axis alone and the outer shell
-of the box is fully covered (every lattice point beyond the box is then a
-member by adding axis generators).
+oracle); a box of more than DEFAULT_BOX_CAP cells is refused before it
+is allocated.  The complement routine certifies finiteness when each
+coordinate axis carries a generator supported on that axis alone and the
+outer shell of the box is fully covered (every lattice point beyond the
+box is then a member by adding axis generators).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+DEFAULT_BOX_CAP = 10**7  # cells of a reach grid or of the character oracle
 
 
 class SemigroupError(ValueError):
@@ -67,6 +71,10 @@ def _partition_fill(grid, gens):
 
 def _reach_grid(gs: GeneratorSet, shape):
     """Boolean membership grid over the box prod [0, shape_i)."""
+    ncells = math.prod(shape)
+    if ncells > DEFAULT_BOX_CAP:
+        raise SemigroupError(
+            f"box has {ncells} cells, exceeds cap {DEFAULT_BOX_CAP}")
     reach = np.zeros(shape, dtype=bool)
     reach[(0,) * gs.r] = True
     _partition_fill(reach, gs.gens)

@@ -276,10 +276,14 @@ def test_complement_generators_file(tmp_path):
     ("table1", "--max-i", "25", "--golden"),
     ("bound", "G", "2", "--cap", "0"),
     ("bound", "G", "2", "--cap", "-1"),
+    ("complement", "--gen", "1,0,0", "--gen", "0,1,0", "--gen", "0,0,1",
+     "--box-bound", "100000"),
+    ("exceptions", "--box-bound", "100000"),
 ], ids=["gen-letters", "gen-empty", "root-letter", "marks-letter",
         "file-missing", "file-object", "type-no-rank", "type-letter-rank",
         "type-no-family", "table-negative", "golden-out-of-range",
-        "bound-cap-zero", "bound-cap-negative"])
+        "bound-cap-zero", "bound-cap-negative", "complement-box-past-cap",
+        "exceptions-box-past-cap"])
 def test_malformed_input_gives_one_error_line(argv, tmp_path):
     obj = tmp_path / "object.json"
     obj.write_text('{"generators": [[2], [3]]}')

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -276,11 +277,34 @@ def test_orbit_walk_levels_are_lengths(fam, rank):
     # rho is regular, so the level of w(rho) is l(w): one longest element
     # at level |Phi+|, and sum_w (-1)^l(w) = 0.
     rs = build([(fam, rank)])
-    levels = rootsys._orbit_walk(rs, rootsys._orbit_rows(rs.rho.coords))
+    levels = rootsys._orbit_walk(rootsys._orbit_rows(rs.rho.coords),
+                                 rs._np["A"].T)
     sizes = [len(k) for k in levels]
     assert len(sizes) == len(rs.positive_roots) + 1
     assert sizes[-1] == 1
     assert sum((-1) ** n * s for n, s in enumerate(sizes)) == 0
+
+
+@pytest.mark.parametrize("fam,rank", RANK_4)
+def test_coweight_walk_levels_and_stabilizers(fam, rank):
+    # The walk over the orbit of a dominant h, with the rows of the Cartan
+    # matrix as the step, against Macdonald's product and direct root
+    # counts: |W / W_J| distinct h' = h - sum_j K_j alpha_j_vee, each at
+    # level #{beta > 0 : beta(h') < 0} and with |Phi_J+| positive roots
+    # vanishing on it.
+    rs = build([(fam, rank)])
+    A, roots = rs._np["A"], rs._np["roots"]
+    for marks in itertools.product(range(3), repeat=rank):
+        levels = rootsys._orbit_walk(rootsys._orbit_rows(marks), A)
+        orbit = [np.array(marks) - K @ A for K in levels]
+        points = {tuple(h) for h in np.concatenate(orbit).tolist()}
+        assert len(points) == sum(map(len, orbit)) == \
+            rootsys._orbit_size(rs, [m > 0 for m in marks])
+        n_J = int((roots @ marks == 0).sum())
+        for level, h in enumerate(orbit):
+            values = h @ roots.T            # beta(h') for every beta > 0
+            assert ((values < 0).sum(axis=1) == level).all(), marks
+            assert ((values == 0).sum(axis=1) == n_J).all(), marks
 
 
 def test_weyl_orbit_is_exact_past_int64():

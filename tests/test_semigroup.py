@@ -96,6 +96,13 @@ def test_uncertified_when_box_too_small():
     assert not res.certified
 
 
+def test_box_past_cap_is_refused_before_allocating():
+    # (10^6 + 1)^2 cells would take about 1 TB as bools
+    gs = GeneratorSet(2, [(1, 0), (0, 1)])
+    with pytest.raises(SemigroupError, match="exceeds cap 10000000"):
+        member(gs, (10**6, 10**6))
+
+
 def test_invalid_generators_rejected():
     with pytest.raises(SemigroupError):
         GeneratorSet(2, [])
