@@ -32,12 +32,21 @@ over Python ints:
   (Bourbaki, Lie Groups and Lie Algebras VIII 9; Humphreys, Introduction
   to Lie Algebras and Representation Theory 24).  The cosets are the
   points of the Weyl orbit of h, walked by the same orbit walk as weights.
+  Everything that does not depend on lambda (the coroot coordinates of
+  h - h', the signs, the roots vanishing on each h', the Levi denominator
+  and the divisor) is one table per dominant h, walked once and kept in a
+  bounded memo shared across builds, since conjugate sl2s have the same
+  dominant marks.  Each lambda is then a few numpy operations over the
+  table: its degrees, one product of Levi pairings per coset, an exact
+  division and a scatter-add.  They run in int64 only when a bound on the
+  products, taken before any is formed, proves that int64 holds them and
+  their sum, and in Python ints otherwise.
 
 Either runs while its polynomial has degree at most PARABOLIC_CAP, and the
-coset sum also while W_J\\W has at most PARABOLIC_CAP cosets; both are
-counted in Python ints before anything is allocated.  Past the cap, the
-third algorithm expands each dominant weight over its Weyl orbit, tracking
-the simple-root coordinates k of lambda - mu, so that (lambda - mu)(h) =
+coset sum also while W_J\\W has at most COSET_CAP cosets; both are counted
+in Python ints before anything is allocated.  Past a cap, the third
+algorithm expands each dominant weight over its Weyl orbit, tracking the
+simple-root coordinates k of lambda - mu, so that (lambda - mu)(h) =
 sum k_i marks_i; it is bounded by WEIGHT_CAP.
 """
 
@@ -47,8 +56,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate
 from operator import mul, sub
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,7 +75,9 @@ from .semigroup import DEFAULT_BOX_CAP, _partition_fill
 
 WEIGHT_CAP = 10**7  # weights of L(lambda): sum over dominant mu of |W mu|
 DOMINANT_CAP = 5 * 10**4  # dominant weights of L(lambda)
-PARABOLIC_CAP = 10**5  # degree of either formula, and cosets W_J\W
+PARABOLIC_CAP = 10**5  # degree of either formula
+COSET_CAP = 3 * 10**6  # cosets W_J\W of the coset sum; |W(E7)| = 2903040
+COSET_CHUNK = 2**14  # rows of K paired with all roots at once
 DEFAULT_WEYL_ORDER_CAP = 1200  # covers all rank <= 4 simple factors (F4: 1152)
 
 
@@ -195,17 +207,17 @@ def full_weight_values(rs: RootSystem, lam: Weight, marks) -> dict:
     if marks == [2] * rs.rank:
         # degrees in q = t^2; the numerator has degree
         # sum_{alpha>0} <xi, alpha_vee> = xi(h) = lambda(h) + rho(h)
-        step, numerator = 2, _principal_numerator
-        size = lam_h + int(rs._np["coroots"].sum())
+        step, numerator, cosets = 2, _principal_numerator, 1
+        degree = lam_h + int(rs._np["coroots"].sum())
     else:
         step, numerator = 1, _parabolic_numerator
         marks, lam_h = _dominant_marks(rs, lam, marks, lam_h)
         # -xi - xi* = sum k_j alpha_j for xi* = -w0 xi, so the numerator
         # has degree (xi - w0 xi)(h) = -k . marks
         k = _reflect_to_dominant([-x for x in xi], tuple(zip(*rs.cartan)))[1]
-        size = max(-sum(map(mul, k, marks)),
-                   _orbit_size(rs, [int(m > 0) for m in marks]))
-    if size > PARABOLIC_CAP:
+        degree = -sum(map(mul, k, marks))
+        cosets = _orbit_size(rs, [int(m > 0) for m in marks])
+    if degree > PARABOLIC_CAP or cosets > COSET_CAP:
         step, degrees = 1, _orbit_degrees(rs, lam, marks).items()
     else:
         poly, exps = numerator(rs, xi, marks)
@@ -262,6 +274,54 @@ def _principal_numerator(rs: RootSystem, xi, marks):
     return poly, coroots.sum(axis=1).tolist()
 
 
+class _CosetTable(NamedTuple):
+    """The lambda-independent half of the coset sum for one dominant h."""
+    K: np.ndarray       # int32, coroot coordinates of h - h', one row per coset
+    signs: np.ndarray   # int8, (-1)^l(w)
+    vanish: np.ndarray  # uint8 (past 255 roots, wider): the |Phi_J+| positive
+    #                     roots vanishing on h', one row per coset
+    den: int            # prod_{alpha in Phi_J+} (rho, alpha)
+    exps: tuple         # alpha(h) for the positive roots with alpha(h) > 0
+
+
+@lru_cache(maxsize=4)
+def _coset_table(rs: RootSystem, marks: tuple) -> _CosetTable:
+    """Walk the W-orbit of the dominant h with these marks once.
+
+    The points h' = w^-1 h are the minimal representatives w of W_J\\W, at
+    level l(w) of _orbit_walk, and the walk's k column holds K; the degree
+    cap keeps every K_j below 2^31.  A positive root beta vanishes on h'
+    when beta(h - h') = sum_j K_j <beta, alpha_j_vee> equals beta(h); that
+    matrix is formed COSET_CHUNK rows at a time, and exactly |Phi_J+| roots
+    vanish on each h' (they are w^-1 Phi_J+ up to sign).
+
+    An entry takes 4 rank + 1 + |Phi_J+| bytes per coset, for at most
+    COSET_CAP cosets.  Among simple types of rank <= 8 the largest is E8
+    with J of type A4 + A1 (2903040 cosets, |Phi_J+| = 11): about 128 MB.
+    E7's subregular h (1451520 cosets, |Phi_J+| = 1) takes about 44 MB.
+    """
+    A, roots = rs._np["A"], rs._np["roots"]
+    levels = _orbit_walk(_orbit_rows(marks), A)
+    K = np.concatenate(levels, dtype=np.int32)
+    signs = np.repeat(np.array([(-1) ** n for n in range(len(levels))],
+                               np.int8), [len(k) for k in levels])
+    del levels
+    alpha_h = roots @ marks
+    # in float64 for BLAS, and exact: K >= 0 and K . xi <= PARABOLIC_CAP
+    # with xi >= 1, so every partial sum of beta(h - h') is an integer of
+    # size at most 3 sum K_j < 2^53
+    wc = rs._np["roots_wc"].T.astype(np.float64)
+    cols = [np.flatnonzero(K[s:s + COSET_CHUNK] @ wc == alpha_h) % len(roots)
+            for s in range(0, len(K), COSET_CHUNK)]
+    vanish = np.concatenate(cols).astype(
+        np.min_scalar_type(len(roots))).reshape(len(K), -1)
+    den = math.prod((roots[alpha_h == 0] * rs._np["d"]).sum(axis=1).tolist())
+    for a in (K, signs, vanish):
+        a.setflags(write=False)
+    return _CosetTable(K, signs, vanish, den,
+                       tuple(alpha_h[alpha_h > 0].tolist()))
+
+
 def _parabolic_numerator(rs: RootSystem, xi, marks):
     """Numerator and divisor exponents of the Weyl character formula grouped
     by the cosets of W_J, J = {i : alpha_i(h) = 0}, for dominant marks:
@@ -273,36 +333,33 @@ def _parabolic_numerator(rs: RootSystem, xi, marks):
     and dim_J(x - rho) = prod_{alpha in Phi_J+} (x, alpha) / (rho, alpha)
     the Levi factor's Weyl dimension (roots of Phi_J vanish on h, so each
     coset's Levi character collapses to dim_J times one power of t).  The w
-    are the points h' = w^-1 h of the W-orbit of h, at level l(w) of
-    _orbit_walk, with K the coroot coordinates of h - h'.  So (xi - w xi)(h)
-    = xi(h - h') = K . xi, and w^-1 maps Phi_J+ onto the positive roots
-    beta vanishing on h': dim_J(w xi - rho) has numerator prod (xi, beta).
+    are the points h' = w^-1 h of the W-orbit of h, and everything that
+    does not depend on lambda comes from _coset_table, walked once per h.
+    With K the coroot coordinates of h - h', (xi - w xi)(h) = xi(h - h') =
+    K . xi, and w^-1 maps Phi_J+ onto the positive roots beta vanishing on
+    h': dim_J(w xi - rho) has numerator prod (xi, beta).  Each (xi, beta) is
+    formed once, and each coset's product is one row of a gather.  The
+    products and their sum run in int64 only when a bound taken first
+    proves that they fit (every product is at most max (xi, beta) to the
+    power |Phi_J+|), and in Python ints otherwise.
     """
-    A, d, roots = rs._np["A"], rs._np["d"], rs._np["roots"]
-    levels = _orbit_walk(_orbit_rows(marks), A)
-    K = np.concatenate(levels)
-    signs = np.repeat([(-1) ** n for n in range(len(levels))],
-                      [len(k) for k in levels]).tolist()
+    t = _coset_table(rs, tuple(marks))
+    # xi_j <= K . xi <= PARABOLIC_CAP wherever some row has K_j > 0, so
+    # clipping xi there changes no degree, and int32 holds every partial sum
+    degrees = t.K @ np.array([min(x, PARABOLIC_CAP) for x in xi], np.int32)
     # the degree cap bounds xi only where some mark is nonzero; past int64
-    # headroom, the degrees and the Levi pairings run in Python ints
+    # headroom, the Levi pairings are formed in Python ints
     xi = np.array(xi, dtype=np.int64 if max(xi) < 2**32 else object)
-    degrees = (K @ xi).tolist()
-
-    # beta(h') = beta(h) - sum_j K_j <beta, alpha_j_vee>; rows c*d of the
-    # roots give (x, beta) = (c*d) @ x, kept for roots vanishing on some h'
-    alpha_h = roots @ marks
-    vanish = K @ rs._np["roots_wc"].T == alpha_h
-    used = vanish.any(axis=0)
-    pairs = ((roots[used] * d) @ xi).tolist()
-    den = math.prod((roots[alpha_h == 0] * d).sum(axis=1).tolist())
-    poly = [0] * (max(degrees) + 1)
-    for k, sgn, row in zip(degrees, signs, vanish[:, used].tolist()):
-        dim_j, rem = divmod(math.prod(compress(pairs, row)), den)
-        if rem:
-            raise CharacterError(
-                f"Levi dimension at marks {marks} is not integral")
-        poly[k] += sgn * dim_j
-    return poly, alpha_h[alpha_h > 0].tolist()
+    pairs = (rs._np["roots"] * rs._np["d"]) @ xi
+    top = max(pairs.tolist()) ** t.vanish.shape[1]
+    fits = top < 2**63 and len(t.K) * (top // t.den) < 2**63
+    prods = pairs.astype(np.int64 if fits else object)[t.vanish].prod(axis=1)
+    if (prods % t.den).any():
+        raise CharacterError(
+            f"Levi dimension at marks {marks} is not integral")
+    poly = np.zeros(degrees.max() + 1, prods.dtype)
+    np.add.at(poly, degrees, t.signs * (prods // t.den))
+    return poly.tolist(), list(t.exps)
 
 
 @lru_cache(maxsize=512)

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from importlib import resources
 
 import pytest
@@ -8,8 +9,9 @@ from sl2bounds import (
     E_set, SimpleComponent, b_bound, build, e_value, levi_ss_components,
     m_value, m_values, parabolic_table, principal_embedding, root_embedding,
 )
-from sl2bounds import bounds, rootsys
+from sl2bounds import bounds, character, rootsys
 from sl2bounds.bounds import BoundsError, _canonical
+from sl2bounds.sl2branch import Sl2Embedding
 
 
 def _fixture():
@@ -59,6 +61,36 @@ def test_b_bound_g2():
     assert res.m_values.values == (4, 2)
     assert res.box_max_g0 == 7
     assert res.box_max_weight.coords == (1, 0)
+
+
+def _e6_subregular_bound():
+    rs = build([("E", 6)])
+    res = b_bound(rs, Sl2Embedding(marks=(2, 2, 2, 0, 2, 2)))
+    assert res.b == 6
+    assert res.m_values.values == (2, 2, 2, 1, 2, 2)
+    assert res.box_max_weight.coords == (0, 0, 0, 0, 0, 1)
+
+
+def test_b_bound_walks_the_orbit_of_h_once(monkeypatch):
+    # The 43 restrictions of the E6 subregular bound share one coset
+    # table: one walk over the 25920 points of the orbit of h.
+    walks = []
+    real = character._orbit_walk
+    monkeypatch.setattr(character, "_orbit_walk",
+                        lambda *a: walks.append(1) or real(*a))
+    character._coset_table.cache_clear()
+    _e6_subregular_bound()
+    assert len(walks) == 1
+    info = character._coset_table.cache_info()
+    assert (info.misses, info.hits) == (1, 42)
+
+
+def test_b_bound_e6_subregular_budget():
+    # In process, with a cold coset table; 2 s is a gate, not a target.
+    character._coset_table.cache_clear()
+    start = time.monotonic()
+    _e6_subregular_bound()
+    assert time.monotonic() - start < 2.0
 
 
 def test_b_bound_errors_when_m_missing():

@@ -8,7 +8,8 @@ import pytest
 
 from sl2bounds import (
     CharacterError, Weight, build, dominant_character, full_weight_values,
-    root_embedding, weyl_dimension, weyl_alternating_character, weyl_orbit,
+    root_embedding, sl2_decompose, weyl_dimension, weyl_alternating_character,
+    weyl_orbit,
 )
 from sl2bounds import character
 from sl2bounds.rootsys import RootSystemError, weight_to_root_coords
@@ -138,12 +139,14 @@ def test_dominant_character_rejects_nondominant():
 
 
 def test_box_memo_is_bounded_and_shared_across_builds():
-    # Both character memos: the dominant weights (Freudenthal) and the
-    # orbit expansion that non-principal restrictions read.
+    # The character memos: the dominant weights (Freudenthal), the orbit
+    # expansion, and the coset table that non-principal restrictions read.
     lam = Weight((4, 3))
     for memo, call in ((character._dominant_weights, dominant_character),
                        (character._weight_orbits, lambda rs, lam:
-                        character._orbit_degrees(rs, lam, (1, 0)))):
+                        character._orbit_degrees(rs, lam, (1, 0))),
+                       (character._coset_table, lambda rs, lam:
+                        full_weight_values(rs, lam, (1, 0)))):
         assert memo.cache_info().maxsize is not None
         first = call(build([("G", 2)]), lam)
         hits = memo.cache_info().hits
@@ -326,6 +329,75 @@ def test_one_solve_and_one_conjugation_per_request(monkeypatch):
     calls.clear()
     full_weight_values(rs, lam, root_embedding(rs, (1, 0, 0)).marks)
     assert calls == ["_lambda_of_h", "_dominant_marks"]
+
+
+def test_conjugate_sl2s_share_one_coset_table():
+    # alpha_1 is a long root of B4, so its sl2 has the dominant marks of
+    # the highest-root sl2, and both read one table.
+    rs = build([("B", 4)])
+    lam = Weight((0, 1, 0, 1))
+    character._coset_table.cache_clear()
+    first = full_weight_values(rs, lam, root_embedding(rs, (1, 2, 2, 2)).marks)
+    assert full_weight_values(rs, lam, (2, -1, 0, 0)) == first
+    info = character._coset_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_e7_subregular_coset_sum_matches_orbit_expansion():
+    # 1451520 cosets, past the 10^5 that PARABOLIC_CAP used to allow: the
+    # coset sum answers under COSET_CAP and agrees with the orbit expansion.
+    rs = build([("E", 7)])
+    marks = (2, 2, 2, 0, 2, 2, 2)
+    assert character._orbit_size(rs, [1, 1, 1, 0, 1, 1, 1]) == 1451520
+    for j in (0, 2, 6):
+        lam = Weight(tuple(int(i == j) for i in range(7)))
+        assert _by_formula(rs, lam, marks) == _by_orbits(rs, lam, marks), lam
+
+
+def _corrupt_levi_denominator(monkeypatch):
+    real = character._coset_table
+    monkeypatch.setattr(character, "_coset_table", lambda rs, marks:
+                        real(rs, marks)._replace(den=real(rs, marks).den + 1))
+
+
+def _largest_levi_product(rs, lam, marks):
+    """An upper bound on every coset's product of Levi pairings: the
+    largest (xi, beta) to the power |Phi_J+|."""
+    xi = [x + 1 for x in lam.coords]
+    pairs = (rs._np["roots"] * rs._np["d"]) @ xi
+    vanishing = int((rs._np["roots"] @ marks == 0).sum())
+    return max(pairs.tolist()) ** vanishing
+
+
+@pytest.mark.parametrize("lam,int64", [((0,) * 6, True), ((100,) * 6, False)])
+def test_levi_exactness_check_fires_in_both_branches(monkeypatch, lam, int64):
+    # The highest-root sl2 of E6: J is A5, |Phi_J+| = 15, 72 cosets.  At
+    # lambda = 0 the products run in int64; at 100 rho they are past 2^63
+    # and run in Python ints.  A wrong denominator must be caught in
+    # either.
+    rs = build([("E", 6)])
+    lam = Weight(lam)
+    marks = root_embedding(rs, rs.positive_roots[-1]).marks
+    assert (_largest_levi_product(rs, lam, marks) < 2**63) == int64
+    _corrupt_levi_denominator(monkeypatch)
+    with pytest.raises(CharacterError, match="Levi dimension .* not integral"):
+        _by_formula(rs, lam, marks)
+
+
+def test_levi_products_past_int64_stay_exact():
+    # xi = 101 rho is far below 2^32, but the products of 15 Levi pairings
+    # pass 2^63 (the identity coset's already does), so they must not run
+    # in int64.
+    rs = build([("E", 6)])
+    lam = Weight((100,) * 6)
+    emb = root_embedding(rs, rs.positive_roots[-1])
+    levi = rs._np["roots"][rs._np["roots"] @ emb.marks == 0]
+    assert len(levi) == 15
+    assert math.prod(((levi * rs._np["d"]) @ ([101] * 6)).tolist()) > 2**63
+    N = _by_formula(rs, lam, emb.marks)
+    assert all(N[-v] == n for v, n in N.items())
+    assert sum(N.values()) == weyl_dimension(rs, lam)
+    assert sl2_decompose(rs, lam, emb).dimension() == weyl_dimension(rs, lam)
 
 
 def test_principal_degree_cap_boundary(monkeypatch):
