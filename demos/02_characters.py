@@ -24,8 +24,8 @@ for mu, m in sorted(ch.mults.items(), key=lambda kv: kv[0].coords):
 oracle = weyl_alternating_character(g2, lam)
 print("oracle agrees:", ch.mults == oracle.mults)
 
-# Characters are memoized by (root system, highest weight), so asking
-# for the same one again costs nothing.  Work grows with the number of
-# dominant weights: L(19, 19) has 770 of them.
+# Nothing is cached per highest weight: each call runs the recursion
+# again, and its work grows with the number of dominant weights
+# (L(19, 19) has 770 of them).
 big = dominant_character(g2, Weight((19, 19)))
 print("dim L(19, 19) =", big.dimension(g2))

@@ -14,15 +14,20 @@ the Weyl denominator with semigroup's partition-function kernel.
 
 full_weight_values restricts a character to the sl2 with given marks
 alpha_i(h).  It is the one restriction pipeline, and every step happens
-there once: it validates lambda and the marks, solves lambda(h) in
-integers, conjugates non-principal marks to dominant, picks one of three
-algorithms, and maps each degree k of
+there once: it validates lambda and the marks, conjugates h to dominant,
+solves lambda(h) in integers on the dominant conjugate, reads the degree
+of either formula's numerator as c . (lambda + rho), c the coroot
+coordinates of h + h* with h* = -w0 h, picks one of three algorithms, and
+maps each degree k of
 
     sum_mu mult(mu) t^{(lambda - mu)(h)}
 
-to mu(h) = lambda(h) - k.  Two algorithms only build the numerator of a
-quotient of polynomials in t, which full_weight_values divides exactly
-over Python ints:
+to mu(h) = lambda(h) - k.  Everything that depends on h alone (its
+dominant conjugate, c and the number of cosets) is one record per sl2 in
+a bounded memo shared across builds, since every bound restricts dozens
+of lambda to one sl2; nothing is cached per lambda.  Two algorithms only
+build the numerator of a quotient of polynomials in t, which
+full_weight_values divides exactly over Python ints:
 
 * Principal marks (all 2): the principal specialization
   prod_{alpha>0} (1 - t^<lambda+rho, alpha_vee>) / (1 - t^<rho, alpha_vee>)
@@ -103,7 +108,6 @@ class Character:
         }
 
 
-@lru_cache(maxsize=512)
 def _dominant_weights(rs: RootSystem, lam: Weight) -> tuple:
     """(mu, k, multiplicity) for every dominant weight mu of L(lambda), k
     the simple-root coordinates of lambda - mu, in order of height of k.
@@ -197,39 +201,52 @@ def full_weight_values(rs: RootSystem, lam: Weight, marks) -> dict:
 
     The one restriction pipeline; the module docstring describes it.
     """
-    marks = [int(m) for m in marks]
+    marks = tuple(int(m) for m in marks)
     if len(marks) != rs.rank:
         raise RootSystemError(f"marks must have length {rs.rank}")
     if not lam.is_dominant:
         raise RootSystemError("full_weight_values expects a dominant weight")
-    lam_h = _lambda_of_h(rs, lam, marks)
+    h, c, cosets = _sl2(rs, marks)
+    lam_h = _lambda_of_h(rs, lam, h)
     xi = [x + 1 for x in lam.coords]
-    if marks == [2] * rs.rank:
-        # degrees in q = t^2; the numerator has degree
-        # sum_{alpha>0} <xi, alpha_vee> = xi(h) = lambda(h) + rho(h)
+    degree = sum(map(mul, c, xi))
+    if h == (2,) * rs.rank:
+        # degrees in q = t^2
         step, numerator, cosets = 2, _principal_numerator, 1
-        degree = lam_h + int(rs._np["coroots"].sum())
+        degree //= 2
     else:
         step, numerator = 1, _parabolic_numerator
-        marks, lam_h = _dominant_marks(rs, lam, marks, lam_h)
-        # -xi - xi* = sum k_j alpha_j for xi* = -w0 xi, so the numerator
-        # has degree (xi - w0 xi)(h) = -k . marks
-        k = _reflect_to_dominant([-x for x in xi], tuple(zip(*rs.cartan)))[1]
-        degree = -sum(map(mul, k, marks))
-        cosets = _orbit_size(rs, [int(m > 0) for m in marks])
     if degree > PARABOLIC_CAP or cosets > COSET_CAP:
-        step, degrees = 1, _orbit_degrees(rs, lam, marks).items()
+        step, degrees = 1, _orbit_degrees(rs, lam, h).items()
     else:
-        poly, exps = numerator(rs, xi, marks)
+        poly, exps = numerator(rs, xi, h)
         for e in exps:           # divide by (1 - t^e): running sum, stride e
             for r in range(e):
                 poly[r::e] = accumulate(poly[r::e])
         top = len(poly) - 1 - sum(exps)
         if top < 0 or any(poly[top + 1:]):
             raise CharacterError(
-                f"character sum of {lam} at marks {marks} is not a polynomial")
+                f"character sum of {lam} at marks {h} is not a polynomial")
         degrees = enumerate(poly[:top + 1])
-    return {lam_h - step * deg: c for deg, c in degrees if c}
+    return {lam_h - step * deg: n for deg, n in degrees if n}
+
+
+@lru_cache(maxsize=256)
+def _sl2(rs: RootSystem, marks: tuple) -> tuple:
+    """(h, c, cosets) for the sl2 with these marks: h the marks of its
+    dominant Weyl conjugate, c the coroot coordinates of h + h* with h* =
+    -w0 h, and cosets = |W_J\\W|, J the zero marks of h.
+
+    The weights of L(lambda) are W-stable, so h and its conjugates have the
+    same weight-value histogram.  Reflecting -h to dominant gives h*, and
+    -h - h* = sum k_j alpha_j_vee, so c = -k.  For xi = lambda + rho both
+    formulas' numerators have degree (xi - w0 xi)(h) = xi(h + h*) = c . xi,
+    in t; for the principal h, h* = h and the degree in q = t^2 is half
+    that.
+    """
+    h = tuple(_reflect_to_dominant(marks, rs.cartan)[0])
+    k = _reflect_to_dominant([-m for m in h], rs.cartan)[1]
+    return h, tuple(-x for x in k), _orbit_size(rs, h)
 
 
 def _lambda_of_h(rs: RootSystem, lam: Weight, marks) -> int:
@@ -241,19 +258,6 @@ def _lambda_of_h(rs: RootSystem, lam: Weight, marks) -> int:
         raise CharacterError(
             f"lambda(h) is not integral: {Fraction(val, den)}")
     return val // den
-
-
-def _dominant_marks(rs: RootSystem, lam: Weight, marks, lam_h: int):
-    """(marks of the dominant Weyl conjugate h' of h, lambda(h')), given
-    lambda(h).
-
-    alpha_i(s_j h) = marks_i - marks_j cartan[j][i], so h - h' = sum k_j
-    alpha_j_vee and lambda(h') = lambda(h) - sum k_j lambda_j; the weights
-    of L(lambda) are W-stable, so h and h' have the same weight-value
-    histogram.
-    """
-    dom, k = _reflect_to_dominant(marks, rs.cartan)
-    return dom, lam_h - sum(map(mul, k, lam.coords))
 
 
 def _principal_numerator(rs: RootSystem, xi, marks):
@@ -362,14 +366,13 @@ def _parabolic_numerator(rs: RootSystem, xi, marks):
     return poly.tolist(), list(t.exps)
 
 
-@lru_cache(maxsize=512)
-def _weight_orbits(rs: RootSystem, lam: Weight) -> tuple:
-    """Root coordinates of every weight of L(lambda), grouped by multiplicity.
+def _orbit_degrees(rs: RootSystem, lam: Weight, marks) -> dict:
+    """(lambda - mu)(h) = k . marks -> multiplicity, over all weights mu of
+    L(lambda), for dominant marks.
 
-    Returns (K, groups): row r of K is the k with lambda - mu = sum k_i
-    alpha_i for one weight mu, and groups holds (start, stop, m) for the
-    rows of multiplicity m.  The orbits of all dominant weights are walked
-    at once by _orbit_walk, with the multiplicity group riding along.
+    k is the root coordinates of lambda - mu.  The orbits of all dominant
+    weights are walked at once by _orbit_walk, with the multiplicity group
+    riding along, and the rows are sorted stably by group.
     """
     doms = _dominant_weights(rs, lam)
     mults = sorted({m for _, _, m in doms})
@@ -379,21 +382,13 @@ def _weight_orbits(rs: RootSystem, lam: Weight) -> tuple:
     rows = np.array([(*mu, *k, group[m]) for mu, k, m in doms], dtype=np.int32)
     rows = np.concatenate(_orbit_walk(rows, rs._np["A"].T))
     rows = rows[np.argsort(rows[:, -1], kind="stable")]
-    K = np.ascontiguousarray(rows[:, :rs.rank])
-    K.setflags(write=False)
     bounds = np.searchsorted(rows[:, -1], np.arange(len(mults) + 1)).tolist()
-    return K, tuple(zip(bounds[:-1], bounds[1:], mults))
-
-
-def _orbit_degrees(rs: RootSystem, lam: Weight, marks) -> dict:
-    """(lambda - mu)(h) = k . marks -> multiplicity, over all weights mu of
-    L(lambda) and their root coordinates k from the orbit expansion."""
-    K, groups = _weight_orbits(rs, lam)
-    # K is int32 and the marks are dominant, so int64 is exact while
+    # k is int32 and the marks are dominant, so int64 is exact while
     # sum(marks) < 2^32; past that, Python ints
-    degrees = K @ np.array(marks, np.int64 if sum(marks) < 2**32 else object)
+    degrees = rows[:, :-1] @ np.array(
+        marks, np.int64 if sum(marks) < 2**32 else object)
     out = {}
-    for start, stop, m in groups:
+    for start, stop, m in zip(bounds[:-1], bounds[1:], mults):
         v, n = np.unique(degrees[start:stop], return_counts=True)
         for x, c in zip(v.tolist(), n.tolist()):
             out[x] = out.get(x, 0) + c * m

@@ -1,7 +1,9 @@
 import itertools
 import json
 import math
+import random
 from functools import lru_cache
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,8 @@ from sl2bounds import (
     weyl_orbit,
 )
 from sl2bounds import character
-from sl2bounds.rootsys import RootSystemError, weight_to_root_coords
+from sl2bounds.rootsys import (RootSystemError, _reflect_to_dominant,
+                                weight_to_root_coords)
 
 
 def mults_by_coords(ch):
@@ -139,20 +142,21 @@ def test_dominant_character_rejects_nondominant():
 
 
 def test_box_memo_is_bounded_and_shared_across_builds():
-    # The character memos: the dominant weights (Freudenthal), the orbit
-    # expansion, and the coset table that non-principal restrictions read.
+    # Every memo is keyed by sl2, never by lambda: the per-sl2 record and
+    # the coset table are the only ones, both bounded, and a second build
+    # of the same root system hits both.
+    memos = {name for name, value in vars(character).items()
+             if hasattr(value, "cache_info")}
+    assert memos == {"_sl2", "_coset_table"}
     lam = Weight((4, 3))
-    for memo, call in ((character._dominant_weights, dominant_character),
-                       (character._weight_orbits, lambda rs, lam:
-                        character._orbit_degrees(rs, lam, (1, 0))),
-                       (character._coset_table, lambda rs, lam:
-                        full_weight_values(rs, lam, (1, 0)))):
-        assert memo.cache_info().maxsize is not None
-        first = call(build([("G", 2)]), lam)
-        hits = memo.cache_info().hits
-        again = call(build([("G", 2)]), lam)
-        assert memo.cache_info().hits == hits + 1
-        assert again == first
+    first = full_weight_values(build([("G", 2)]), lam, (1, 0))
+    hits = [getattr(character, n).cache_info().hits for n in sorted(memos)]
+    again = full_weight_values(build([("G", 2)]), lam, (1, 0))
+    assert again == first
+    for name, before in zip(sorted(memos), hits):
+        info = getattr(character, name).cache_info()
+        assert info.maxsize is not None
+        assert info.hits == before + 1, name
 
 
 @lru_cache(maxsize=None)
@@ -284,11 +288,14 @@ def test_marks_conjugate_to_dominant():
     # conjugation.
     rs = build([("B", 4)])
     lam = Weight((0, 1, 0, 1))
-    marks, lam_h = character._dominant_marks(
-        rs, lam, (2, -1, 0, 0), character._lambda_of_h(rs, lam, (2, -1, 0, 0)))
-    assert marks == list(root_embedding(rs, (1, 2, 2, 2)).marks) \
-        == [0, 1, 0, 0]
-    assert lam_h == character._lambda_of_h(rs, lam, marks)
+    marks = character._sl2(rs, (2, -1, 0, 0))[0]
+    assert marks == tuple(root_embedding(rs, (1, 2, 2, 2)).marks) \
+        == (0, 1, 0, 0)
+    # h - h' = sum k_j alpha_j_vee, so lambda(h') = lambda(h) - k . lambda
+    k = _reflect_to_dominant((2, -1, 0, 0), rs.cartan)[1]
+    assert character._lambda_of_h(rs, lam, marks) == \
+        character._lambda_of_h(rs, lam, (2, -1, 0, 0)) - \
+        sum(ki * li for ki, li in zip(k, lam.coords))
     assert _by_formula(rs, lam, (2, -1, 0, 0)) == \
         _by_formula(rs, lam, marks) == \
         _weight_values_from(_oracle_expansion(rs, lam), (2, -1, 0, 0))
@@ -315,20 +322,22 @@ def test_parabolic_cap_falls_back_to_orbit_expansion(monkeypatch):
 
 
 def test_one_solve_and_one_conjugation_per_request(monkeypatch):
-    # lambda(h) is solved once per request and the marks are conjugated
-    # once; a principal request conjugates nothing.
+    # The marks are conjugated once per request, by the per-sl2 record, and
+    # lambda(h) is solved once, on the dominant conjugate; principal and
+    # non-principal requests take the same steps.
     calls = []
-    for name in ("_lambda_of_h", "_dominant_marks"):
+    for name in ("_sl2", "_lambda_of_h"):
         real = getattr(character, name)
         monkeypatch.setattr(character, name, lambda *a, _r=real, _n=name:
-                            calls.append(_n) or _r(*a))
+                            calls.append((_n, a[-1])) or _r(*a))
     rs = build([("B", 3)])
     lam = Weight((1, 0, 1))
     full_weight_values(rs, lam, (2, 2, 2))
-    assert calls == ["_lambda_of_h"]
+    assert calls == [("_sl2", (2, 2, 2)), ("_lambda_of_h", (2, 2, 2))]
     calls.clear()
-    full_weight_values(rs, lam, root_embedding(rs, (1, 0, 0)).marks)
-    assert calls == ["_lambda_of_h", "_dominant_marks"]
+    marks = root_embedding(rs, (1, 0, 0)).marks
+    full_weight_values(rs, lam, marks)
+    assert calls == [("_sl2", tuple(marks)), ("_lambda_of_h", (0, 1, 0))]
 
 
 def test_conjugate_sl2s_share_one_coset_table():
@@ -413,6 +422,79 @@ def test_principal_degree_cap_boundary(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(CharacterError, match="weight cap"):
         full_weight_values(rs, Weight((100000,)), (2,))
+
+
+def test_coset_degree_cap_boundary(monkeypatch):
+    # A2 under its highest-root sl2, marks (1, 1): the coset sum's
+    # polynomial has degree c . xi = 2 (lambda_1 + lambda_2 + 2), so
+    # (49998, 0) is the last lambda_1 it answers; past it the orbit
+    # expansion does (and refuses L(49999, 0) at the weight cap).
+    rs = build([("A", 2)])
+    assert tuple(root_embedding(rs, (1, 1)).marks) == (1, 1)
+    assert character._sl2(rs, (1, 1))[1] == (2, 2)
+    monkeypatch.setattr(character, "_orbit_degrees", _refuse)
+    lam = Weight((49998, 0))
+    assert sum(full_weight_values(rs, lam, (1, 1)).values()) == \
+        weyl_dimension(rs, lam)
+    with pytest.raises(_PathTaken):
+        full_weight_values(rs, Weight((49999, 0)), (1, 1))
+    monkeypatch.undo()
+    with pytest.raises(CharacterError, match="weight cap"):
+        full_weight_values(rs, Weight((49999, 0)), (1, 1))
+
+
+_SIMPLE_TYPES = ([("A", n) for n in range(1, 9)]
+                 + [("B", n) for n in range(2, 9)]
+                 + [("C", n) for n in range(3, 9)]
+                 + [("D", n) for n in range(4, 9)]
+                 + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("fam,rank", _SIMPLE_TYPES,
+                         ids=[f"{f}{r}" for f, r in _SIMPLE_TYPES])
+def test_degree_formula_matches_reflection_of_xi(fam, rank):
+    # Both caps compare the numerator's degree (xi - w0 xi)(h) = c . xi,
+    # with c from the per-sl2 record.  For the principal h, every root
+    # sl2, and h = theta_vee + alpha_1_vee (not an sl2; h* != h in type A)
+    # it must equal -k . h, k the root coordinates of -xi - xi* from
+    # reflecting -xi to dominant.  c is also the largest row of the coset
+    # table (the K of w0), which is why _parabolic_numerator may clip xi at
+    # PARABOLIC_CAP and stay in int32.
+    rs = build([(fam, rank)])
+    rng = random.Random(rank)
+    marks = [root_embedding(rs, b).marks for b in rs.positive_roots]
+    alpha_1 = root_embedding(rs, (1,) + (0,) * (rank - 1)).marks
+    marks += [tuple(a + b for a, b in zip(alpha_1, marks[-1])), (2,) * rank]
+    columns = tuple(zip(*rs.cartan))
+    for m in marks:
+        h, c, cosets = character._sl2(rs, tuple(m))
+        for _ in range(3):
+            xi = [rng.randint(1, 50) for _ in range(rank)]
+            k = _reflect_to_dominant([-x for x in xi], columns)[1]
+            assert sum(map(mul, c, xi)) == -sum(map(mul, k, h)), (m, xi)
+        if cosets <= 2000:
+            K = character._coset_table(rs, h).K.tolist()
+            assert list(c) in K, m
+            assert [max(col) for col in zip(*K)] == list(c), m
+
+
+def test_conjugates_of_the_principal_marks_take_the_product_formula(
+        monkeypatch):
+    # Marks Weyl-conjugate to (2, ..., 2) have the principal histogram and
+    # are answered by the product formula alone.  In E8 the coset sum would
+    # need |W(E8)| cosets, past COSET_CAP, and the orbit expansion refuses
+    # L(2, 2, 0, ..., 0) at the weight cap.
+    g2 = build([("G", 2)])
+    box = [Weight(lam) for lam in itertools.product(range(4), repeat=2)]
+    principal = [full_weight_values(g2, lam, (2, 2)) for lam in box]
+    monkeypatch.setattr(character, "_orbit_degrees", _refuse)
+    monkeypatch.setattr(character, "_parabolic_numerator", _refuse)
+    assert [full_weight_values(g2, lam, (-2, 8)) for lam in box] == principal
+    e8 = build([("E", 8)])
+    lam = Weight((2, 2, 0, 0, 0, 0, 0, 0))
+    N = full_weight_values(e8, lam, (2, 2, 2, 2, 2, 2, 4, -2))
+    assert N == full_weight_values(e8, lam, (2,) * 8)
+    assert sum(N.values()) == weyl_dimension(e8, lam)
 
 
 def test_principal_values_e6_against_freudenthal():

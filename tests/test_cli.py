@@ -130,11 +130,11 @@ def refuse_weights(monkeypatch):
     parabolic sum."""
     from sl2bounds import character
 
-    def refuse(rs, lam):
+    def refuse(rs, lam, *marks):
         raise _WeightsWalked(lam)
 
     monkeypatch.setattr(character, "_dominant_weights", refuse)
-    monkeypatch.setattr(character, "_weight_orbits", refuse)
+    monkeypatch.setattr(character, "_orbit_degrees", refuse)
 
 
 def test_principal_requests_build_no_box(refuse_weights):
