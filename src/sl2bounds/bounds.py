@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .rootsys import RootSystem, SimpleComponent, Weight, _simple_block
+from .rootsys import (FAMILIES, RootSystem, SimpleComponent, Weight, _ranks,
+                      _simple_block)
 from .sl2branch import Sl2Embedding, g0, invariant_dim
 
 DEFAULT_M_CAP = 64
@@ -102,14 +103,10 @@ def _signature(cartan, d, nodes):
 @lru_cache(maxsize=None)
 def _types_by_signature(rank: int) -> dict:
     """Signature -> simple type of this rank, the first in
-    ``_all_simple_types`` order; that order names B2 = C2 as B2 and
-    A3 = D3 as A3."""
-    table = {}
-    for s in _all_simple_types(rank):
-        if s.rank == rank:
-            cartan, d = _simple_block(s)
-            table.setdefault(_signature(cartan, d, range(rank)), s)
-    return table
+    ``_all_simple_types`` order, which the reversed walk keeps; that order
+    names B2 = C2 as B2 and A3 = D3 as A3."""
+    return {_signature(*_simple_block(s), range(rank)): s
+            for s in reversed(_all_simple_types(rank)) if s.rank == rank}
 
 
 def _identify(cartan, d, nodes) -> SimpleComponent:
@@ -162,20 +159,10 @@ def e_value(comp: SimpleComponent) -> int:
 
 
 def _all_simple_types(rank_cap: int):
-    for n in range(1, rank_cap + 1):
-        yield SimpleComponent("A", n)
-    for n in range(2, rank_cap + 1):
-        yield SimpleComponent("B", n)
-        yield SimpleComponent("C", n)
-    for n in range(3, rank_cap + 1):
-        yield SimpleComponent("D", n)
-    for n in (6, 7, 8):
-        if n <= rank_cap:
-            yield SimpleComponent("E", n)
-    if rank_cap >= 4:
-        yield SimpleComponent("F", 4)
-    if rank_cap >= 2:
-        yield SimpleComponent("G", 2)
+    """Every simple type of rank <= rank_cap, B and C interleaved by rank."""
+    return sorted((SimpleComponent(f, n) for f in FAMILIES
+                   for n in _ranks(f, rank_cap)),
+                  key=lambda s: ("B" if s.family == "C" else s.family, s.rank))
 
 
 def E_set(dim_k: int, rank_cap: int = 10):
@@ -186,9 +173,8 @@ def E_set(dim_k: int, rank_cap: int = 10):
     Completeness requires e to keep growing with rank; this is verified
     per family up to rank_cap, and e at rank_cap must exceed dim_k.
     """
-    evals = {}
-    for s in _all_simple_types(rank_cap):
-        evals[(s.family, s.rank)] = e_value(s)
+    types = _all_simple_types(rank_cap)
+    evals = {(s.family, s.rank): e_value(s) for s in types}
     for fam in "ABCD":
         ranks = sorted(r for f, r in evals if f == fam)
         if not ranks:
@@ -203,9 +189,6 @@ def E_set(dim_k: int, rank_cap: int = 10):
             raise BoundsError(
                 f"rank_cap {rank_cap} too small: e({fam}{ranks[-1]}) = "
                 f"{evals[(fam, ranks[-1])]} <= dim_k = {dim_k}")
-    out = {}
-    for s in _all_simple_types(rank_cap):
-        if evals[(s.family, s.rank)] <= dim_k:
-            c = _canonical(s)
-            out[(c.family, c.rank)] = c
-    return sorted(out.values(), key=lambda c: (c.family, c.rank))
+    return sorted({_canonical(s) for s in types
+                   if evals[(s.family, s.rank)] <= dim_k},
+                  key=lambda c: (c.family, c.rank))

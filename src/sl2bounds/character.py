@@ -71,6 +71,7 @@ from .rootsys import (
     RootSystem,
     RootSystemError,
     Weight,
+    _check_weight,
     _orbit_rows,
     _orbit_size,
     _orbit_walk,
@@ -117,8 +118,7 @@ def _dominant_weights(rs: RootSystem, lam: Weight) -> tuple:
     m(nu) = m(dom(nu)); each root string stops at its first non-weight,
     and its partial sums are kept for the weights below.
     """
-    if not lam.is_dominant:
-        raise RootSystemError("dominant_character expects a dominant weight")
+    _check_weight(rs, lam, "dominant_character")
     rank = rs.rank
     roots_wc = [tuple(int(x) for x in r) for r in rs._np["roots_wc"]]
     found = {lam.coords: (0,) * rank}   # dominant mu -> k
@@ -204,8 +204,7 @@ def full_weight_values(rs: RootSystem, lam: Weight, marks) -> dict:
     marks = tuple(int(m) for m in marks)
     if len(marks) != rs.rank:
         raise RootSystemError(f"marks must have length {rs.rank}")
-    if not lam.is_dominant:
-        raise RootSystemError("full_weight_values expects a dominant weight")
+    _check_weight(rs, lam, "full_weight_values")
     h, c, cosets = _sl2(rs, marks)
     lam_h = _lambda_of_h(rs, lam, h)
     xi = [x + 1 for x in lam.coords]
@@ -405,8 +404,7 @@ def weyl_alternating_character(rs: RootSystem, lam: Weight) -> Character:
 
     Small-rank oracle for dominant_character; enumerates W explicitly.
     """
-    if not lam.is_dominant:
-        raise RootSystemError("expects a dominant weight")
+    _check_weight(rs, lam, "weyl_alternating_character")
     xi = lam + rs.rho
     if 0 in xi.coords:
         raise CharacterError("weight is not regular")

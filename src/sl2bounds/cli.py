@@ -35,10 +35,7 @@ def _load_fixture(name: str):
 
 
 def _parse_type(type_str: str, rank: int) -> RootSystem:
-    try:
-        return build([SimpleComponent(type_str.upper(), rank)])
-    except RootSystemError as exc:
-        raise UsageError(str(exc)) from exc
+    return build([SimpleComponent(type_str.upper(), rank)])
 
 
 def _int_tuple(text: str, what: str) -> tuple:
@@ -236,11 +233,8 @@ def cmd_complement(args):
     if not gens:
         raise UsageError("no generators given (use --gen or --generators-file)")
     r = len(gens[0])
-    try:
-        gs = semigroup.GeneratorSet(r, gens)
-        comp = semigroup.complement(gs, args.box_bound)
-    except semigroup.SemigroupError as exc:
-        raise UsageError(str(exc)) from exc
+    gs = semigroup.GeneratorSet(r, gens)
+    comp = semigroup.complement(gs, args.box_bound)
     obj = {"points": [list(p) for p in comp.points],
            "certified": comp.certified, "box_bound": comp.box_bound}
     _emit_obj(args, obj, lambda: print(

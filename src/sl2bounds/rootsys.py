@@ -3,7 +3,12 @@
 Conventions used throughout the package:
 
 * Simple types are named by family letter (A..G) and rank, nodes numbered
-  as in Bourbaki.
+  as in Bourbaki.  A simple type is data: one table, _DYNKIN, holds per
+  family the accepted ranks, |Phi+|, the symmetrizers d and the bonds
+  (i, j) of the Dynkin diagram.  One rule turns (d, bonds) into the
+  Cartan matrix: (alpha_i, alpha_i) = 2 d_i, and (alpha_i, alpha_j) =
+  -max(d_i, d_j) on a bond, which gives a simple bond for equal d, the
+  double bonds of B, C and F4 for d in {1, 2}, and the triple bond of G2.
 * Weights are stored in fundamental-weight coordinates: ``coords[i] =
   <mu, alpha_i_vee>``.
 * Roots are stored in simple-root coordinates.
@@ -21,24 +26,40 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
-
-# minimal rank accepted per family
-_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "F": 4, "G": 2}
-
-_POSROOT_COUNT = {
-    "A": lambda n: n * (n + 1) // 2,
-    "B": lambda n: n * n,
-    "C": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-}
-_EXCEPTIONAL_POSROOTS = {("E", 6): 36, ("E", 7): 63, ("E", 8): 120,
-                         ("F", 4): 24, ("G", 2): 6}
-
 DEFAULT_ORBIT_CAP = 10**7
+
+
+def _chain(n):
+    return [(i, i + 1) for i in range(n - 1)]
+
+
+class _Family(NamedTuple):
+    """One family's Dynkin data at rank n, nodes numbered from 0."""
+    ranks: int | tuple   # the least rank, or the tuple of all ranks
+    posroots: Callable   # n -> |Phi+|
+    d: Callable          # n -> symmetrizers (alpha_i, alpha_i) / 2
+    bonds: Callable      # n -> the edges (i, j) of the Dynkin diagram
+
+
+# Bourbaki, Lie Groups and Lie Algebras VI, Plates I-IX
+_DYNKIN = {
+    "A": _Family(1, lambda n: n * (n + 1) // 2, lambda n: [1] * n, _chain),
+    "B": _Family(2, lambda n: n * n, lambda n: [2] * (n - 1) + [1], _chain),
+    "C": _Family(2, lambda n: n * n, lambda n: [1] * (n - 1) + [2], _chain),
+    "D": _Family(3, lambda n: n * (n - 1), lambda n: [1] * n,
+                 lambda n: _chain(n - 1) + [(n - 3, n - 1)]),
+    # chain 1-3-4-5-...-n, node 2 attached to node 4
+    "E": _Family((6, 7, 8), {6: 36, 7: 63, 8: 120}.get, lambda n: [1] * n,
+                 lambda n: [(1, 3), (0, 2)] + _chain(n)[2:]),
+    "F": _Family((4,), lambda n: 24, lambda n: [2, 2, 1, 1], _chain),
+    # alpha_1 short, alpha_2 long, so that dim L(omega_1) = 7
+    "G": _Family((2,), lambda n: 6, lambda n: [1, 3], _chain),
+}
+FAMILIES = tuple(_DYNKIN)
 
 
 class RootSystemError(ValueError):
@@ -53,19 +74,16 @@ class SimpleComponent:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise RootSystemError(f"unknown family {self.family!r}")
-        lo = _MIN_RANK.get(self.family)
-        if self.family == "E":
-            if self.rank not in (6, 7, 8):
-                raise RootSystemError(f"E rank must be 6, 7 or 8, got {self.rank}")
-        elif self.family == "F":
-            if self.rank != 4:
-                raise RootSystemError(f"F rank must be 4, got {self.rank}")
-        elif self.family == "G":
-            if self.rank != 2:
-                raise RootSystemError(f"G rank must be 2, got {self.rank}")
-        elif self.rank < lo:
+        ranks = _DYNKIN[self.family].ranks
+        if isinstance(ranks, int):
+            if self.rank < ranks:
+                raise RootSystemError(
+                    f"{self.family} rank must be >= {ranks}, got {self.rank}")
+        elif self.rank not in ranks:
+            *rest, last = map(str, ranks)
+            allowed = f"{', '.join(rest)} or {last}" if rest else last
             raise RootSystemError(
-                f"{self.family} rank must be >= {lo}, got {self.rank}")
+                f"{self.family} rank must be {allowed}, got {self.rank}")
 
     @property
     def dim(self) -> int:
@@ -74,13 +92,32 @@ class SimpleComponent:
 
     @property
     def num_positive_roots(self) -> int:
-        key = (self.family, self.rank)
-        if key in _EXCEPTIONAL_POSROOTS:
-            return _EXCEPTIONAL_POSROOTS[key]
-        return _POSROOT_COUNT[self.family](self.rank)
+        return _DYNKIN[self.family].posroots(self.rank)
 
     def __str__(self):
         return f"{self.family}{self.rank}"
+
+
+def _ranks(family: str, rank_cap: int):
+    """The ranks <= rank_cap of a family, ascending."""
+    ranks = _DYNKIN[family].ranks
+    if isinstance(ranks, int):
+        return range(ranks, rank_cap + 1)
+    return [n for n in ranks if n <= rank_cap]
+
+
+def _cartan(d, bonds):
+    """Cartan matrix, cartan[j][i] = <alpha_i, alpha_j_vee>, of the diagram
+    with these symmetrizers and bonds: (alpha_i, alpha_i) = 2 d_i and, on a
+    bond, (alpha_i, alpha_j) = -max(d_i, d_j)."""
+    n = len(d)
+    cartan = [[0] * n for _ in range(n)]
+    for i in range(n):
+        cartan[i][i] = 2
+    for i, j in bonds:
+        m = max(d[i], d[j])
+        cartan[i][j], cartan[j][i] = -m // d[i], -m // d[j]
+    return cartan
 
 
 def _simple_block(comp: SimpleComponent):
@@ -89,56 +126,9 @@ def _simple_block(comp: SimpleComponent):
     cartan is oriented so cartan[j][i] = <alpha_i, alpha_j_vee>; d are the
     half squared lengths (short root length^2 = 2).
     """
-    n = comp.rank
-    fam = comp.family
-    # symmetric Gram matrix S[i][j] = (alpha_i, alpha_j), then A = D^-1 S
-    S = [[0] * n for _ in range(n)]
-    d = [1] * n
-
-    def chain(pairs):
-        for i, j, v in pairs:
-            S[i][j] = S[j][i] = v
-
-    if fam == "A":
-        for i in range(n):
-            S[i][i] = 2
-        chain([(i, i + 1, -1) for i in range(n - 1)])
-    elif fam == "B":
-        # alpha_1..alpha_{n-1} long, alpha_n short
-        d = [2] * (n - 1) + [1]
-        for i in range(n):
-            S[i][i] = 2 * d[i]
-        chain([(i, i + 1, -2) for i in range(n - 1)])
-    elif fam == "C":
-        # alpha_1..alpha_{n-1} short, alpha_n long
-        d = [1] * (n - 1) + [2]
-        for i in range(n):
-            S[i][i] = 2 * d[i]
-        chain([(i, i + 1, -1) for i in range(n - 2)])
-        chain([(n - 2, n - 1, -2)])
-    elif fam == "D":
-        for i in range(n):
-            S[i][i] = 2
-        chain([(i, i + 1, -1) for i in range(n - 2)])
-        chain([(n - 3, n - 1, -1)])
-    elif fam == "E":
-        for i in range(n):
-            S[i][i] = 2
-        # Bourbaki: chain 1-3-4-5-...-n, node 2 attached to node 4
-        edges = [(0, 2), (2, 3), (1, 3)] + [(i, i + 1) for i in range(3, n - 1)]
-        chain([(i, j, -1) for i, j in edges])
-    elif fam == "F":
-        # alpha_1, alpha_2 long; alpha_3, alpha_4 short; double bond 2=>3
-        d = [2, 2, 1, 1]
-        for i in range(4):
-            S[i][i] = 2 * d[i]
-        chain([(0, 1, -2), (1, 2, -2), (2, 3, -1)])
-    else:  # G2: alpha_1 short, alpha_2 long (so that dim L(omega_1) = 7)
-        d = [1, 3]
-        S = [[2, -3], [-3, 6]]
-
-    cartan = [[S[i][j] // d[i] for j in range(n)] for i in range(n)]
-    return cartan, d
+    fam = _DYNKIN[comp.family]
+    d = fam.d(comp.rank)
+    return _cartan(d, fam.bonds(comp.rank)), d
 
 
 @dataclass(frozen=True)
@@ -256,17 +246,13 @@ def build(components) -> RootSystem:
                   for c in components)
     if not comps:
         raise RootSystemError("component list must be nonempty")
-    rank = sum(c.rank for c in comps)
-    cartan = [[0] * rank for _ in range(rank)]
-    d = [0] * rank
-    off = 0
+    d, bonds = [], []
     for comp in comps:
-        blk, bd = _simple_block(comp)
-        for i in range(comp.rank):
-            d[off + i] = bd[i]
-            for j in range(comp.rank):
-                cartan[off + i][off + j] = blk[i][j]
-        off += comp.rank
+        fam = _DYNKIN[comp.family]
+        bonds += [(len(d) + i, len(d) + j) for i, j in fam.bonds(comp.rank)]
+        d += fam.d(comp.rank)
+    rank = len(d)
+    cartan = _cartan(d, bonds)
 
     roots = _positive_roots_closure(cartan, rank)
     expected = sum(c.num_positive_roots for c in comps)
@@ -312,6 +298,14 @@ def build(components) -> RootSystem:
     return rs
 
 
+def _check_weight(rs: RootSystem, mu: Weight, caller: str = "") -> None:
+    """Refuse mu unless it has length rank, and is dominant for a caller."""
+    if len(mu.coords) != rs.rank:
+        raise RootSystemError(f"weight must have length {rs.rank}")
+    if caller and not mu.is_dominant:
+        raise RootSystemError(f"{caller} expects a dominant weight")
+
+
 def root_to_weight_coords(rs: RootSystem, root) -> Weight:
     """Fundamental-weight coordinates of a vector given in simple-root
     coordinates (transpose-Cartan change of basis)."""
@@ -323,6 +317,7 @@ def root_to_weight_coords(rs: RootSystem, root) -> Weight:
 
 def weight_to_root_coords(rs: RootSystem, mu: Weight):
     """Simple-root coordinates of a weight, as exact Fractions."""
+    _check_weight(rs, mu)
     Ainv = rs._np["Ainv"]
     return [sum(Ainv[i][j] * mu.coords[j] for j in range(rs.rank))
             for i in range(rs.rank)]
@@ -333,6 +328,7 @@ def inner_product(rs: RootSystem, mu: Weight, nu: Weight) -> Fraction:
 
     (mu, nu) = sum_j c_j d_j mu_j where c = simple-root coordinates of nu.
     """
+    _check_weight(rs, mu)
     c = weight_to_root_coords(rs, nu)
     d = rs.symmetrizers
     return sum((c[j] * d[j] * mu.coords[j] for j in range(rs.rank)),
@@ -370,6 +366,7 @@ def _reflect_to_dominant(x, simple):
 
 def dominant_representative(rs: RootSystem, mu: Weight) -> Weight:
     """The unique dominant weight in the Weyl orbit of mu."""
+    _check_weight(rs, mu)
     return Weight(_reflect_to_dominant(mu.coords, tuple(zip(*rs.cartan)))[0])
 
 
@@ -423,8 +420,7 @@ def _orbit_rows(mu) -> np.ndarray:
 
 def weyl_orbit(rs: RootSystem, mu: Weight):
     """Full Weyl orbit of a dominant weight, as a set of Weight."""
-    if not mu.is_dominant:
-        raise RootSystemError("weyl_orbit expects a dominant weight")
+    _check_weight(rs, mu, "weyl_orbit")
     if _orbit_size(rs, mu.coords) > DEFAULT_ORBIT_CAP:
         raise RootSystemError(f"Weyl orbit exceeds cap {DEFAULT_ORBIT_CAP}")
     K = np.concatenate(_orbit_walk(_orbit_rows(mu.coords), rs._np["A"].T))
@@ -434,11 +430,9 @@ def weyl_orbit(rs: RootSystem, mu: Weight):
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     """dim L(lambda) by the Weyl dimension formula, exact."""
-    if not lam.is_dominant:
-        raise RootSystemError("weyl_dimension expects a dominant weight")
+    _check_weight(rs, lam, "weyl_dimension")
     d = rs.symmetrizers
-    num = 1
-    den = 1
+    num = den = 1
     for root in rs.positive_roots:
         top = sum(root[i] * d[i] * (lam.coords[i] + 1) for i in range(rs.rank))
         bot = sum(root[i] * d[i] for i in range(rs.rank))

@@ -213,6 +213,13 @@ def test_levi_classification_needs_no_root_system(monkeypatch):
     assert E_set(8) == expected_excl
 
 
+def test_all_simple_types_order():
+    # e-table prints this order, and the first of an isomorphic pair names it
+    assert [str(s) for s in bounds._all_simple_types(4)] == [
+        "A1", "A2", "A3", "A4", "B2", "C2", "B3", "C3", "B4", "C4",
+        "D3", "D4", "F4", "G2"]
+
+
 def test_dynkin_signatures_identify_every_simple_type(monkeypatch):
     # Types are identified by comparing signatures of _simple_block alone.
     # Among the simple types of rank <= 11 only the isomorphic pairs

@@ -11,6 +11,8 @@ from sl2bounds import (
     inner_product, root_to_weight_coords, weyl_dimension, weyl_orbit,
 )
 from sl2bounds import rootsys
+from sl2bounds.character import (
+    dominant_character, full_weight_values, weyl_alternating_character)
 from sl2bounds.rootsys import _reflect_to_dominant, simple_reflection
 
 ALL_SIMPLE = (
@@ -91,8 +93,67 @@ def test_build_semisimple_block_diagonal():
                                           ("F", 3, True), ("G", 3, True),
                                           ("H", 2, True)])
 def test_invalid_ranks_rejected(fam, rank, bad):
-    with pytest.raises(RootSystemError):
+    # the CLI prints these messages
+    message = {
+        "A": "A rank must be >= 1, got 0",
+        "B": "B rank must be >= 2, got 1",
+        "D": "D rank must be >= 3, got 2",
+        "E": "E rank must be 6, 7 or 8, got 5",
+        "F": "F rank must be 4, got 3",
+        "G": "G rank must be 2, got 3",
+        "H": "unknown family 'H'",
+    }[fam]
+    with pytest.raises(RootSystemError, match=f"^{message}$"):
         SimpleComponent(fam, rank)
+
+
+# (cartan, d) written out from Bourbaki, Lie Groups and Lie Algebras VI,
+# Plates I-IX, with cartan[i][j] = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i)
+BOURBAKI_BLOCKS = {
+    ("B", 3): ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], [2, 2, 1]),
+    ("C", 3): ([[2, -1, 0], [-1, 2, -2], [0, -1, 2]], [1, 1, 2]),
+    ("D", 4): ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0],
+                [0, -1, 0, 2]], [1, 1, 1, 1]),
+    ("E", 6): ([[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0],
+                [-1, 0, 2, -1, 0, 0], [0, -1, -1, 2, -1, 0],
+                [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]], [1] * 6),
+    ("F", 4): ([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1],
+                [0, 0, -1, 2]], [2, 2, 1, 1]),
+    ("G", 2): ([[2, -3], [-1, 2]], [1, 3]),
+}
+
+
+@pytest.mark.parametrize("fam,rank", BOURBAKI_BLOCKS)
+def test_simple_block_matches_bourbaki_plates(fam, rank):
+    assert rootsys._simple_block(SimpleComponent(fam, rank)) == \
+        BOURBAKI_BLOCKS[(fam, rank)]
+
+
+# every library entry point that takes a weight, called on a rank-2 type
+WEIGHT_ENTRY_POINTS = {
+    "weyl_dimension": weyl_dimension,
+    "weyl_orbit": weyl_orbit,
+    "dominant_representative": dominant_representative,
+    "weight_to_root_coords": rootsys.weight_to_root_coords,
+    "inner_product_left": lambda rs, mu: inner_product(rs, mu, rs.rho),
+    "inner_product_right": lambda rs, mu: inner_product(rs, rs.rho, mu),
+    "dominant_character": dominant_character,
+    "full_weight_values": lambda rs, mu: full_weight_values(rs, mu, (2, 2)),
+    "full_weight_values_root_marks":
+        lambda rs, mu: full_weight_values(rs, mu, (0, 1)),
+    "weyl_alternating_character": weyl_alternating_character,
+}
+
+
+@pytest.mark.parametrize("name", WEIGHT_ENTRY_POINTS)
+@pytest.mark.parametrize("fam", ["A", "G"])
+@pytest.mark.parametrize("coords", [(1,), (1, 0, 0), (1, -1, 0)], ids=str)
+def test_weight_of_wrong_length_refused(name, fam, coords):
+    # each of these once answered a wrong number or failed deep inside
+    rs = build([(fam, 2)])
+    call = WEIGHT_ENTRY_POINTS[name]
+    with pytest.raises(RootSystemError, match="^weight must have length 2$"):
+        call(rs, Weight(coords))
 
 
 def test_root_to_weight_coords_a2():
