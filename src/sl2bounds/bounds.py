@@ -87,16 +87,32 @@ def b_bound(rs: RootSystem, emb: Sl2Embedding,
 # Maximal parabolics
 
 
-def _signature(cartan, d, nodes):
+def _neighbours(cartan):
+    """Per node i of a Cartan block, the pairs (neighbour j, bond
+    multiplicity cartan[i][j] * cartan[j][i]): one pass over the block."""
+    return tuple(tuple((j, a * cartan[j][i]) for j, a in enumerate(row)
+                       if a and j != i) for i, row in enumerate(cartan))
+
+
+@lru_cache(maxsize=None)
+def _diagram(comp: SimpleComponent):
+    """(d, neighbours) of a simple type's Cartan block."""
+    cartan, d = _simple_block(comp)
+    return tuple(d), _neighbours(cartan)
+
+
+def _signature(d, nbrs, nodes):
     """Sorted per-node (is short, bond multiplicities, neighbour degrees) of
-    the connected Dynkin subdiagram on ``nodes``.  Two connected Dynkin
-    diagrams have equal signatures exactly when they are isomorphic."""
-    nbrs = {i: [j for j in nodes if j != i and cartan[i][j]] for i in nodes}
+    the connected Dynkin subdiagram on ``nodes``, with nbrs from
+    _neighbours of the whole block.  Two connected Dynkin diagrams have
+    equal signatures exactly when they are isomorphic."""
+    nodes = set(nodes)
+    inside = {i: [(j, m) for j, m in nbrs[i] if j in nodes] for i in nodes}
     short = min(d[i] for i in nodes)
     return tuple(sorted(
         (d[i] == short,
-         tuple(sorted(cartan[i][j] * cartan[j][i] for j in nbrs[i])),
-         tuple(sorted(len(nbrs[j]) for j in nbrs[i])))
+         tuple(sorted(m for _, m in inside[i])),
+         tuple(sorted(len(inside[j]) for j, _ in inside[i])))
         for i in nodes))
 
 
@@ -105,17 +121,17 @@ def _types_by_signature(rank: int) -> dict:
     """Signature -> simple type of this rank, the first in
     ``_all_simple_types`` order, which the reversed walk keeps; that order
     names B2 = C2 as B2 and A3 = D3 as A3."""
-    return {_signature(*_simple_block(s), range(rank)): s
+    return {_signature(*_diagram(s), range(rank)): s
             for s in reversed(_all_simple_types(rank)) if s.rank == rank}
 
 
-def _identify(cartan, d, nodes) -> SimpleComponent:
+def _identify(d, nbrs, nodes) -> SimpleComponent:
     """Simple type of the connected Dynkin subdiagram on ``nodes``."""
-    return _types_by_signature(len(nodes))[_signature(cartan, d, nodes)]
+    return _types_by_signature(len(nodes))[_signature(d, nbrs, nodes)]
 
 
 def _canonical(comp: SimpleComponent) -> SimpleComponent:
-    return _identify(*_simple_block(comp), range(comp.rank))
+    return _identify(*_diagram(comp), range(comp.rank))
 
 
 def levi_ss_components(comp: SimpleComponent, k: int):
@@ -124,19 +140,19 @@ def levi_ss_components(comp: SimpleComponent, k: int):
     parabolic.
 
     Reads only the Cartan block and the symmetrizers of ``comp`` (from
-    ``_simple_block``); no root system is built."""
+    ``_simple_block``, once per type); no root system is built."""
     if not 1 <= k <= comp.rank:
         raise BoundsError(f"node {k} out of range for {comp}")
-    cartan, d = _simple_block(comp)
-    rest = [i for i in range(comp.rank) if i != k - 1]
+    d, nbrs = _diagram(comp)
+    rest = set(range(comp.rank)) - {k - 1}
     out = []
     while rest:
-        nodes = [rest.pop(0)]
+        nodes = [rest.pop()]
         for i in nodes:  # nodes grows to the connected component of its head
-            linked = [j for j in rest if cartan[i][j]]
+            linked = [j for j, _ in nbrs[i] if j in rest]
             nodes += linked
-            rest = [j for j in rest if j not in linked]
-        out.append(_identify(cartan, d, nodes))
+            rest.difference_update(linked)
+        out.append(_identify(d, nbrs, nodes))
     return sorted(out, key=lambda c: (c.family, c.rank))
 
 

@@ -395,19 +395,39 @@ def _orbit_walk(rows, simple) -> list:
     for the shortest such w, the minimal coset representative.  Returns,
     per level, a copy of the columns after x.  Callers bound the orbit
     sizes with _orbit_size first.
+
+    Each level takes the same few numpy calls, over all rows and all j at
+    once, whatever the rank.  The test needs no s_j x: for i < j not
+    bonded to j (simple[j][i] = 0), (s_j x)_i = x_i, so j is kept when
+    x_j > 0, no such x_i is negative, and x_i - x_j simple[j][i] >= 0 on
+    each bond i < j.  The bond values are one integer product x @ bonds,
+    and one 0/1 product with to_j (float32, for BLAS; the counts are
+    small integers) counts the failed tests of each j.
+    Forming every s_j x as an (n, r, r) array instead is faster on small
+    orbits but slower on large ones, and a bit mask of the negative
+    coordinates would not go past 63 of them.  The kept (j, parent) pairs,
+    taken j-major with parents in order, give the same rows in the same
+    order and dtype as reflecting at one j at a time.
     """
     rank = len(simple)
+    bi, bj = np.nonzero(np.triu(simple.T, 1))          # the bonds i < j
+    bonds = np.zeros((rank, len(bi)), np.int64)
+    bonds[bi, np.arange(len(bi))] = 1
+    bonds[bj, np.arange(len(bi))] = -simple[bj, bi]
+    # a negative x_i fails each j > i not bonded to i; a negative bond
+    # value fails its j
+    to_j = np.concatenate([np.triu(simple.T == 0, 1),
+                           np.eye(rank, dtype=bool)[bj]]).astype(np.float32)
     levels = []
     while len(rows):
         levels.append(rows[:, rank:].copy())
-        new = []
-        for j in range(rank):
-            child = rows[rows[:, j] > 0]
-            step = child[:, j].copy()
-            child[:, :rank] -= step[:, None] * simple[j]
-            child[:, rank + j] += step
-            new.append(child[(child[:, :j] >= 0).all(axis=1)])
-        rows = np.concatenate(new)
+        x = rows[:, :rank]
+        fails = np.concatenate([x < 0, x @ bonds < 0], axis=1) @ to_j
+        j, parent = np.nonzero(((x > 0) & (fails == 0)).T)
+        step = x[parent, j]
+        rows = rows.take(parent, axis=0)
+        rows[:, :rank] -= step[:, None] * simple.take(j, axis=0)
+        rows[np.arange(len(j)), rank + j] += step
     return levels
 
 

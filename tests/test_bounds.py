@@ -233,15 +233,30 @@ def test_dynkin_signatures_identify_every_simple_type(monkeypatch):
     by_signature = {}
     for s in bounds._all_simple_types(11):
         cartan, d = rootsys._simple_block(s)
+        nbrs = bounds._neighbours(cartan)
         nodes = range(s.rank)
-        by_signature.setdefault(bounds._signature(cartan, d, nodes),
+        by_signature.setdefault(bounds._signature(d, nbrs, nodes),
                                 []).append(str(s))
         assert str(_canonical(s)) == renamed.get(str(s), str(s))
-        assert bounds._identify(cartan, d, nodes) == _canonical(s)
+        assert bounds._identify(d, nbrs, nodes) == _canonical(s)
         flipped = [row[::-1] for row in cartan[::-1]]
-        assert bounds._identify(flipped, d[::-1], nodes) == _canonical(s)
+        assert bounds._identify(d[::-1], bounds._neighbours(flipped),
+                                nodes) == _canonical(s)
     shared = sorted(v for v in by_signature.values() if len(v) > 1)
     assert shared == [["A3", "D3"], ["B2", "C2"]]
+
+
+def test_parabolic_table_reads_the_block_once(monkeypatch):
+    # Each node's neighbours come from one pass over the Cartan block per
+    # type, not one per deleted node.
+    real = bounds._simple_block
+    calls = []
+    monkeypatch.setattr(bounds, "_simple_block",
+                        lambda comp: calls.append(comp) or real(comp))
+    bounds._diagram.cache_clear()
+    comp = SimpleComponent("D", 12)
+    assert len(parabolic_table(comp)) == 12
+    assert calls.count(comp) == 1
 
 
 @pytest.mark.parametrize("comp", list(bounds._all_simple_types(8)), ids=str)

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -373,6 +374,89 @@ def test_weyl_orbit_is_exact_past_int64():
     n = 2**64
     assert weyl_orbit(a2, Weight((n, 0))) == {
         Weight((n, 0)), Weight((-n, n)), Weight((0, -n))}
+
+
+def _reference_walk(rows, simple):
+    """The orbit walk one simple reflection j at a time, the children of
+    each j concatenated in j order: the oracle for _orbit_walk."""
+    rank = len(simple)
+    levels = []
+    while len(rows):
+        levels.append(rows[:, rank:].copy())
+        new = []
+        for j in range(rank):
+            child = rows[rows[:, j] > 0]
+            step = child[:, j].copy()
+            child[:, :rank] -= step[:, None] * simple[j]
+            child[:, rank + j] += step
+            new.append(child[(child[:, :j] >= 0).all(axis=1)])
+        rows = np.concatenate(new)
+    return levels
+
+
+def _assert_walks_agree(rows, simple):
+    # identical levels: content, row order and dtype
+    got = rootsys._orbit_walk(rows, simple)
+    want = _reference_walk(rows, simple)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert (g == w).all()
+    return got
+
+
+def _small_orbit_starts(rs, count, seed):
+    """count seeded dominant starts in {0,1,2}^r with |W x| <= 10^5, on
+    distinct supports where there are that many."""
+    rng = random.Random(seed)
+    supports = [s for s in itertools.product((0, 1), repeat=rs.rank)
+                if rootsys._orbit_size(rs, s) <= 10**5]
+    return [tuple(c * rng.choice((1, 2)) for c in s)
+            for s in rng.sample(supports, min(count, len(supports)))]
+
+
+@pytest.mark.parametrize("fam,rank", ALL_SIMPLE)
+def test_orbit_walk_matches_reference_walk(fam, rank):
+    # Weights (A.T) and marks (A), one start at a time in int64, and all
+    # starts at once in int32 with a riding column, as _orbit_degrees walks.
+    rs = build([(fam, rank)])
+    A = rs._np["A"]
+    starts = _small_orbit_starts(rs, 3, seed=rank)
+    stacked = np.array([(*x, *[0] * rank, n) for n, x in enumerate(starts)],
+                       dtype=np.int32)
+    for simple in (A.T, A):
+        for x in starts:
+            _assert_walks_agree(rootsys._orbit_rows(x), simple)
+        _assert_walks_agree(stacked, simple)
+
+
+@pytest.mark.parametrize("types", [[("A", 1), ("G", 2)],
+                                   [("G", 2), ("B", 3)]])
+def test_orbit_walk_matches_reference_walk_semisimple(types):
+    rs = build(types)
+    A = rs._np["A"]
+    for x in itertools.product(range(3), repeat=rs.rank):
+        for simple in (A.T, A):
+            _assert_walks_agree(rootsys._orbit_rows(x), simple)
+
+
+def test_orbit_walk_matches_reference_walk_past_int64():
+    rs = build([("G", 2), ("B", 3)])
+    rows = rootsys._orbit_rows((1, 0, 2**40, 0, 1))
+    assert rows.dtype == object
+    levels = _assert_walks_agree(rows, rs._np["A"].T)
+    assert all(k.dtype == object for k in levels)
+
+
+def test_orbit_walk_past_64_columns():
+    # A1^70 with mu = omega_65 + omega_67: two sign flips, so levels of
+    # sizes 1, 2, 1.  A 64-bit mask of the negative coordinates would wrap
+    # past node 64 and keep or drop the wrong steps.
+    rs = build([("A", 1)] * 70)
+    mu = [0] * 70
+    mu[64] = mu[66] = 1
+    levels = _assert_walks_agree(rootsys._orbit_rows(mu), rs._np["A"].T)
+    assert [len(k) for k in levels] == [1, 2, 1]
 
 
 def test_weyl_dimension_examples():
