@@ -1,13 +1,15 @@
 """Command-line surface and golden-table reproduction harness.
 
 Exit codes: 0 success, 1 usage error, 2 golden mismatch, 3 numeric
-overflow / certification failure.
+overflow, cap or certification failure.  Only ``main`` maps an exception
+to exit 1 or 3, and each prints one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from importlib import resources
@@ -29,13 +31,30 @@ class UsageError(ValueError):
     pass
 
 
+class Uncertified(ArithmeticError):
+    """A semigroup complement whose non-members reach the outer shell."""
+
+
 def _load_fixture(name: str):
     with resources.files("sl2bounds.data").joinpath(name).open() as f:
         return json.load(f)
 
 
-def _parse_type(type_str: str, rank: int) -> RootSystem:
-    return build([SimpleComponent(type_str.upper(), rank)])
+def _simple_type(family: str, rank: int | str) -> SimpleComponent:
+    """A simple type from a family letter, in either case, and a rank."""
+    try:
+        rank = int(rank)
+    except ValueError as exc:
+        raise UsageError(f"type must be a family letter and a rank, like G2; "
+                         f"got {family + rank!r}") from exc
+    return SimpleComponent(family.upper(), rank)
+
+
+def _dominant(rs: RootSystem, coords) -> Weight:
+    lam = Weight(coords)
+    if len(lam) != rs.rank or not lam.is_dominant:
+        raise UsageError(f"expected {rs.rank} nonnegative coordinates")
+    return lam
 
 
 def _int_tuple(text: str, what: str) -> tuple:
@@ -74,6 +93,14 @@ def _parse_embedding(rs: RootSystem, spec: str) -> Sl2Embedding:
         return Sl2Embedding(marks=marks)
     raise UsageError(
         "embedding must be 'principal', 'root=c1,..,cr' or 'marks=m1,..,mr'")
+
+
+def _require_certified(comp: semigroup.ComplementResult):
+    if not comp.certified:
+        raise Uncertified(
+            f"complement not certified within --box-bound {comp.box_bound}: "
+            "non-members reach the outer shell (the complement is infinite "
+            "or needs a larger bound)")
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +145,7 @@ def _golden_diff(grid, gold, label):
 
 
 def cmd_describe(args):
-    rs = _parse_type(args.type, args.rank)
+    rs = build([_simple_type(args.type, args.rank)])
     s = rs.summary()
     _emit_obj(args, s, lambda: print(
         f"{s['type']}: rank {s['rank']}, {s['num_positive_roots']} positive "
@@ -128,10 +155,8 @@ def cmd_describe(args):
 
 
 def cmd_character(args):
-    rs = _parse_type(args.type, args.rank)
-    lam = Weight(args.coords)
-    if len(lam) != rs.rank or not lam.is_dominant:
-        raise UsageError(f"expected {rs.rank} nonnegative coordinates")
+    rs = build([_simple_type(args.type, args.rank)])
+    lam = _dominant(rs, args.coords)
     ch = dominant_character(rs, lam)
     dim = weyl_dimension(rs, lam)
 
@@ -145,10 +170,8 @@ def cmd_character(args):
 
 
 def cmd_branch(args):
-    rs = _parse_type(args.type, args.rank)
-    lam = Weight(args.coords)
-    if len(lam) != rs.rank or not lam.is_dominant:
-        raise UsageError(f"expected {rs.rank} nonnegative coordinates")
+    rs = build([_simple_type(args.type, args.rank)])
+    lam = _dominant(rs, args.coords)
     emb = _parse_embedding(rs, args.embedding)
     dec = sl2_decompose(rs, lam, emb)
     N = dec.weight_values
@@ -209,10 +232,7 @@ def cmd_exceptions(args):
     gens = semigroup.GeneratorSet(
         2, _load_fixture("g2_semigroup_complement9.json")["generators"])
     comp = semigroup.complement(gens, args.box_bound)
-    if not comp.certified:
-        print("complement certification failed; increase --box-bound",
-              file=sys.stderr)
-        return EXIT_NUMERIC
+    _require_certified(comp)
     zero = sorted(v for v in comp.points
                   if invariant_dim(rs, Weight(v), emb) == 0)
     gold = [tuple(p) for p in _load_fixture("g2_exceptions.json")["weights"]]
@@ -240,24 +260,16 @@ def cmd_complement(args):
     _emit_obj(args, obj, lambda: print(
         f"{len(comp.points)} non-members (certified={comp.certified}):\n" +
         json.dumps(obj["points"])))
-    if not comp.certified:
-        print(f"complement not certified within --box-bound {comp.box_bound}: "
-              "non-members reach the outer shell (the complement is infinite "
-              "or needs a larger bound)", file=sys.stderr)
-        return EXIT_NUMERIC
+    _require_certified(comp)
     return EXIT_OK
 
 
 def cmd_bound(args):
     if args.cap < 1:
         raise UsageError("--cap must be >= 1")
-    rs = _parse_type(args.type, args.rank)
+    rs = build([_simple_type(args.type, args.rank)])
     emb = _parse_embedding(rs, args.embedding)
-    try:
-        res = bounds.b_bound(rs, emb, args.cap)
-    except bounds.BoundsError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_NUMERIC
+    res = bounds.b_bound(rs, emb, args.cap)
     obj = {"b": res.b, "m_values": list(res.m_values.values),
            "c0_box": list(res.m_values.values),
            "max_g0": res.box_max_g0,
@@ -270,39 +282,23 @@ def cmd_bound(args):
 
 
 def cmd_parabolic_table(args):
-    comp = SimpleComponent(args.type.upper(), args.rank)
-    rows = bounds.parabolic_table(comp)
+    rows = bounds.parabolic_table(_simple_type(args.type, args.rank))
     data = [[r.node, "".join(str(c) for c in r.levi_ss_components) or "-",
              r.dim_g_mod_lss, r.dim_X] for r in rows]
     _emit_table(args, data, ["node", "levi_ss", "dim_g_mod_lss", "dim_X"])
     return EXIT_OK
 
 
-def _type_name(text: str) -> SimpleComponent:
-    """A simple type written as family letter and rank, like G2."""
-    try:
-        rank = int(text[1:])
-    except ValueError as exc:
-        raise UsageError(
-            f"type must be a family letter and a rank, like G2; got {text!r}"
-        ) from exc
-    return SimpleComponent(text[:1], rank)
-
-
 def cmd_e_table(args):
-    types = [_type_name(t) for t in args.types] if args.types else \
-        list(bounds._all_simple_types(args.rank_cap))
+    types = [_simple_type(t[:1], t[1:]) for t in args.types] \
+        if args.types else list(bounds._all_simple_types(args.rank_cap))
     data = [[str(t), bounds.e_value(t)] for t in types]
     _emit_table(args, data, ["type", "e"])
     return EXIT_OK
 
 
 def cmd_exclusion_set(args):
-    try:
-        es = bounds.E_set(args.dim_k, args.rank_cap)
-    except bounds.BoundsError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_NUMERIC
+    es = bounds.E_set(args.dim_k, args.rank_cap)
     _emit_obj(args, {"dim_k": args.dim_k, "types": [str(c) for c in es]},
               lambda: print(" ".join(str(c) for c in es)))
     return EXIT_OK
@@ -311,83 +307,70 @@ def cmd_exclusion_set(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built on the first ``main`` call of a process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "csv", "json"),
                         default="text")
+    typed = argparse.ArgumentParser(add_help=False)
+    typed.add_argument("type")
+    typed.add_argument("rank", type=int)
     p = argparse.ArgumentParser(
-        prog="sl2bounds", parents=[common],
+        prog="sl2bounds",
         description="sl2-branching tables, invariant dimensions and "
                     "uniform branching bounds for semisimple Lie algebras")
-    sub = p.add_subparsers(dest="command", required=True,
-                           parser_class=lambda **kw: argparse.ArgumentParser(
-                               parents=[common], **kw))
+    sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("describe", help="root-system summary")
-    q.add_argument("type")
-    q.add_argument("rank", type=int)
-    q.set_defaults(fn=cmd_describe)
+    def add(name, fn, hlp, *parents):
+        q = sub.add_parser(name, help=hlp, parents=[*parents, common])
+        q.set_defaults(fn=fn)
+        return q
 
-    q = sub.add_parser("character", help="dominant character and dimension")
-    q.add_argument("type")
-    q.add_argument("rank", type=int)
+    add("describe", cmd_describe, "root-system summary", typed)
+    q = add("character", cmd_character, "dominant character and dimension",
+            typed)
     q.add_argument("coords", type=int, nargs="+")
-    q.set_defaults(fn=cmd_character)
-
-    q = sub.add_parser("branch", help="restrict to an sl2-subalgebra")
-    q.add_argument("type")
-    q.add_argument("rank", type=int)
+    q = add("branch", cmd_branch, "restrict to an sl2-subalgebra", typed)
     q.add_argument("coords", type=int, nargs="+")
     q.add_argument("--embedding", default="principal")
-    q.set_defaults(fn=cmd_branch)
 
     for name, fn, hlp in (
             ("table1", cmd_table1, "G2 principal invariant dimensions"),
             ("table2", cmd_table2, "G2 principal g0 values")):
-        q = sub.add_parser(name, help=hlp)
+        q = add(name, fn, hlp)
         q.add_argument("--max-i", type=int, default=19)
         q.add_argument("--max-j", type=int, default=19)
         q.add_argument("--golden", action="store_true",
                        help="diff against the embedded table")
-        q.set_defaults(fn=fn)
 
-    q = sub.add_parser("exceptions",
-                       help="dominant G2 weights with no principal invariant")
+    q = add("exceptions", cmd_exceptions,
+            "dominant G2 weights with no principal invariant")
     q.add_argument("--box-bound", type=int, default=64)
-    q.set_defaults(fn=cmd_exceptions)
 
-    q = sub.add_parser("complement", help="certified semigroup complement")
+    q = add("complement", cmd_complement, "certified semigroup complement")
     q.add_argument("--gen", action="append", default=[],
                    help="generator as comma-separated integers (repeatable)")
     q.add_argument("--generators-file", default=None,
                    help="JSON file with a list of generators")
     q.add_argument("--box-bound", type=int, default=64)
-    q.set_defaults(fn=cmd_complement)
 
-    q = sub.add_parser("bound", help="uniform bound b and m-values")
-    q.add_argument("type")
-    q.add_argument("rank", type=int)
+    q = add("bound", cmd_bound, "uniform bound b and m-values", typed)
     q.add_argument("--embedding", default="principal")
     q.add_argument("--cap", type=int, default=bounds.DEFAULT_M_CAP)
-    q.set_defaults(fn=cmd_bound)
 
-    q = sub.add_parser("parabolic-table",
-                       help="dim g/l_ss and dim X per Dynkin node")
-    q.add_argument("type")
-    q.add_argument("rank", type=int)
-    q.set_defaults(fn=cmd_parabolic_table)
+    add("parabolic-table", cmd_parabolic_table,
+        "dim g/l_ss and dim X per Dynkin node", typed)
 
-    q = sub.add_parser("e-table", help="e-values of simple types")
+    q = add("e-table", cmd_e_table, "e-values of simple types")
     q.add_argument("types", nargs="*",
                    help="types like G2 B4 (default: all up to --rank-cap)")
     q.add_argument("--rank-cap", type=int, default=8)
-    q.set_defaults(fn=cmd_e_table)
 
-    q = sub.add_parser("exclusion-set",
-                       help="simple types with e-value at most dim_k")
+    q = add("exclusion-set", cmd_exclusion_set,
+            "simple types with e-value at most dim_k")
     q.add_argument("dim_k", type=int)
     q.add_argument("--rank-cap", type=int, default=10)
-    q.set_defaults(fn=cmd_exclusion_set)
 
     return p
 
@@ -400,11 +383,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.fn(args)
-    except (UsageError, RootSystemError, semigroup.SemigroupError,
-            bounds.BoundsError) as exc:
+    except (UsageError, RootSystemError, semigroup.SemigroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CharacterError, BranchingError, OverflowError) as exc:
+    except (CharacterError, BranchingError, OverflowError, Uncertified,
+            bounds.BoundsError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -1,6 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2bounds import cli
 from sl2bounds.cli import (EXIT_GOLDEN_MISMATCH, EXIT_NUMERIC, EXIT_OK,
                            EXIT_USAGE, main)
 
@@ -18,6 +23,63 @@ def run(*argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]))}
+
+
+def fresh(*argv):
+    """run(*argv) in a new interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from sl2bounds.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, env=_ENV, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_import_builds_no_parser():
+    probe = ("import argparse\n"
+             "built, init = [], argparse.ArgumentParser.__init__\n"
+             "argparse.ArgumentParser.__init__ = (\n"
+             "    lambda *a, **kw: built.append(1) or init(*a, **kw))\n"
+             "import sl2bounds.cli\n"
+             "print(len(built))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=_ENV, timeout=60, check=True)
+    assert proc.stdout == "0\n"
+
+
+def test_parser_is_built_once_and_keeps_no_state(monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        init(*args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._build_parser.cache_clear()
+    commands = [("complement", "--gen", "2", "--gen", "3"),
+                ("complement", "--gen", "5"),
+                ("complement", "--gen", "2", "--gen", "3")]
+    try:
+        outputs, counts = [], []
+        for argv in commands:
+            outputs.append(run(*argv))
+            counts.append(len(built))
+    finally:
+        cli._build_parser.cache_clear()
+    assert counts[0] > 1 and counts == [counts[0]] * len(commands)
+    # no --gen default leaks from one call into the next
+    assert outputs == [fresh(*argv) for argv in commands]
+
+
+def test_format_before_the_command_is_a_usage_error():
+    # --format belongs to the subcommands; argparse reports this as usage,
+    # not as an "error:" line, so it is not a case of the malformed list.
+    code, out, err = run("--format", "json", "describe", "G", "2")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("usage:") and "Traceback" not in err
 
 
 def test_describe_json():
@@ -85,12 +147,6 @@ def test_bound_command():
     assert obj["m_values"] == [4, 2]
 
 
-def test_bound_cap_failure_exit_code():
-    code, _, err = run("bound", "G", "2", "--cap", "1")
-    assert code == EXIT_NUMERIC
-    assert "m-value not found" in err
-
-
 def test_bound_root_embedding_spec():
     code, out, _ = run("bound", "A", "2", "--embedding", "root=1,1",
                        "--format", "json")
@@ -113,10 +169,31 @@ def test_complement_uncertified_exit_code():
                        "--gen", "1,3", "--box-bound", "17",
                        "--format", "json")
     assert code == EXIT_NUMERIC
-    assert err.startswith("complement not certified") and err.count("\n") == 1
-    code, out, err = run("complement", "--gen", "2")
-    assert code == EXIT_NUMERIC
-    assert err.startswith("complement not certified") and err.count("\n") == 1
+    assert err.startswith("numeric error: complement not certified")
+    assert err.count("\n") == 1
+    # exceptions words its uncertified complement as complement does
+    gens = cli._load_fixture("g2_semigroup_complement9.json")["generators"]
+    code, _, err = run("complement", *(a for g in gens for a in (
+        "--gen", ",".join(map(str, g)))), "--box-bound", "20")
+    assert (code, err) == run("exceptions", "--box-bound", "20")[::2]
+
+
+_ODD_BELOW_64 = json.dumps([[k] for k in range(1, 64, 2)])
+
+
+@pytest.mark.parametrize("argv,stdout,reason", [
+    (("bound", "G", "2", "--cap", "1"), "", "m-value not found"),
+    (("exclusion-set", "8", "--rank-cap", "0"), "", "rank_cap 0 too small"),
+    (("exceptions", "--box-bound", "20"), "", "complement not certified"),
+    (("complement", "--gen", "2"),
+     f"32 non-members (certified=False):\n{_ODD_BELOW_64}\n",
+     "complement not certified"),
+], ids=["bound-m-cap", "exclusion-rank-cap", "exceptions-uncertified",
+        "complement-uncertified"])
+def test_cap_and_certification_failures_exit_3(argv, stdout, reason):
+    code, out, err = run(*argv)
+    assert (code, out) == (EXIT_NUMERIC, stdout)
+    assert err.startswith("numeric error: " + reason) and err.count("\n") == 1
 
 
 class _WeightsWalked(Exception):
@@ -218,6 +295,7 @@ def test_parabolic_and_e_tables():
     assert "1,A1,11,6" in out
     code, out, _ = run("e-table", "G2", "A2", "--format", "csv")
     assert "G2,6" in out and "A2,3" in out
+    assert run("e-table", "g2", "a2", "--format", "csv") == (code, out, "")
     # no type has rank <= 0: the text table is its header alone
     assert run("e-table", "--rank-cap", "0") == (EXIT_OK, "type  e\n", "")
 
@@ -226,12 +304,6 @@ def test_exclusion_set_command():
     code, out, _ = run("exclusion-set", "8", "--format", "json")
     assert code == EXIT_OK
     assert len(json.loads(out)["types"]) == 14
-
-
-def test_exclusion_set_rank_cap_without_a_family():
-    code, out, err = run("exclusion-set", "8", "--rank-cap", "0")
-    assert code == EXIT_NUMERIC
-    assert out == "" and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", [("branch", "G", "2", "1", "1"),
@@ -267,6 +339,7 @@ def test_complement_generators_file(tmp_path):
     ("complement", "--gen", ""),
     ("branch", "G", "2", "1", "1", "--embedding", "root=1,x"),
     ("branch", "G", "2", "1", "1", "--embedding", "marks=1,x"),
+    ("branch", "G", "2", "1", "--embedding", "marks=2,2"),
     ("complement", "--generators-file", "MISSING"),
     ("complement", "--generators-file", "OBJECT"),
     ("e-table", "G"),
@@ -280,6 +353,7 @@ def test_complement_generators_file(tmp_path):
      "--box-bound", "100000"),
     ("exceptions", "--box-bound", "100000"),
 ], ids=["gen-letters", "gen-empty", "root-letter", "marks-letter",
+        "weight-short-with-marks",
         "file-missing", "file-object", "type-no-rank", "type-letter-rank",
         "type-no-family", "table-negative", "golden-out-of-range",
         "bound-cap-zero", "bound-cap-negative", "complement-box-past-cap",
