@@ -181,30 +181,10 @@ def _all_simple_types(rank_cap: int):
                   key=lambda s: ("B" if s.family == "C" else s.family, s.rank))
 
 
-def E_set(dim_k: int, rank_cap: int = 10):
-    """All simple types s with e(s) <= dim_k, i.e. the types an ambient
-    algebra must avoid for the dimension-count argument to apply to a
-    subalgebra of dimension dim_k.
-
-    Completeness requires e to keep growing with rank; this is verified
-    per family up to rank_cap, and e at rank_cap must exceed dim_k.
-    """
-    types = _all_simple_types(rank_cap)
-    evals = {(s.family, s.rank): e_value(s) for s in types}
-    for fam in "ABCD":
-        ranks = sorted(r for f, r in evals if f == fam)
-        if not ranks:
-            raise BoundsError(
-                f"rank_cap {rank_cap} too small: no {fam} type of rank "
-                f"<= {rank_cap}")
-        for a, b in zip(ranks, ranks[1:]):
-            if evals[(fam, a)] >= evals[(fam, b)]:
-                raise BoundsError(
-                    f"e not strictly increasing in rank for family {fam}")
-        if evals[(fam, ranks[-1])] <= dim_k:
-            raise BoundsError(
-                f"rank_cap {rank_cap} too small: e({fam}{ranks[-1]}) = "
-                f"{evals[(fam, ranks[-1])]} <= dim_k = {dim_k}")
-    return sorted({_canonical(s) for s in types
-                   if evals[(s.family, s.rank)] <= dim_k},
-                  key=lambda c: (c.family, c.rank))
+def E_set(dim_k: int):
+    """All simple types s with e(s) <= dim_k, which an ambient algebra must
+    avoid for the dimension count to apply to a subalgebra of dimension
+    dim_k.  Ranks >= dim_k have none: e(s) = 1 + min_k dim G/P_k, and each
+    Dynkin path from node k sums to a root outside P_k's Levi, so e > rank."""
+    return sorted({_canonical(s) for s in _all_simple_types(dim_k - 1)
+                   if e_value(s) <= dim_k}, key=lambda c: (c.family, c.rank))

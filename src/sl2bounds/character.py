@@ -13,53 +13,37 @@ cross-checking: it walks W by rootsys's shared orbit walk and divides by
 the Weyl denominator with semigroup's partition-function kernel.
 
 full_weight_values restricts a character to the sl2 with given marks
-alpha_i(h).  It is the one restriction pipeline, and every step happens
-there once: it validates lambda and the marks, conjugates h to dominant,
-solves lambda(h) in integers on the dominant conjugate, reads the degree
-of either formula's numerator as c . (lambda + rho), c the coroot
-coordinates of h + h* with h* = -w0 h, picks one of three algorithms, and
-maps each degree k of
+alpha_i(h), and it alone chooses how.  It validates lambda and the marks,
+conjugates h to dominant, solves lambda(h) in integers, and hands both to
+one of three paths, each returning the histogram of mu(h) = lambda(h) - k
+over the terms mult(mu) t^k of sum_mu mult(mu) t^{(lambda - mu)(h)}:
 
-    sum_mu mult(mu) t^{(lambda - mu)(h)}
+* _by_product, for the principal h (all marks 2): the principal
+  specialization prod_{alpha>0} (1 - t^<lambda+rho, alpha_vee>) /
+  (1 - t^<rho, alpha_vee>), in t^2 (Kostant 1959).
+* _by_cosets: the Weyl character formula grouped by the cosets of
+  W_J, J the zero marks of h, at h (Bourbaki, Lie Groups and Lie Algebras
+  VIII 9; Humphreys, Introduction to Lie Algebras and Representation
+  Theory 24), over a table of the Weyl orbit of h, walked once per h.
+* _by_orbits: Freudenthal's multiplicities of the dominant weights
+  expanded over their Weyl orbits, bounded by WEIGHT_CAP.
 
-to mu(h) = lambda(h) - k.  Everything that depends on h alone (its
-dominant conjugate, c and the number of cosets) is one record per sl2 in
-a bounded memo shared across builds, since every bound restricts dozens
-of lambda to one sl2; nothing is cached per lambda.  Two algorithms only
-build the numerator of a quotient of polynomials in t, which
-full_weight_values divides exactly over Python ints:
-
-* Principal marks (all 2): the principal specialization
-  prod_{alpha>0} (1 - t^<lambda+rho, alpha_vee>) / (1 - t^<rho, alpha_vee>)
-  (the q-analogue of Weyl's dimension formula; Kostant 1959), in t^2.
-* Any other marks: the Weyl character formula grouped by the cosets of
-  W_J, J the zero marks of the dominant conjugate, and evaluated at h
-  (Bourbaki, Lie Groups and Lie Algebras VIII 9; Humphreys, Introduction
-  to Lie Algebras and Representation Theory 24).  The cosets are the
-  points of the Weyl orbit of h, walked by the same orbit walk as weights.
-  Everything that does not depend on lambda (the coroot coordinates of
-  h - h', the signs, the roots vanishing on each h', the Levi denominator
-  and the divisor) is one table per dominant h, walked once and kept in a
-  bounded memo shared across builds, since conjugate sl2s have the same
-  dominant marks.  Each lambda is then a few numpy operations over the
-  table: its degrees, one product of Levi pairings per coset, an exact
-  division and a scatter-add.  They run in int64 only when a bound on the
-  products, taken before any is formed, proves that int64 holds them and
-  their sum, and in Python ints otherwise.
-
-Either runs while its polynomial has degree at most PARABOLIC_CAP, and the
-coset sum also while W_J\\W has at most COSET_CAP cosets; both are counted
-in Python ints before anything is allocated.  Past a cap, the third
-algorithm expands each dominant weight over its Weyl orbit, tracking the
-simple-root coordinates k of lambda - mu, so that (lambda - mu)(h) =
-sum k_i marks_i; it is bounded by WEIGHT_CAP.
+The choice reads sizes the request already has (c . (lambda + rho), the
+degree of either numerator, comes from _sl2): the product formula for a
+principal h while its degree in t^2 is at most PARABOLIC_CAP; else the
+orbit expansion when the degree passes PARABOLIC_CAP, when W_J\\W has
+over COSET_CAP cosets (a memory guard), or when h has no coset table yet
+and dim L(lambda) is at most its number of cosets; else the coset sum.
+So a small lambda builds no table, and the lambda of a bound share one.
+Memos are keyed by the sl2 alone, bounded, and shared across builds.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul, sub
@@ -67,24 +51,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rootsys import (
-    RootSystem,
-    RootSystemError,
-    Weight,
-    _check_weight,
-    _orbit_rows,
-    _orbit_size,
-    _orbit_walk,
-    _reflect_to_dominant,
-)
+from .rootsys import (RootSystem, RootSystemError, Weight, _check_weight,
+                      _orbit_rows, _orbit_size, _orbit_walk,
+                      _reflect_to_dominant, weyl_dimension)
 from .semigroup import DEFAULT_BOX_CAP, _partition_fill
 
 WEIGHT_CAP = 10**7  # weights of L(lambda): sum over dominant mu of |W mu|
 DOMINANT_CAP = 5 * 10**4  # dominant weights of L(lambda)
 PARABOLIC_CAP = 10**5  # degree of either formula
-COSET_CAP = 3 * 10**6  # cosets W_J\W of the coset sum; |W(E7)| = 2903040
+COSET_CAP = 3 * 10**6  # cosets W_J\W in a coset table; |W(E7)| = 2903040
 COSET_CHUNK = 2**14  # rows of K paired with all roots at once
+NUMPY_DIVISION = 128  # terms past which numpy divides faster (B4: about 90)
 DEFAULT_WEYL_ORDER_CAP = 1200  # covers all rank <= 4 simple factors (F4: 1152)
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 class CharacterError(ArithmeticError):
@@ -207,27 +186,13 @@ def full_weight_values(rs: RootSystem, lam: Weight, marks) -> dict:
     _check_weight(rs, lam, "full_weight_values")
     h, c, cosets = _sl2(rs, marks)
     lam_h = _lambda_of_h(rs, lam, h)
-    xi = [x + 1 for x in lam.coords]
-    degree = sum(map(mul, c, xi))
-    if h == (2,) * rs.rank:
-        # degrees in q = t^2
-        step, numerator, cosets = 2, _principal_numerator, 1
-        degree //= 2
-    else:
-        step, numerator = 1, _parabolic_numerator
-    if degree > PARABOLIC_CAP or cosets > COSET_CAP:
-        step, degrees = 1, _orbit_degrees(rs, lam, h).items()
-    else:
-        poly, exps = numerator(rs, xi, h)
-        for e in exps:           # divide by (1 - t^e): running sum, stride e
-            for r in range(e):
-                poly[r::e] = accumulate(poly[r::e])
-        top = len(poly) - 1 - sum(exps)
-        if top < 0 or any(poly[top + 1:]):
-            raise CharacterError(
-                f"character sum of {lam} at marks {h} is not a polynomial")
-        degrees = enumerate(poly[:top + 1])
-    return {lam_h - step * deg: n for deg, n in degrees if n}
+    degree = sum(map(mul, c, (x + 1 for x in lam.coords)))
+    if h == (2,) * rs.rank and degree <= 2 * PARABOLIC_CAP:
+        return _by_product(rs, lam, h, lam_h)
+    if degree > PARABOLIC_CAP or cosets > COSET_CAP or (
+            (rs, h) not in _coset_table and weyl_dimension(rs, lam) <= cosets):
+        return _by_orbits(rs, lam, h, lam_h)
+    return _by_cosets(rs, lam, h, lam_h)
 
 
 @lru_cache(maxsize=256)
@@ -259,22 +224,65 @@ def _lambda_of_h(rs: RootSystem, lam: Weight, marks) -> int:
     return val // den
 
 
-def _principal_numerator(rs: RootSystem, xi, marks):
-    """prod_{alpha>0} (1 - q^a_alpha) and the exponents b_alpha of its
-    divisor prod_{alpha>0} (1 - q^b_alpha), with a_alpha = <xi, alpha_vee>
-    and b_alpha = <rho, alpha_vee>: for the principal h = 2 rho_vee, their
-    quotient is sum_mu mult(mu) q^{ht(lambda - mu)}, and (lambda - mu)(h) =
-    2 ht(lambda - mu).  The work grows with sum(a_alpha), not with the
-    number of weights.
-    """
+def _quotient(poly, exps, lam: Weight, marks, lam_h: int, step: int) -> dict:
+    """lam_h - step k -> n for each n t^k != 0 in poly / prod_e (1 - t^e):
+    one running sum of stride e per factor, over numpy for an int64 array
+    (its caller proved each partial quotient fits), else over Python ints."""
+    n = len(poly)
+    if isinstance(poly, np.ndarray):   # zeros past n give strides whole rows
+        poly = np.concatenate([poly, np.zeros(max(exps, default=0), np.int64)])
+        for e in exps:
+            rows = poly[:-(-n // e) * e].reshape(-1, e)
+            np.cumsum(rows, axis=0, out=rows)
+        poly = poly[:n].tolist()
+    else:
+        for e in exps:
+            for r in range(e):
+                poly[r::e] = accumulate(poly[r::e])
+    top = n - 1 - sum(exps)
+    if top < 0 or any(poly[top + 1:]):
+        raise CharacterError(
+            f"character sum of {lam} at marks {marks} is not a polynomial")
+    return {lam_h - step * k: c for k, c in enumerate(poly[:top + 1]) if c}
+
+
+def _by_product(rs: RootSystem, lam: Weight, marks, lam_h: int) -> dict:
+    """The histogram for the principal h = 2 rho_vee, from prod_{alpha>0}
+    (1 - q^a_alpha) / (1 - q^b_alpha) = sum_mu mult(mu) q^{ht(lambda - mu)},
+    a_alpha = <lambda + rho, alpha_vee>, b_alpha = <rho, alpha_vee>."""
     coroots = rs._np["coroots"]
-    a = (coroots @ np.asarray(xi, dtype=np.int64)).tolist()
+    a = (coroots @ np.array([x + 1 for x in lam.coords], np.int64)).tolist()
     poly = [1] + [0] * sum(a)
     deg = 0
     for e in a:                  # multiply by (1 - q^e)
         deg += e
         poly[e:deg + 1] = map(sub, poly[e:deg + 1], poly[:deg + 1 - e])
-    return poly, coroots.sum(axis=1).tolist()
+    return _quotient(poly, coroots.sum(axis=1).tolist(), lam, marks, lam_h, 2)
+
+
+class _Memo:
+    """lru_cache(maxsize) over fn that also answers ``args in memo``."""
+
+    def __init__(self, fn, maxsize: int):
+        self.fn, self.maxsize = fn, maxsize
+        self.cache_clear()
+
+    def __contains__(self, key) -> bool:
+        return key in self.held
+
+    def __call__(self, *key):
+        hit = key in self.held
+        self.hits, self.misses = self.hits + hit, self.misses + (not hit)
+        self.held[key] = self.held.pop(key) if hit else self.fn(*key)  # latest
+        if len(self.held) > self.maxsize:
+            del self.held[next(iter(self.held))]   # the least recent
+        return self.held[key]
+
+    def cache_info(self):
+        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self.held))
+
+    def cache_clear(self):
+        self.held, self.hits, self.misses = {}, 0, 0
 
 
 class _CosetTable(NamedTuple):
@@ -287,7 +295,7 @@ class _CosetTable(NamedTuple):
     exps: tuple         # alpha(h) for the positive roots with alpha(h) > 0
 
 
-@lru_cache(maxsize=4)
+@partial(_Memo, maxsize=4)
 def _coset_table(rs: RootSystem, marks: tuple) -> _CosetTable:
     """Walk the W-orbit of the dominant h with these marks once.
 
@@ -325,9 +333,8 @@ def _coset_table(rs: RootSystem, marks: tuple) -> _CosetTable:
                        tuple(alpha_h[alpha_h > 0].tolist()))
 
 
-def _parabolic_numerator(rs: RootSystem, xi, marks):
-    """Numerator and divisor exponents of the Weyl character formula grouped
-    by the cosets of W_J, J = {i : alpha_i(h) = 0}, for dominant marks:
+def _by_cosets(rs: RootSystem, lam: Weight, marks, lam_h: int) -> dict:
+    """The histogram by the coset sum over W_J\\W, J = {i : alpha_i(h) = 0}:
 
     sum_mu mult(mu) t^{(lambda-mu)(h)} = sum_w sgn(w) dim_J(w xi - rho)
     t^{(xi - w xi)(h)} / prod_{alpha>0, alpha(h)>0} (1 - t^{alpha(h)}),
@@ -335,18 +342,15 @@ def _parabolic_numerator(rs: RootSystem, xi, marks):
     with xi = lambda + rho, w over the minimal representatives of W_J\\W,
     and dim_J(x - rho) = prod_{alpha in Phi_J+} (x, alpha) / (rho, alpha)
     the Levi factor's Weyl dimension (roots of Phi_J vanish on h, so each
-    coset's Levi character collapses to dim_J times one power of t).  The w
-    are the points h' = w^-1 h of the W-orbit of h, and everything that
-    does not depend on lambda comes from _coset_table, walked once per h.
-    With K the coroot coordinates of h - h', (xi - w xi)(h) = xi(h - h') =
-    K . xi, and w^-1 maps Phi_J+ onto the positive roots beta vanishing on
-    h': dim_J(w xi - rho) has numerator prod (xi, beta).  Each (xi, beta) is
-    formed once, and each coset's product is one row of a gather.  The
-    products and their sum run in int64 only when a bound taken first
-    proves that they fit (every product is at most max (xi, beta) to the
-    power |Phi_J+|), and in Python ints otherwise.
+    coset's Levi character collapses to dim_J times one power of t).  With
+    K the coroot coordinates of h - h', h' = w^-1 h, from _coset_table,
+    (xi - w xi)(h) = K . xi, and w^-1 maps Phi_J+ onto the positive roots
+    beta vanishing on h': dim_J(w xi - rho) has numerator prod (xi, beta),
+    one row of a gather.  Products run in int64 only where a bound taken
+    first (max (xi, beta) ** |Phi_J+|) proves that they and their sum fit.
     """
     t = _coset_table(rs, tuple(marks))
+    xi = [x + 1 for x in lam.coords]
     # xi_j <= K . xi <= PARABOLIC_CAP wherever some row has K_j > 0, so
     # clipping xi there changes no degree, and int32 holds every partial sum
     degrees = t.K @ np.array([min(x, PARABOLIC_CAP) for x in xi], np.int32)
@@ -362,7 +366,17 @@ def _parabolic_numerator(rs: RootSystem, xi, marks):
             f"Levi dimension at marks {marks} is not integral")
     poly = np.zeros(degrees.max() + 1, prods.dtype)
     np.add.at(poly, degrees, t.signs * (prods // t.den))
-    return poly.tolist(), list(t.exps)
+    # each partial quotient is the quotient, which sums to dim L(lambda),
+    # times some of the (1 - t^e), so its terms sum to at most dim 2^|exps|
+    if not (fits and len(poly) > NUMPY_DIVISION
+            and weyl_dimension(rs, lam) << len(t.exps) < 2**63):
+        poly = poly.tolist()
+    return _quotient(poly, t.exps, lam, marks, lam_h, 1)
+
+
+def _by_orbits(rs: RootSystem, lam: Weight, marks, lam_h: int) -> dict:
+    """The histogram by the orbit expansion, for dominant marks."""
+    return {lam_h - k: n for k, n in _orbit_degrees(rs, lam, marks).items()}
 
 
 def _orbit_degrees(rs: RootSystem, lam: Weight, marks) -> dict:

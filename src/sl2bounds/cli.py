@@ -298,13 +298,19 @@ def cmd_e_table(args):
 
 
 def cmd_exclusion_set(args):
-    es = bounds.E_set(args.dim_k, args.rank_cap)
+    es = bounds.E_set(args.dim_k)
     _emit_obj(args, {"dim_k": args.dim_k, "types": [str(c) for c in es]},
               lambda: print(" ".join(str(c) for c in es)))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
+
+
+def _format_first(value):
+    """Refuse --format before the command, whose value would read as one."""
+    raise argparse.ArgumentTypeError(
+        "goes after the command, as in 'sl2bounds describe G 2 --format json'")
 
 
 @functools.cache
@@ -320,6 +326,7 @@ def _build_parser():
         prog="sl2bounds",
         description="sl2-branching tables, invariant dimensions and "
                     "uniform branching bounds for semisimple Lie algebras")
+    p.add_argument("--format", type=_format_first, help=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, hlp, *parents):
@@ -370,7 +377,6 @@ def _build_parser():
     q = add("exclusion-set", cmd_exclusion_set,
             "simple types with e-value at most dim_k")
     q.add_argument("dim_k", type=int)
-    q.add_argument("--rank-cap", type=int, default=10)
 
     return p
 

@@ -71,18 +71,16 @@ def _e6_subregular_bound():
     assert res.box_max_weight.coords == (0, 0, 0, 0, 0, 1)
 
 
-def test_b_bound_walks_the_orbit_of_h_once(monkeypatch):
-    # The 43 restrictions of the E6 subregular bound share one coset
-    # table: one walk over the 25920 points of the orbit of h.
-    walks = []
-    real = character._orbit_walk
-    monkeypatch.setattr(character, "_orbit_walk",
-                        lambda *a: walks.append(1) or real(*a))
-    character._coset_table.cache_clear()
+def test_b_bound_walks_the_orbit_of_h_once(answered):
+    # The E6 subregular bound restricts 43 weights to one sl2.  Its first
+    # five, each with dim L(lambda) at most the 25920 cosets of h, are
+    # expanded over their orbits and build no table; the first larger one
+    # builds the one coset table, one walk over the orbit of h, and the
+    # remaining 37 read it.
     _e6_subregular_bound()
-    assert len(walks) == 1
     info = character._coset_table.cache_info()
-    assert (info.misses, info.hits) == (1, 42)
+    assert (info.misses, info.hits) == (1, 37)
+    assert answered == {"_by_orbits": 5, "_by_cosets": 38}
 
 
 def test_b_bound_e6_subregular_budget():
@@ -173,27 +171,36 @@ def test_dim_x_exceeds_three_outside_a1_a2(fam, rank):
 
 
 def test_exclusion_set_sl3():
-    got = [str(c) for c in E_set(8, 10)]
+    got = [str(c) for c in E_set(8)]
     assert got == sorted(_fixture()["exclusion_set_dim8"])
     assert len(got) == 14
 
 
 def test_exclusion_set_small():
-    assert [str(c) for c in E_set(3, 10)] == ["A1", "A2"]
-    assert E_set(1, 10) == []
+    assert [str(c) for c in E_set(3)] == ["A1", "A2"]
+    assert E_set(1) == []
 
 
-def test_exclusion_set_rank_cap_insufficient():
-    with pytest.raises(BoundsError):
-        E_set(50, 8)
+_RANK_12 = list(bounds._all_simple_types(12))
 
 
-@pytest.mark.parametrize("dim_k,cap", [(8, 0), (1, 1), (1, 2)])
-def test_exclusion_set_rank_cap_misses_a_family(dim_k, cap):
-    # A classical family with no rank within the cap leaves completeness
-    # unchecked; E_set(8, 0) used to return [] instead of failing.
-    with pytest.raises(BoundsError, match="no [ABD] type"):
-        E_set(dim_k, cap)
+@pytest.mark.parametrize("comp", _RANK_12, ids=str)
+def test_e_exceeds_rank(comp):
+    # E_set walks only ranks below dim_k, because e(s) >= rank(s) + 1:
+    # every node k lies in at least rank(s) positive roots, one per node j.
+    # The root count is read off the root system, not the parabolic table.
+    assert e_value(comp) >= comp.rank + 1
+    roots = build([comp]).positive_roots
+    for k in range(comp.rank):
+        assert sum(1 for r in roots if r[k]) >= comp.rank, (comp, k + 1)
+
+
+def test_exclusion_set_matches_every_e_value_to_rank_12():
+    e = {s: e_value(s) for s in _RANK_12}
+    for d in range(1, 13):
+        assert E_set(d) == sorted({_canonical(s) for s in _RANK_12
+                                   if e[s] <= d},
+                                  key=lambda c: (c.family, c.rank)), d
 
 
 def test_levi_classification_needs_no_root_system(monkeypatch):

@@ -6,6 +6,7 @@ from functools import lru_cache
 from operator import mul
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sl2bounds import (
@@ -146,7 +147,7 @@ def test_box_memo_is_bounded_and_shared_across_builds():
     # the coset table are the only ones, both bounded, and a second build
     # of the same root system hits both.
     memos = {name for name, value in vars(character).items()
-             if hasattr(value, "cache_info")}
+             if hasattr(value, "cache_info") and not isinstance(value, type)}
     assert memos == {"_sl2", "_coset_table"}
     lam = Weight((4, 3))
     first = full_weight_values(build([("G", 2)]), lam, (1, 0))
@@ -184,36 +185,29 @@ def _weight_values_from(expansion, marks):
     return out
 
 
-class _PathTaken(Exception):
-    pass
+def _answer(path, rs, lam, marks):
+    """What full_weight_values returns when this path answers: the path
+    runs on the dominant conjugate h of the marks and on lambda(h)."""
+    h = character._sl2(rs, tuple(marks))[0]
+    return path(rs, lam, h, character._lambda_of_h(rs, lam, h))
 
 
-def _refuse(*args):
-    raise _PathTaken(args)
+def _by_product(rs, lam, marks):
+    return _answer(character._by_product, rs, lam, marks)
 
 
-def _by_formula(rs, lam, marks):
-    """full_weight_values with the orbit expansion refused, so that the
-    product formula or the parabolic sum answers."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(character, "_orbit_degrees", _refuse)
-        return full_weight_values(rs, lam, marks)
+def _by_cosets(rs, lam, marks):
+    return _answer(character._by_cosets, rs, lam, marks)
 
 
 def _by_orbits(rs, lam, marks):
-    """full_weight_values with both formulas refused and past the cap, so
-    that the orbit expansion answers."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(character, "PARABOLIC_CAP", 0)
-        m.setattr(character, "_principal_numerator", _refuse)
-        m.setattr(character, "_parabolic_numerator", _refuse)
-        return full_weight_values(rs, lam, marks)
+    return _answer(character._by_orbits, rs, lam, marks)
 
 
 def _assert_three_ways(rs, lam):
     lam = Weight(lam)
     marks = [2] * rs.rank
-    product = _by_formula(rs, lam, marks)
+    product = _by_product(rs, lam, marks)
     orbits = _by_orbits(rs, lam, marks)
     oracle = _weight_values_from(_oracle_expansion(rs, lam), marks)
     assert product == orbits == oracle, lam
@@ -259,7 +253,7 @@ def _assert_root_sl2s_three_ways(rs, lam):
     oracle = _oracle_expansion(rs, lam)
     for beta in rs.positive_roots:
         marks = root_embedding(rs, beta).marks
-        parabolic = _by_formula(rs, lam, marks)
+        parabolic = _by_cosets(rs, lam, marks)
         assert parabolic == _by_orbits(rs, lam, marks) \
             == _weight_values_from(oracle, marks), (lam, beta)
         assert full_weight_values(rs, lam, marks) == parabolic
@@ -296,29 +290,25 @@ def test_marks_conjugate_to_dominant():
     assert character._lambda_of_h(rs, lam, marks) == \
         character._lambda_of_h(rs, lam, (2, -1, 0, 0)) - \
         sum(ki * li for ki, li in zip(k, lam.coords))
-    assert _by_formula(rs, lam, (2, -1, 0, 0)) == \
-        _by_formula(rs, lam, marks) == \
+    assert full_weight_values(rs, lam, (2, -1, 0, 0)) == \
+        _by_cosets(rs, lam, marks) == \
         _weight_values_from(_oracle_expansion(rs, lam), (2, -1, 0, 0))
 
 
-def test_parabolic_cap_falls_back_to_orbit_expansion(monkeypatch):
+def test_parabolic_cap_falls_back_to_orbit_expansion():
     # Every positive-root sl2 of the small weights, and the sum of the
     # highest root's and alpha_1's marks (h = theta_vee + alpha_1_vee, not
-    # an sl2): under the default cap the parabolic sum answers, with the cap
-    # at 0 the orbit expansion does, and the histograms are the same.
-    cases = []
+    # an sl2): the orbit expansion, which answers past the caps, gives the
+    # coset sum's histograms, whichever path full_weight_values takes.
     for fam, rank, lam in _SMALL_WEIGHTS:
-        rs = build([(fam, rank)])
+        rs, lam = build([(fam, rank)]), Weight(lam)
         marks = [root_embedding(rs, b).marks for b in rs.positive_roots]
         alpha_1 = root_embedding(rs, (1,) + (0,) * (rank - 1)).marks
         marks.append(tuple(a + b for a, b in zip(alpha_1, marks[-1])))
-        cases += [(rs, Weight(lam), m) for m in marks if list(m) != [2] * rank]
-    with monkeypatch.context() as m:
-        m.setattr(character, "_orbit_degrees", _refuse)
-        parabolic = [full_weight_values(*case) for case in cases]
-    monkeypatch.setattr(character, "PARABOLIC_CAP", 0)
-    monkeypatch.setattr(character, "_parabolic_numerator", _refuse)
-    assert [full_weight_values(*case) for case in cases] == parabolic
+        for m in marks:
+            if list(m) != [2] * rank:
+                assert _by_cosets(rs, lam, m) == _by_orbits(rs, lam, m) \
+                    == full_weight_values(rs, lam, m), (lam, m)
 
 
 def test_one_solve_and_one_conjugation_per_request(monkeypatch):
@@ -360,7 +350,30 @@ def test_e7_subregular_coset_sum_matches_orbit_expansion():
     assert character._orbit_size(rs, [1, 1, 1, 0, 1, 1, 1]) == 1451520
     for j in (0, 2, 6):
         lam = Weight(tuple(int(i == j) for i in range(7)))
-        assert _by_formula(rs, lam, marks) == _by_orbits(rs, lam, marks), lam
+        assert _by_cosets(rs, lam, marks) == _by_orbits(rs, lam, marks), lam
+
+
+def test_small_weight_past_a_million_cosets_builds_no_table(answered):
+    # E8 with J of type A4 + A1 has 2903040 cosets; its 248-dimensional
+    # adjoint is answered by the orbit expansion, and no table is built.
+    rs = build([("E", 8)])
+    marks = (0, 0, 0, 0, 2, 0, 2, 2)
+    assert character._sl2(rs, marks)[2] == 2903040
+    before = character._coset_table.cache_info()
+    N = full_weight_values(rs, Weight((0,) * 7 + (1,)), marks)
+    info = character._coset_table.cache_info()
+    assert (info.misses, info.currsize) == (before.misses, before.currsize)
+    assert answered == {"_by_orbits": 1}
+    assert all(N[-v] == n for v, n in N.items())
+    assert sum(N.values()) == 248
+
+
+def test_e6_subregular_coset_sum_matches_orbit_expansion():
+    rs = build([("E", 6)])
+    marks = (2, 2, 2, 0, 2, 2)
+    for lam in [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)]:
+        lam = Weight(lam)
+        assert _by_cosets(rs, lam, marks) == _by_orbits(rs, lam, marks), lam
 
 
 def _corrupt_levi_denominator(monkeypatch):
@@ -390,7 +403,7 @@ def test_levi_exactness_check_fires_in_both_branches(monkeypatch, lam, int64):
     assert (_largest_levi_product(rs, lam, marks) < 2**63) == int64
     _corrupt_levi_denominator(monkeypatch)
     with pytest.raises(CharacterError, match="Levi dimension .* not integral"):
-        _by_formula(rs, lam, marks)
+        _by_cosets(rs, lam, marks)
 
 
 def test_levi_products_past_int64_stay_exact():
@@ -403,28 +416,26 @@ def test_levi_products_past_int64_stay_exact():
     levi = rs._np["roots"][rs._np["roots"] @ emb.marks == 0]
     assert len(levi) == 15
     assert math.prod(((levi * rs._np["d"]) @ ([101] * 6)).tolist()) > 2**63
-    N = _by_formula(rs, lam, emb.marks)
+    N = _by_cosets(rs, lam, emb.marks)
     assert all(N[-v] == n for v, n in N.items())
     assert sum(N.values()) == weyl_dimension(rs, lam)
     assert sl2_decompose(rs, lam, emb).dimension() == weyl_dimension(rs, lam)
 
 
-def test_principal_degree_cap_boundary(monkeypatch):
+def test_principal_degree_cap_boundary(answered):
     # A1 L(n) under the principal sl2: the product formula's polynomial has
     # degree n + 1, so n = 99999 is the last request it answers; past it
     # the orbit expansion does (and refuses L(100000) at the weight cap).
     rs = build([("A", 1)])
-    monkeypatch.setattr(character, "_orbit_degrees", _refuse)
     assert full_weight_values(rs, Weight((99999,)), (2,)) == \
         {v: 1 for v in range(-99999, 100000, 2)}
-    with pytest.raises(_PathTaken):
-        full_weight_values(rs, Weight((100000,)), (2,))
-    monkeypatch.undo()
+    assert answered == {"_by_product": 1}
     with pytest.raises(CharacterError, match="weight cap"):
         full_weight_values(rs, Weight((100000,)), (2,))
+    assert answered == {"_by_product": 1, "_by_orbits": 1}
 
 
-def test_coset_degree_cap_boundary(monkeypatch):
+def test_coset_degree_cap_boundary(answered):
     # A2 under its highest-root sl2, marks (1, 1): the coset sum's
     # polynomial has degree c . xi = 2 (lambda_1 + lambda_2 + 2), so
     # (49998, 0) is the last lambda_1 it answers; past it the orbit
@@ -432,15 +443,13 @@ def test_coset_degree_cap_boundary(monkeypatch):
     rs = build([("A", 2)])
     assert tuple(root_embedding(rs, (1, 1)).marks) == (1, 1)
     assert character._sl2(rs, (1, 1))[1] == (2, 2)
-    monkeypatch.setattr(character, "_orbit_degrees", _refuse)
     lam = Weight((49998, 0))
     assert sum(full_weight_values(rs, lam, (1, 1)).values()) == \
         weyl_dimension(rs, lam)
-    with pytest.raises(_PathTaken):
-        full_weight_values(rs, Weight((49999, 0)), (1, 1))
-    monkeypatch.undo()
+    assert answered == {"_by_cosets": 1}
     with pytest.raises(CharacterError, match="weight cap"):
         full_weight_values(rs, Weight((49999, 0)), (1, 1))
+    assert answered == {"_by_cosets": 1, "_by_orbits": 1}
 
 
 _SIMPLE_TYPES = ([("A", n) for n in range(1, 9)]
@@ -458,7 +467,7 @@ def test_degree_formula_matches_reflection_of_xi(fam, rank):
     # sl2, and h = theta_vee + alpha_1_vee (not an sl2; h* != h in type A)
     # it must equal -k . h, k the root coordinates of -xi - xi* from
     # reflecting -xi to dominant.  c is also the largest row of the coset
-    # table (the K of w0), which is why _parabolic_numerator may clip xi at
+    # table (the K of w0), which is why _by_cosets may clip xi at
     # PARABOLIC_CAP and stay in int32.
     rs = build([(fam, rank)])
     rng = random.Random(rank)
@@ -479,7 +488,7 @@ def test_degree_formula_matches_reflection_of_xi(fam, rank):
 
 
 def test_conjugates_of_the_principal_marks_take_the_product_formula(
-        monkeypatch):
+        answered):
     # Marks Weyl-conjugate to (2, ..., 2) have the principal histogram and
     # are answered by the product formula alone.  In E8 the coset sum would
     # need |W(E8)| cosets, past COSET_CAP, and the orbit expansion refuses
@@ -487,14 +496,13 @@ def test_conjugates_of_the_principal_marks_take_the_product_formula(
     g2 = build([("G", 2)])
     box = [Weight(lam) for lam in itertools.product(range(4), repeat=2)]
     principal = [full_weight_values(g2, lam, (2, 2)) for lam in box]
-    monkeypatch.setattr(character, "_orbit_degrees", _refuse)
-    monkeypatch.setattr(character, "_parabolic_numerator", _refuse)
     assert [full_weight_values(g2, lam, (-2, 8)) for lam in box] == principal
     e8 = build([("E", 8)])
     lam = Weight((2, 2, 0, 0, 0, 0, 0, 0))
     N = full_weight_values(e8, lam, (2, 2, 2, 2, 2, 2, 4, -2))
     assert N == full_weight_values(e8, lam, (2,) * 8)
     assert sum(N.values()) == weyl_dimension(e8, lam)
+    assert answered == {"_by_product": 2 * len(box) + 2}
 
 
 def test_principal_values_e6_against_freudenthal():
@@ -503,7 +511,7 @@ def test_principal_values_e6_against_freudenthal():
     rs = build([("E", 6)])
     for lam in [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1)]:
         lam = Weight(lam)
-        product = _by_formula(rs, lam, [2] * 6)
+        product = _by_product(rs, lam, [2] * 6)
         assert product == _by_orbits(rs, lam, [2] * 6)
         assert sum(product.values()) == weyl_dimension(rs, lam)
 
@@ -515,6 +523,24 @@ def test_principal_values_reject_inexact_quotient(monkeypatch):
     monkeypatch.setitem(rs._np, "coroots", rs._np["coroots"][:-1])
     with pytest.raises(CharacterError, match="not a polynomial"):
         full_weight_values(rs, Weight((1, 0)), (2, 2))
+
+
+def test_division_in_numpy_matches_python_ints():
+    # The coset sum divides an int64 numerator in numpy, the product formula
+    # a list in Python ints; both are exact and both refuse a remainder.
+    quotient = np.array([5, 0, 3, 1, 0, 2, 7])
+    exps = (2, 3, 3, 1)
+    poly = quotient
+    for e in exps:
+        poly = np.convolve(poly, [1] + [0] * (e - 1) + [-1])
+    args = exps, Weight((0,)), (2,), 10, 2
+    want = {10: 5, 6: 3, 4: 1, 0: 2, -2: 7}
+    assert character._quotient(poly.copy(), *args) == want
+    assert character._quotient(poly.tolist(), *args) == want
+    poly[-2] += 1
+    for numerator in (poly, poly.tolist()):
+        with pytest.raises(CharacterError, match="not a polynomial"):
+            character._quotient(numerator, *args)
 
 
 # The spec weights of the benchmark's large-root-branching workload and the

@@ -77,9 +77,13 @@ def test_parser_is_built_once_and_keeps_no_state(monkeypatch):
 def test_format_before_the_command_is_a_usage_error():
     # --format belongs to the subcommands; argparse reports this as usage,
     # not as an "error:" line, so it is not a case of the malformed list.
+    # Its error line names the option and where it goes.
     code, out, err = run("--format", "json", "describe", "G", "2")
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("usage:") and "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        "sl2bounds: error: argument --format: goes after the command, as in "
+        "'sl2bounds describe G 2 --format json'")
 
 
 def test_describe_json():
@@ -183,12 +187,11 @@ _ODD_BELOW_64 = json.dumps([[k] for k in range(1, 64, 2)])
 
 @pytest.mark.parametrize("argv,stdout,reason", [
     (("bound", "G", "2", "--cap", "1"), "", "m-value not found"),
-    (("exclusion-set", "8", "--rank-cap", "0"), "", "rank_cap 0 too small"),
     (("exceptions", "--box-bound", "20"), "", "complement not certified"),
     (("complement", "--gen", "2"),
      f"32 non-members (certified=False):\n{_ODD_BELOW_64}\n",
      "complement not certified"),
-], ids=["bound-m-cap", "exclusion-rank-cap", "exceptions-uncertified",
+], ids=["bound-m-cap", "exceptions-uncertified",
         "complement-uncertified"])
 def test_cap_and_certification_failures_exit_3(argv, stdout, reason):
     code, out, err = run(*argv)
@@ -304,6 +307,8 @@ def test_exclusion_set_command():
     code, out, _ = run("exclusion-set", "8", "--format", "json")
     assert code == EXIT_OK
     assert len(json.loads(out)["types"]) == 14
+    # e(s) > rank(s) bounds the ranks walked, so there is no rank cap
+    assert run("exclusion-set", "8", "--rank-cap", "10")[0] == EXIT_USAGE
 
 
 @pytest.mark.parametrize("command", [("branch", "G", "2", "1", "1"),
