@@ -13,6 +13,7 @@ from .rootsys import (FAMILIES, RootSystem, SimpleComponent, Weight, _ranks,
 from .sl2branch import Sl2Embedding, g0, invariant_dim
 
 DEFAULT_M_CAP = 64
+E_SET_CAP = 64  # dim_k; E_set(64) walks ranks <= 63 in about 1.6 s
 
 
 class BoundsError(ValueError):
@@ -186,5 +187,7 @@ def E_set(dim_k: int):
     avoid for the dimension count to apply to a subalgebra of dimension
     dim_k.  Ranks >= dim_k have none: e(s) = 1 + min_k dim G/P_k, and each
     Dynkin path from node k sums to a root outside P_k's Levi, so e > rank."""
+    if dim_k > E_SET_CAP:
+        raise BoundsError(f"dim_k = {dim_k} exceeds cap {E_SET_CAP}")
     return sorted({_canonical(s) for s in _all_simple_types(dim_k - 1)
                    if e_value(s) <= dim_k}, key=lambda c: (c.family, c.rank))

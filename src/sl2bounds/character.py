@@ -41,7 +41,7 @@ Memos are keyed by the sl2 alone, bounded, and shared across builds.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from fractions import Fraction
@@ -61,7 +61,6 @@ DOMINANT_CAP = 5 * 10**4  # dominant weights of L(lambda)
 PARABOLIC_CAP = 10**5  # degree of either formula
 COSET_CAP = 3 * 10**6  # cosets W_J\W in a coset table; |W(E7)| = 2903040
 COSET_CHUNK = 2**14  # rows of K paired with all roots at once
-NUMPY_DIVISION = 128  # terms past which numpy divides faster (B4: about 90)
 DEFAULT_WEYL_ORDER_CAP = 1200  # covers all rank <= 4 simple factors (F4: 1152)
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
@@ -189,8 +188,11 @@ def full_weight_values(rs: RootSystem, lam: Weight, marks) -> dict:
     degree = sum(map(mul, c, (x + 1 for x in lam.coords)))
     if h == (2,) * rs.rank and degree <= 2 * PARABOLIC_CAP:
         return _by_product(rs, lam, h, lam_h)
+    # dim L(lambda) >= prod (lambda_i + 1), Weyl's factors at simple roots
     if degree > PARABOLIC_CAP or cosets > COSET_CAP or (
-            (rs, h) not in _coset_table and weyl_dimension(rs, lam) <= cosets):
+            (rs, h) not in _coset_table.held
+            and math.prod(x + 1 for x in lam.coords) <= cosets
+            and weyl_dimension(rs, lam) <= cosets):
         return _by_orbits(rs, lam, h, lam_h)
     return _by_cosets(rs, lam, h, lam_h)
 
@@ -224,26 +226,26 @@ def _lambda_of_h(rs: RootSystem, lam: Weight, marks) -> int:
     return val // den
 
 
-def _quotient(poly, exps, lam: Weight, marks, lam_h: int, step: int) -> dict:
+def _quotient(poly, exps, dim: int, lam: Weight, marks, lam_h: int,
+              step: int) -> dict:
     """lam_h - step k -> n for each n t^k != 0 in poly / prod_e (1 - t^e):
-    one running sum of stride e per factor, over numpy for an int64 array
-    (its caller proved each partial quotient fits), else over Python ints."""
-    n = len(poly)
-    if isinstance(poly, np.ndarray):   # zeros past n give strides whole rows
-        poly = np.concatenate([poly, np.zeros(max(exps, default=0), np.int64)])
-        for e in exps:
-            rows = poly[:-(-n // e) * e].reshape(-1, e)
-            np.cumsum(rows, axis=0, out=rows)
-        poly = poly[:n].tolist()
-    else:
-        for e in exps:
-            for r in range(e):
-                poly[r::e] = accumulate(poly[r::e])
+    in place, one running sum down the rows of e terms per factor.  Each
+    partial quotient is the quotient, whose terms sum to dim = dim L(lambda),
+    times some of the (1 - t^e), so its terms are at most dim 2^|exps| in
+    size: int64 holds them below 2^63, and Python ints past it."""
+    n, big = len(poly), dim << len(exps) >= 2**63
+    out = np.zeros(n + max(exps, default=0), object if big else np.int64)
+    out[:n] = poly               # zeros past n give strides whole rows
+    for e, times in Counter(exps).items():
+        rows = out[:-(-n // e) * e].reshape(-1, e)
+        for _ in range(times):
+            np.add.accumulate(rows, axis=0, out=rows)
     top = n - 1 - sum(exps)
-    if top < 0 or any(poly[top + 1:]):
+    if top < 0 or out[top + 1:n].any():
         raise CharacterError(
             f"character sum of {lam} at marks {marks} is not a polynomial")
-    return {lam_h - step * k: c for k, c in enumerate(poly[:top + 1]) if c}
+    return {lam_h - step * k: c
+            for k, c in enumerate(out[:top + 1].tolist()) if c}
 
 
 def _by_product(rs: RootSystem, lam: Weight, marks, lam_h: int) -> dict:
@@ -253,22 +255,19 @@ def _by_product(rs: RootSystem, lam: Weight, marks, lam_h: int) -> dict:
     coroots = rs._np["coroots"]
     a = (coroots @ np.array([x + 1 for x in lam.coords], np.int64)).tolist()
     poly = [1] + [0] * sum(a)
-    deg = 0
-    for e in a:                  # multiply by (1 - q^e)
-        deg += e
+    for deg, e in zip(accumulate(a), a):   # multiply by (1 - q^e)
         poly[e:deg + 1] = map(sub, poly[e:deg + 1], poly[:deg + 1 - e])
-    return _quotient(poly, coroots.sum(axis=1).tolist(), lam, marks, lam_h, 2)
+    b = coroots.sum(axis=1).tolist()
+    dim = math.prod(a) // math.prod(b)   # Weyl's formula, the value at q = 1
+    return _quotient(poly, b, dim, lam, marks, lam_h, 2)
 
 
 class _Memo:
-    """lru_cache(maxsize) over fn that also answers ``args in memo``."""
+    """lru_cache(maxsize) over fn whose ``held`` dict shows what it holds."""
 
     def __init__(self, fn, maxsize: int):
         self.fn, self.maxsize = fn, maxsize
         self.cache_clear()
-
-    def __contains__(self, key) -> bool:
-        return key in self.held
 
     def __call__(self, *key):
         hit = key in self.held
@@ -357,7 +356,8 @@ def _by_cosets(rs: RootSystem, lam: Weight, marks, lam_h: int) -> dict:
     # the degree cap bounds xi only where some mark is nonzero; past int64
     # headroom, the Levi pairings are formed in Python ints
     xi = np.array(xi, dtype=np.int64 if max(xi) < 2**32 else object)
-    pairs = (rs._np["roots"] * rs._np["d"]) @ xi
+    rd = rs._np["roots"] * rs._np["d"]
+    pairs = rd @ xi
     top = max(pairs.tolist()) ** t.vanish.shape[1]
     fits = top < 2**63 and len(t.K) * (top // t.den) < 2**63
     prods = pairs.astype(np.int64 if fits else object)[t.vanish].prod(axis=1)
@@ -366,12 +366,8 @@ def _by_cosets(rs: RootSystem, lam: Weight, marks, lam_h: int) -> dict:
             f"Levi dimension at marks {marks} is not integral")
     poly = np.zeros(degrees.max() + 1, prods.dtype)
     np.add.at(poly, degrees, t.signs * (prods // t.den))
-    # each partial quotient is the quotient, which sums to dim L(lambda),
-    # times some of the (1 - t^e), so its terms sum to at most dim 2^|exps|
-    if not (fits and len(poly) > NUMPY_DIVISION
-            and weyl_dimension(rs, lam) << len(t.exps) < 2**63):
-        poly = poly.tolist()
-    return _quotient(poly, t.exps, lam, marks, lam_h, 1)
+    dim = math.prod(pairs.tolist()) // math.prod(rd.sum(axis=1).tolist())
+    return _quotient(poly, t.exps, dim, lam, marks, lam_h, 1)
 
 
 def _by_orbits(rs: RootSystem, lam: Weight, marks, lam_h: int) -> dict:

@@ -449,14 +449,16 @@ def weyl_orbit(rs: RootSystem, mu: Weight):
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
-    """dim L(lambda) by the Weyl dimension formula, exact: the pairings
-    (lambda + rho, alpha) in numpy, in Python ints from 2^32 on."""
+    """dim L(lambda) by the Weyl dimension formula, exact."""
     _check_weight(rs, lam, "weyl_dimension")
-    xi = [x + 1 for x in lam.coords]
-    rd = rs._np["roots"] * rs._np["d"]
-    top = rd @ np.array(xi, dtype=np.int64 if max(xi) < 2**32 else object)
-    dim, r = divmod(math.prod(top.tolist()),
-                    math.prod(rd.sum(axis=1).tolist()))
+    d = rs.symmetrizers
+    num = den = 1
+    for root in rs.positive_roots:
+        top = sum(root[i] * d[i] * (lam.coords[i] + 1) for i in range(rs.rank))
+        bot = sum(root[i] * d[i] for i in range(rs.rank))
+        num *= top
+        den *= bot
+    dim, r = divmod(num, den)
     if r:
         raise RootSystemError("Weyl dimension product not integral")
     return dim

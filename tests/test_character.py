@@ -525,22 +525,38 @@ def test_principal_values_reject_inexact_quotient(monkeypatch):
         full_weight_values(rs, Weight((1, 0)), (2, 2))
 
 
-def test_division_in_numpy_matches_python_ints():
-    # The coset sum divides an int64 numerator in numpy, the product formula
-    # a list in Python ints; both are exact and both refuse a remainder.
-    quotient = np.array([5, 0, 3, 1, 0, 2, 7])
-    exps = (2, 3, 3, 1)
-    poly = quotient
+def _divide_by_loop(poly, exps):
+    """Division by prod_e (1 - t^e) as Python running sums, one slice per
+    residue class mod e: the reference for character._quotient."""
+    poly = list(poly)
     for e in exps:
-        poly = np.convolve(poly, [1] + [0] * (e - 1) + [-1])
-    args = exps, Weight((0,)), (2,), 10, 2
-    want = {10: 5, 6: 3, 4: 1, 0: 2, -2: 7}
-    assert character._quotient(poly.copy(), *args) == want
-    assert character._quotient(poly.tolist(), *args) == want
-    poly[-2] += 1
-    for numerator in (poly, poly.tolist()):
-        with pytest.raises(CharacterError, match="not a polynomial"):
-            character._quotient(numerator, *args)
+        for r in range(e):
+            poly[r::e] = itertools.accumulate(poly[r::e])
+    return poly
+
+
+def test_division_matches_the_loop_in_int64_and_in_python_ints():
+    # dim L(lambda) 2^|exps| below 2^63 divides in int64, past it over
+    # Python ints; both match the loop, and both refuse a remainder.
+    rng = random.Random(16)
+    for _ in range(40):
+        quotient = [rng.randint(0, 9) for _ in range(rng.randint(1, 12))]
+        exps = [rng.randint(1, 7) for _ in range(rng.randint(1, 9))]
+        poly = np.array(quotient)
+        for e in exps:
+            poly = np.convolve(poly, [1] + [0] * (e - 1) + [-1])
+        loop = _divide_by_loop(poly.tolist(), exps)
+        assert loop == quotient + [0] * sum(exps)
+        want = {5 - 2 * k: c for k, c in enumerate(quotient) if c}
+        for dim in (sum(quotient), 2**62):
+            args = exps, dim, Weight((0,)), (2,), 5, 2
+            assert character._quotient(poly.tolist(), *args) == want
+            assert character._quotient(poly, *args) == want
+        poly[rng.randrange(len(poly))] += 1
+        assert any(_divide_by_loop(poly.tolist(), exps)[len(quotient):])
+        for dim in (sum(quotient), 2**62):
+            with pytest.raises(CharacterError, match="not a polynomial"):
+                character._quotient(poly, exps, dim, Weight((0,)), (2,), 5, 2)
 
 
 # The spec weights of the benchmark's large-root-branching workload and the

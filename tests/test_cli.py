@@ -311,6 +311,17 @@ def test_exclusion_set_command():
     assert run("exclusion-set", "8", "--rank-cap", "10")[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize("dim_k", ["65", "1000", str(2**64)])
+def test_exclusion_set_cap_refuses_fast(dim_k):
+    # E_set walks every simple type of rank below dim_k; past E_SET_CAP
+    # it refuses before walking any.
+    start = time.perf_counter()
+    code, out, err = run("exclusion-set", dim_k)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err == f"numeric error: dim_k = {dim_k} exceeds cap 64\n"
+
+
 @pytest.mark.parametrize("command", [("branch", "G", "2", "1", "1"),
                                      ("bound", "G", "2")], ids=lambda c: c[0])
 def test_custom_marks_print_one_warning(command):
