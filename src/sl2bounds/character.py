@@ -12,11 +12,12 @@ enumerated.  A small-rank alternating-sum oracle is kept alongside for
 cross-checking: it walks W by rootsys's shared orbit walk and divides by
 the Weyl denominator with semigroup's partition-function kernel.
 
-full_weight_values restricts a character to the sl2 with given marks
-alpha_i(h), and it alone chooses how.  It validates lambda and the marks,
-conjugates h to dominant, solves lambda(h) in integers, and hands both to
-one of three paths, each returning the histogram of mu(h) = lambda(h) - k
-over the terms mult(mu) t^k of sum_mu mult(mu) t^{(lambda - mu)(h)}:
+_weight_row restricts a character to the sl2 with given marks alpha_i(h),
+and it alone chooses how.  It validates lambda and the marks, conjugates h
+to dominant, solves lambda(h) in integers, and hands lambda and h to one of
+three paths, each returning one dense row: row[k] is the multiplicity of
+mu(h) = lambda(h) - k, in int64 where a written bound proves that exact
+and in Python ints past it.  full_weight_values is its dict view.
 
 * _by_product, for the principal h (all marks 2): the principal
   specialization prod_{alpha>0} (1 - t^<lambda+rho, alpha_vee>) /
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul, sub
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -174,11 +175,16 @@ def dominant_character(rs: RootSystem, lam: Weight) -> Character:
 
 
 def full_weight_values(rs: RootSystem, lam: Weight, marks) -> dict:
-    """Histogram of mu(h) over all weights mu of L(lambda), with
-    multiplicity, where h has the given marks alpha_i(h).
+    """Histogram of mu(h) over the weights of L(lambda), h of these marks."""
+    return _histogram(*_weight_row(rs, lam, marks))
 
-    The one restriction pipeline; the module docstring describes it.
-    """
+
+def _histogram(lam_h: int, row) -> dict:
+    return {lam_h - k: n for k, n in enumerate(row.tolist()) if n}
+
+
+def _weight_row(rs: RootSystem, lam: Weight, marks) -> tuple:
+    """(lambda(h), row), as the module docstring describes."""
     marks = tuple(int(m) for m in marks)
     if len(marks) != rs.rank:
         raise RootSystemError(f"marks must have length {rs.rank}")
@@ -187,14 +193,14 @@ def full_weight_values(rs: RootSystem, lam: Weight, marks) -> dict:
     lam_h = _lambda_of_h(rs, lam, h)
     degree = sum(map(mul, c, (x + 1 for x in lam.coords)))
     if h == (2,) * rs.rank and degree <= 2 * PARABOLIC_CAP:
-        return _by_product(rs, lam, h, lam_h)
+        return lam_h, _by_product(rs, lam, h)
     # dim L(lambda) >= prod (lambda_i + 1), Weyl's factors at simple roots
     if degree > PARABOLIC_CAP or cosets > COSET_CAP or (
             (rs, h) not in _coset_table.held
             and math.prod(x + 1 for x in lam.coords) <= cosets
             and weyl_dimension(rs, lam) <= cosets):
-        return _by_orbits(rs, lam, h, lam_h)
-    return _by_cosets(rs, lam, h, lam_h)
+        return lam_h, _by_orbits(rs, lam, h)
+    return lam_h, _by_cosets(rs, lam, h)
 
 
 @lru_cache(maxsize=256)
@@ -226,13 +232,12 @@ def _lambda_of_h(rs: RootSystem, lam: Weight, marks) -> int:
     return val // den
 
 
-def _quotient(poly, exps, dim: int, lam: Weight, marks, lam_h: int,
-              step: int) -> dict:
-    """lam_h - step k -> n for each n t^k != 0 in poly / prod_e (1 - t^e):
-    in place, one running sum down the rows of e terms per factor.  Each
-    partial quotient is the quotient, whose terms sum to dim = dim L(lambda),
-    times some of the (1 - t^e), so its terms are at most dim 2^|exps| in
-    size: int64 holds them below 2^63, and Python ints past it."""
+def _quotient(poly, exps, dim: int, lam: Weight, marks) -> np.ndarray:
+    """The row of poly / prod_e (1 - t^e): in place, one running sum down
+    the rows of e terms per factor.  Each partial quotient is the quotient,
+    whose terms sum to dim = dim L(lambda), times some of the (1 - t^e), so
+    its terms are at most dim 2^|exps| in size: int64 holds them below
+    2^63, and Python ints past it."""
     n, big = len(poly), dim << len(exps) >= 2**63
     out = np.zeros(n + max(exps, default=0), object if big else np.int64)
     out[:n] = poly               # zeros past n give strides whole rows
@@ -244,22 +249,23 @@ def _quotient(poly, exps, dim: int, lam: Weight, marks, lam_h: int,
     if top < 0 or out[top + 1:n].any():
         raise CharacterError(
             f"character sum of {lam} at marks {marks} is not a polynomial")
-    return {lam_h - step * k: c
-            for k, c in enumerate(out[:top + 1].tolist()) if c}
+    return out[:top + 1]
 
 
-def _by_product(rs: RootSystem, lam: Weight, marks, lam_h: int) -> dict:
-    """The histogram for the principal h = 2 rho_vee, from prod_{alpha>0}
-    (1 - q^a_alpha) / (1 - q^b_alpha) = sum_mu mult(mu) q^{ht(lambda - mu)},
-    a_alpha = <lambda + rho, alpha_vee>, b_alpha = <rho, alpha_vee>."""
-    coroots = rs._np["coroots"]
+def _by_product(rs: RootSystem, lam: Weight, marks) -> np.ndarray:
+    """The row for the principal h = 2 rho_vee, from prod_{alpha>0} (1 -
+    t^a_alpha) / (1 - t^b_alpha) = sum_mu mult(mu) t^{2 ht(lambda - mu)},
+    a_alpha = 2 <lambda + rho, alpha_vee>, b_alpha = 2 <rho, alpha_vee>;
+    _quotient's dtype holds the numerator, whose terms are <= 2^|Phi+|."""
+    coroots = 2 * rs._np["coroots"]
     a = (coroots @ np.array([x + 1 for x in lam.coords], np.int64)).tolist()
-    poly = [1] + [0] * sum(a)
-    for deg, e in zip(accumulate(a), a):   # multiply by (1 - q^e)
-        poly[e:deg + 1] = map(sub, poly[e:deg + 1], poly[:deg + 1 - e])
     b = coroots.sum(axis=1).tolist()
-    dim = math.prod(a) // math.prod(b)   # Weyl's formula, the value at q = 1
-    return _quotient(poly, b, dim, lam, marks, lam_h, 2)
+    dim = math.prod(a) // math.prod(b)   # Weyl's formula, the value at t = 1
+    num = np.zeros(sum(a) + 1, object if dim << len(a) >= 2**63 else np.int64)
+    num[0] = 1
+    for deg, e in zip(accumulate(a), a):   # times (1 - t^e), in place:
+        num[e:deg + 1] -= num[:deg + 1 - e]   # numpy copies the overlap
+    return _quotient(num, b, dim, lam, marks)
 
 
 class _Memo:
@@ -332,8 +338,8 @@ def _coset_table(rs: RootSystem, marks: tuple) -> _CosetTable:
                        tuple(alpha_h[alpha_h > 0].tolist()))
 
 
-def _by_cosets(rs: RootSystem, lam: Weight, marks, lam_h: int) -> dict:
-    """The histogram by the coset sum over W_J\\W, J = {i : alpha_i(h) = 0}:
+def _by_cosets(rs: RootSystem, lam: Weight, marks) -> np.ndarray:
+    """The row by the coset sum over W_J\\W, J = {i : alpha_i(h) = 0}:
 
     sum_mu mult(mu) t^{(lambda-mu)(h)} = sum_w sgn(w) dim_J(w xi - rho)
     t^{(xi - w xi)(h)} / prod_{alpha>0, alpha(h)>0} (1 - t^{alpha(h)}),
@@ -367,22 +373,16 @@ def _by_cosets(rs: RootSystem, lam: Weight, marks, lam_h: int) -> dict:
     poly = np.zeros(degrees.max() + 1, prods.dtype)
     np.add.at(poly, degrees, t.signs * (prods // t.den))
     dim = math.prod(pairs.tolist()) // math.prod(rd.sum(axis=1).tolist())
-    return _quotient(poly, t.exps, dim, lam, marks, lam_h, 1)
+    return _quotient(poly, t.exps, dim, lam, marks)
 
 
-def _by_orbits(rs: RootSystem, lam: Weight, marks, lam_h: int) -> dict:
-    """The histogram by the orbit expansion, for dominant marks."""
-    return {lam_h - k: n for k, n in _orbit_degrees(rs, lam, marks).items()}
-
-
-def _orbit_degrees(rs: RootSystem, lam: Weight, marks) -> dict:
-    """(lambda - mu)(h) = k . marks -> multiplicity, over all weights mu of
-    L(lambda), for dominant marks.
-
-    k is the root coordinates of lambda - mu.  The orbits of all dominant
-    weights are walked at once by _orbit_walk, with the multiplicity group
-    riding along, and the rows are sorted stably by group.
-    """
+def _by_orbits(rs: RootSystem, lam: Weight, marks) -> np.ndarray:
+    """The row by the orbit expansion, for dominant marks: row[k] counts
+    the weights mu of L(lambda), with multiplicity, at k = (lambda - mu)(h).
+    The orbits of all dominant weights are walked at once by _orbit_walk,
+    with the multiplicity group riding along; the rows are sorted stably by
+    group, and each group adds one bincount, in int64 while dim L(lambda),
+    which bounds every entry, is below 2^63."""
     doms = _dominant_weights(rs, lam)
     mults = sorted({m for _, _, m in doms})
     group = {m: g for g, m in enumerate(mults)}
@@ -396,12 +396,15 @@ def _orbit_degrees(rs: RootSystem, lam: Weight, marks) -> dict:
     # sum(marks) < 2^32; past that, Python ints
     degrees = rows[:, :-1] @ np.array(
         marks, np.int64 if sum(marks) < 2**32 else object)
-    out = {}
-    for start, stop, m in zip(bounds[:-1], bounds[1:], mults):
-        v, n = np.unique(degrees[start:stop], return_counts=True)
-        for x, c in zip(v.tolist(), n.tolist()):
-            out[x] = out.get(x, 0) + c * m
-    return out
+    top = int(degrees.max())   # 2 lambda(h) < 2 WEIGHT_CAP for an sl2
+    if top > 2 * WEIGHT_CAP:
+        raise CharacterError(f"weight values of {lam} at marks {marks} "
+                             f"span past twice the weight cap")
+    dim = sum(map(mul, np.diff(bounds).tolist(), mults))
+    dtype = np.int64 if dim < 2**63 else object
+    return sum(np.bincount(degrees[start:stop].astype(np.int64),
+                           minlength=top + 1).astype(dtype) * m
+               for start, stop, m in zip(bounds[:-1], bounds[1:], mults))
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,20 @@
 
 An sl2-subalgebra is specified (for branching purposes) by its marks, the
 integers alpha_i(h) for the standard semisimple element h of the triple.
-The restricted character is the histogram N of weight values mu(h); the
-decomposition into sl2 irreducibles V(k) (dimension k+1) follows from
-mult V(k) = N_k - N_{k+2}.
+The restricted character is the histogram N of weight values mu(h), as
+the row[j] = N_{lambda(h) - j} of character._weight_row; mult V(k) =
+N_k - N_{k+2} gives the row of sl2 irreducibles V(k) (dimension k+1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .rootsys import RootSystem, RootSystemError, Weight
-from .character import full_weight_values
+from .character import _histogram, _weight_row
 
 
 class BranchingError(ArithmeticError):
@@ -32,26 +35,34 @@ class Sl2Embedding:
         return f"{self.kind}{list(self.marks)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sl2Decomposition:
-    mults: dict  # k -> multiplicity of V(k), dim V(k) = k+1
-    weight_values: dict  # the histogram N: mu(h) -> multiplicity
+    row: np.ndarray  # row[j] = N_{lambda(h) - j}, j = 0 .. 2 lambda(h)
+    v_row: np.ndarray  # v_row[j] = mult V(lambda(h) - j), j = 0 .. lambda(h)
+
+    @cached_property
+    def mults(self) -> dict:  # k -> multiplicity of V(k), dim V(k) = k+1
+        return {k: m for k, m in enumerate(self.v_row[::-1].tolist()) if m}
+
+    @cached_property
+    def weight_values(self) -> dict:  # the histogram N: mu(h) -> multiplicity
+        return _histogram(len(self.v_row) - 1, self.row)
 
     @property
     def invariant_dim(self) -> int:
         """dim L(lambda)^K = multiplicity of the trivial sl2-module V(0)."""
-        return self.mults.get(0, 0)
+        return int(self.v_row[-1])
 
     @property
     def g0(self) -> int:
         """Smallest dimension k+1 of an sl2 irreducible occurring."""
-        return min(self.mults) + 1
+        return len(self.v_row) - int(np.flatnonzero(self.v_row)[-1])
 
     def dimension(self) -> int:
         return sum((k + 1) * m for k, m in self.mults.items())
 
     def to_json_dict(self) -> dict:
-        return {str(k): m for k, m in sorted(self.mults.items())}
+        return {str(k): m for k, m in self.mults.items()}
 
 
 def principal_embedding(rs: RootSystem) -> Sl2Embedding:
@@ -77,21 +88,19 @@ def sl2_decompose(rs: RootSystem, lam: Weight, emb: Sl2Embedding) -> Sl2Decompos
     The single restriction routine: asserts the sl2-character certificate,
     N symmetric under negation and every computed multiplicity nonnegative.
     """
-    N = full_weight_values(rs, lam, emb.marks)
-    for j, n in N.items():
-        if N.get(-j, 0) != n:
-            raise BranchingError(
-                f"weight-value histogram not symmetric at {j} "
-                f"(marks {emb.marks} are not an sl2 triple?)")
-    mults = {}
-    for k in sorted(j for j in N if j >= 0):
-        m = N[k] - N.get(k + 2, 0)
-        if m < 0:
-            raise BranchingError(
-                f"negative multiplicity for V({k}) (marks {emb.marks})")
-        if m:
-            mults[k] = m
-    return Sl2Decomposition(mults=mults, weight_values=N)
+    lam_h, row = _weight_row(rs, lam, emb.marks)
+    if len(row) != 2 * lam_h + 1 or not np.array_equal(row, row[::-1]):
+        N = _histogram(lam_h, row)   # its ends are nonzero: some N_j != N_-j
+        j = next(j for j, n in N.items() if N.get(-j, 0) != n)
+        raise BranchingError(f"weight-value histogram not symmetric at {j} "
+                             f"(marks {emb.marks} are not an sl2 triple?)")
+    v_row = row[:lam_h + 1].copy()
+    v_row[2:] -= row[:lam_h - 1]
+    if (v_row < 0).any():
+        j = int(np.flatnonzero(v_row < 0)[-1])
+        raise BranchingError(
+            f"negative multiplicity for V({lam_h - j}) (marks {emb.marks})")
+    return Sl2Decomposition(row, v_row)
 
 
 def invariant_dim(rs: RootSystem, lam: Weight, emb: Sl2Embedding) -> int:

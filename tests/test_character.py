@@ -187,9 +187,11 @@ def _weight_values_from(expansion, marks):
 
 def _answer(path, rs, lam, marks):
     """What full_weight_values returns when this path answers: the path
-    runs on the dominant conjugate h of the marks and on lambda(h)."""
+    runs on the dominant conjugate h of the marks, and its row is read as
+    the histogram lambda(h) - k -> row[k]."""
     h = character._sl2(rs, tuple(marks))[0]
-    return path(rs, lam, h, character._lambda_of_h(rs, lam, h))
+    lam_h = character._lambda_of_h(rs, lam, h)
+    return {lam_h - k: n for k, n in enumerate(path(rs, lam, h).tolist()) if n}
 
 
 def _by_product(rs, lam, marks):
@@ -516,6 +518,75 @@ def test_principal_values_e6_against_freudenthal():
         assert sum(product.values()) == weyl_dimension(rs, lam)
 
 
+@pytest.mark.parametrize("fam,rank,lam,int64", [
+    ("E", 7, (1, 0, 0, 0, 0, 0, 0), False),
+    ("E", 7, (0, 0, 0, 0, 0, 0, 1), False),
+    ("E", 6, (1, 1, 1, 1, 0, 0), True),     # dim 115287744 < 2^27
+    ("E", 6, (0, 0, 0, 2, 0, 2), False),    # dim 136547775 >= 2^27
+], ids=["E7-1000000", "E7-0000001", "E6-below", "E6-above"])
+def test_product_row_dtype_boundary(fam, rank, lam, int64):
+    # The product formula runs in int64 iff dim L(lambda) 2^|Phi+| < 2^63:
+    # never in E7 (|Phi+| = 63), and in E6 (|Phi+| = 36) iff dim < 2^27.
+    # On either side its row is the orbit expansion's.
+    rs, lam, h = build([(fam, rank)]), Weight(lam), (2,) * rank
+    dim = weyl_dimension(rs, lam)
+    assert (dim << len(rs.positive_roots) < 2**63) == int64
+    product = character._by_product(rs, lam, h)
+    assert (product.dtype == np.int64) == int64
+    assert np.array_equal(product, character._by_orbits(rs, lam, h))
+    assert sum(product.tolist()) == dim
+
+
+def test_product_numerator_past_int64_stays_exact(monkeypatch):
+    # 70 copies of A1's positive coroot make the numerator (1 - t^4)^70,
+    # whose middle terms pass 2^63, and the row that of (1 + t^2)^70: the
+    # bound dim 2^|Phi+| must put the numerator in Python ints too.
+    rs = build([("A", 1)])
+    monkeypatch.setitem(rs._np, "coroots",
+                        np.repeat(rs._np["coroots"], 70, axis=0))
+    assert math.comb(70, 35) > 2**63
+    row = character._by_product(rs, Weight((1,)), (2,))
+    assert row[::2].tolist() == [math.comb(70, k) for k in range(71)]
+    assert not row[1::2].any()
+
+
+def test_orbit_row_past_int64_stays_exact(monkeypatch):
+    # Multiplicities scaled by 2^62 put dim L(lambda) past 2^63, so the
+    # orbit expansion must add its counts in Python ints, not wrap int64.
+    rs = build([("B", 3)])
+    lam, h = Weight((1, 0, 1)), character._sl2(rs, (0, 1, 0))[0]
+    want = character._by_orbits(rs, lam, h)
+    assert want.dtype == np.int64
+    real = character._dominant_weights
+    monkeypatch.setattr(character, "_dominant_weights", lambda rs, lam: tuple(
+        (mu, k, m << 62) for mu, k, m in real(rs, lam)))
+    row = character._by_orbits(rs, lam, h)
+    assert row.dtype == object
+    assert row.tolist() == [n << 62 for n in want.tolist()]
+    assert sum(row.tolist()) == weyl_dimension(rs, lam) << 62
+
+
+def test_orbit_row_refuses_a_span_past_the_weight_cap():
+    # Marks that are no sl2 can spread few weights over a huge span of
+    # values, and the dense row is as long as the span, so a span past
+    # twice the weight cap is refused like a character past it.
+    rs = build([("A", 2)])
+    with pytest.raises(CharacterError, match="weight cap"):
+        full_weight_values(rs, Weight((3, 0)), (10**8, 0))
+
+
+@pytest.mark.parametrize("fam,rank,lam", _SMALL_WEIGHTS, ids=_weight_id)
+def test_every_path_row_sums_to_the_weyl_dimension(fam, rank, lam):
+    # The product formula at the principal h; the coset sum and the orbit
+    # expansion at the principal h and at the highest root's.
+    rs, lam, principal = build([(fam, rank)]), Weight(lam), (2,) * rank
+    theta = root_embedding(rs, rs.positive_roots[-1]).marks
+    rows = [character._by_product(rs, lam, principal)] + [
+        path(rs, lam, character._sl2(rs, h)[0]) for h in (principal, theta)
+        for path in (character._by_cosets, character._by_orbits)]
+    assert [sum(row.tolist()) for row in rows] == [weyl_dimension(rs, lam)] * 5
+
+
 def test_principal_values_reject_inexact_quotient(monkeypatch):
     # Without the highest root the product over the remaining positive
     # roots is not a polynomial, and the exactness check must say so.
@@ -547,16 +618,16 @@ def test_division_matches_the_loop_in_int64_and_in_python_ints():
             poly = np.convolve(poly, [1] + [0] * (e - 1) + [-1])
         loop = _divide_by_loop(poly.tolist(), exps)
         assert loop == quotient + [0] * sum(exps)
-        want = {5 - 2 * k: c for k, c in enumerate(quotient) if c}
         for dim in (sum(quotient), 2**62):
-            args = exps, dim, Weight((0,)), (2,), 5, 2
-            assert character._quotient(poly.tolist(), *args) == want
-            assert character._quotient(poly, *args) == want
+            args = exps, dim, Weight((0,)), (2,)
+            assert character._quotient(poly.tolist(), *args).tolist() == \
+                quotient
+            assert character._quotient(poly, *args).tolist() == quotient
         poly[rng.randrange(len(poly))] += 1
         assert any(_divide_by_loop(poly.tolist(), exps)[len(quotient):])
         for dim in (sum(quotient), 2**62):
             with pytest.raises(CharacterError, match="not a polynomial"):
-                character._quotient(poly, exps, dim, Weight((0,)), (2,), 5, 2)
+                character._quotient(poly, exps, dim, Weight((0,)), (2,))
 
 
 # The spec weights of the benchmark's large-root-branching workload and the
@@ -576,8 +647,8 @@ def test_int64_headroom_check_passes_large_characters(fam, rank, lam):
     # characters; their orbit expansion must count dim L(lambda) weights.
     rs = build([(fam, rank)])
     lam = Weight(lam)
-    assert character._orbit_degrees(rs, lam, [0] * rank) == \
-        {0: weyl_dimension(rs, lam)}
+    assert character._by_orbits(rs, lam, (0,) * rank).tolist() == \
+        [weyl_dimension(rs, lam)]
 
 
 # Histograms of the spec weights under their root sl2s (highest root,

@@ -214,7 +214,7 @@ def refuse_weights(monkeypatch):
         raise _WeightsWalked(lam)
 
     monkeypatch.setattr(character, "_dominant_weights", refuse)
-    monkeypatch.setattr(character, "_orbit_degrees", refuse)
+    monkeypatch.setattr(character, "_by_orbits", refuse)
 
 
 def test_principal_requests_build_no_box(refuse_weights):

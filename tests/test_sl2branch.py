@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 
+import numpy as np
 import pytest
 
 from sl2bounds import (
@@ -138,7 +139,7 @@ def test_semigroup_monotonicity_g2(g2):
 def test_branch_command_restricts_once(monkeypatch):
     import sl2bounds
     from sl2bounds import character, cli, sl2branch
-    real = character.full_weight_values
+    real = character._weight_row
     calls = []
 
     def counting(*args):
@@ -169,6 +170,30 @@ def test_invariant_dim_runs_the_full_certificate(a2):
     emb = Sl2Embedding(marks=(2, 3))
     with pytest.raises(BranchingError, match="V\\(1\\)"):
         invariant_dim(a2, Weight((2, 2)), emb)
+
+
+@pytest.mark.parametrize("lam_h,row,value", [
+    (1, [1, 0, 1, 1], -2),      # too long: a value below -lambda(h)
+    (2, [1, 0, 1], 2),          # too short: -lambda(h) is missing
+    (2, [1, 1, 2, 0, 1], 1),    # asymmetric inside its span
+], ids=["too-long", "too-short", "asymmetric"])
+def test_row_certificate_names_the_asymmetric_value(monkeypatch, lam_h, row,
+                                                    value):
+    from sl2bounds import sl2branch
+    monkeypatch.setattr(sl2branch, "_weight_row",
+                        lambda *args: (lam_h, np.array(row, np.int64)))
+    with pytest.raises(BranchingError,
+                       match=f"not symmetric at {value} \\(marks \\(2, 2\\)"):
+        sl2_decompose(build([("A", 2)]), Weight((1, 1)), Sl2Embedding((2, 2)))
+
+
+def test_negative_multiplicity_where_the_histogram_is_zero():
+    # (4, 0, 0) is no sl2 of B3: L(1, 0, 1) has N_2 = 20 and N_0 = 0, so
+    # V(0) would have multiplicity -20.  Every V(k) is checked, not only
+    # those with N_k != 0.
+    rs = build([("B", 3)])
+    with pytest.raises(BranchingError, match="V\\(0\\)"):
+        sl2_decompose(rs, Weight((1, 0, 1)), Sl2Embedding(marks=(4, 0, 0)))
 
 
 def test_principal_restriction_past_the_box_cap():
