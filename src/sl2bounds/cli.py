@@ -316,9 +316,6 @@ def _format_first(value):
 @functools.cache
 def _build_parser():
     """The argparse tree, built on the first ``main`` call of a process."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "csv", "json"),
-                        default="text")
     typed = argparse.ArgumentParser(add_help=False)
     typed.add_argument("type")
     typed.add_argument("rank", type=int)
@@ -329,8 +326,11 @@ def _build_parser():
     p.add_argument("--format", type=_format_first, help=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, hlp, *parents):
-        q = sub.add_parser(name, help=hlp, parents=[*parents, common])
+    def add(name, fn, hlp, *parents, table=False):
+        """A command; only one that prints a table can print it as csv."""
+        q = sub.add_parser(name, help=hlp, parents=parents)
+        q.add_argument("--format", default="text", choices=(
+            ("text", "csv", "json") if table else ("text", "json")))
         q.set_defaults(fn=fn)
         return q
 
@@ -345,7 +345,7 @@ def _build_parser():
     for name, fn, hlp in (
             ("table1", cmd_table1, "G2 principal invariant dimensions"),
             ("table2", cmd_table2, "G2 principal g0 values")):
-        q = add(name, fn, hlp)
+        q = add(name, fn, hlp, table=True)
         q.add_argument("--max-i", type=int, default=19)
         q.add_argument("--max-j", type=int, default=19)
         q.add_argument("--golden", action="store_true",
@@ -367,9 +367,9 @@ def _build_parser():
     q.add_argument("--cap", type=int, default=bounds.DEFAULT_M_CAP)
 
     add("parabolic-table", cmd_parabolic_table,
-        "dim g/l_ss and dim X per Dynkin node", typed)
+        "dim g/l_ss and dim X per Dynkin node", typed, table=True)
 
-    q = add("e-table", cmd_e_table, "e-values of simple types")
+    q = add("e-table", cmd_e_table, "e-values of simple types", table=True)
     q.add_argument("types", nargs="*",
                    help="types like G2 B4 (default: all up to --rank-cap)")
     q.add_argument("--rank-cap", type=int, default=8)

@@ -203,6 +203,19 @@ def test_exclusion_set_matches_every_e_value_to_rank_12():
                                   key=lambda c: (c.family, c.rank)), d
 
 
+def test_exclusion_set_64_closed_form():
+    # e(A_n) = n + 1, e(B_n) = e(C_n) = 2n, e(D_n) = 2n - 1, and e = 17,
+    # 28, 58, 16, 6 for E6, E7, E8, F4, G2; C2 = B2 and D3 = A3 are named
+    # once.  So E_set(64) holds these 158 types.
+    want = ([("A", n) for n in range(1, 64)] +
+            [("B", n) for n in range(2, 33)] +
+            [("C", n) for n in range(3, 33)] +
+            [("D", n) for n in range(4, 33)] +
+            [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+    assert len(want) == 158
+    assert [(c.family, c.rank) for c in E_set(64)] == want
+
+
 def test_levi_classification_needs_no_root_system(monkeypatch):
     # The Levi type depends only on the Cartan block and the symmetrizers;
     # building a root system per node made criterion 5 miss its budget.
@@ -221,36 +234,32 @@ def test_levi_classification_needs_no_root_system(monkeypatch):
 
 
 def test_all_simple_types_order():
-    # e-table prints this order, and the first of an isomorphic pair names it
+    # e-table prints this order; the names do not depend on it
     assert [str(s) for s in bounds._all_simple_types(4)] == [
         "A1", "A2", "A3", "A4", "B2", "C2", "B3", "C3", "B4", "C4",
         "D3", "D4", "F4", "G2"]
 
 
-def test_dynkin_signatures_identify_every_simple_type(monkeypatch):
-    # Types are identified by comparing signatures of _simple_block alone.
-    # Among the simple types of rank <= 11 only the isomorphic pairs
-    # B2 = C2 and A3 = D3 share a signature, and each pair is named by its
-    # first member; a relabelled block identifies the same way.
+def test_dynkin_shapes_identify_every_simple_type(monkeypatch):
+    # Every simple type of rank <= 11 is named from the shape of its
+    # _simple_block alone, also with its nodes numbered in reverse; the
+    # isomorphic pairs name as B2 = C2 and A3 = D3.
     def forbidden(*args, **kwargs):
         raise AssertionError("root system built for a type identification")
 
     monkeypatch.setattr(rootsys, "_positive_roots_closure", forbidden)
+    monkeypatch.setattr(rootsys, "_invert_rational", forbidden)
     renamed = {"C2": "B2", "D3": "A3"}
-    by_signature = {}
     for s in bounds._all_simple_types(11):
         cartan, d = rootsys._simple_block(s)
-        nbrs = bounds._neighbours(cartan)
         nodes = range(s.rank)
-        by_signature.setdefault(bounds._signature(d, nbrs, nodes),
-                                []).append(str(s))
-        assert str(_canonical(s)) == renamed.get(str(s), str(s))
-        assert bounds._identify(d, nbrs, nodes) == _canonical(s)
+        want = renamed.get(str(s), str(s))
+        assert str(bounds._identify(d, bounds._neighbours(cartan),
+                                    nodes)) == want
         flipped = [row[::-1] for row in cartan[::-1]]
-        assert bounds._identify(d[::-1], bounds._neighbours(flipped),
-                                nodes) == _canonical(s)
-    shared = sorted(v for v in by_signature.values() if len(v) > 1)
-    assert shared == [["A3", "D3"], ["B2", "C2"]]
+        assert str(bounds._identify(d[::-1], bounds._neighbours(flipped),
+                                    nodes)) == want
+        assert str(_canonical(s)) == want
 
 
 def test_parabolic_table_reads_the_block_once(monkeypatch):
@@ -266,14 +275,38 @@ def test_parabolic_table_reads_the_block_once(monkeypatch):
     assert calls.count(comp) == 1
 
 
+# short positive roots of a simple type: e_i in B_n, e_i +- e_j in C_n
+_SHORT_ROOTS = {"B": lambda n: n, "C": lambda n: n * (n - 1),
+                "F": lambda n: 12, "G": lambda n: 3}
+
+
 @pytest.mark.parametrize("comp", list(bounds._all_simple_types(8)), ids=str)
 def test_levi_components_agree_with_root_closure(comp):
     # Independent check: the positive roots of the Levi subalgebra of node k
-    # are the positive roots with k-th simple-root coordinate 0.
-    roots = build([comp]).positive_roots
+    # are the positive roots with k-th simple-root coordinate 0.  Each has
+    # its support in one simple component, whose highest root has the
+    # largest support.  Per component, |Phi+| and the number of short roots
+    # (those shorter than its longest) must agree: B_n and C_n share |Phi+|.
+    def support(root):
+        return frozenset(i for i, c in enumerate(root) if c)
+
+    rs = build([comp])
+    roots = rs.positive_roots
+    norms = dict(zip(roots, rs._np["roots_norm"].tolist()))
     for row in parabolic_table(comp):
         k = row.node
-        levi_roots = sum(1 for r in roots if r[k - 1] == 0)
+        levi_roots = [r for r in roots if r[k - 1] == 0]
+        supports = {support(r) for r in levi_roots}
+        closure = []
+        for part in supports:
+            if any(part < other for other in supports):
+                continue
+            inside = [norms[r] for r in levi_roots if support(r) <= part]
+            closure.append((len(inside),
+                            sum(x < max(inside) for x in inside)))
         levi = levi_ss_components(comp, k)
-        assert sum(c.num_positive_roots for c in levi) == levi_roots, (comp, k)
-        assert row.dim_g_mod_lss == 1 + 2 * (len(roots) - levi_roots), (comp, k)
+        assert sorted(closure) == sorted(
+            (c.num_positive_roots, _SHORT_ROOTS.get(c.family, lambda n: 0)(
+                c.rank)) for c in levi), (comp, k)
+        assert row.dim_g_mod_lss == 1 + 2 * (len(roots) - len(levi_roots)), \
+            (comp, k)

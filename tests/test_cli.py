@@ -303,6 +303,24 @@ def test_parabolic_and_e_tables():
     assert run("e-table", "--rank-cap", "0") == (EXIT_OK, "type  e\n", "")
 
 
+def test_csv_is_refused_where_no_table_is_printed(monkeypatch):
+    # Only table1, table2, parabolic-table and e-table print a table; the
+    # other commands refuse --format csv as usage, before computing anything.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computed before refusing --format csv")
+
+    monkeypatch.setattr(cli, "build", forbidden)
+    monkeypatch.setattr(cli.semigroup, "complement", forbidden)
+    monkeypatch.setattr(cli.bounds, "E_set", forbidden)
+    for argv in (("describe", "G", "2"), ("character", "G", "2", "1", "0"),
+                 ("branch", "G", "2", "1", "0"), ("bound", "G", "2"),
+                 ("exceptions",), ("complement", "--gen", "2"),
+                 ("exclusion-set", "8")):
+        code, out, err = run(*argv, "--format", "csv")
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert "argument --format: invalid choice: 'csv'" in err, argv
+
+
 def test_exclusion_set_command():
     code, out, _ = run("exclusion-set", "8", "--format", "json")
     assert code == EXIT_OK
