@@ -74,14 +74,10 @@ def b_bound(rs: RootSystem, emb: Sl2Embedding,
     if missing:
         raise BoundsError(
             f"m-value not found within cap {cap} for nodes {missing}")
-    best = None
-    for a in product(*(range(m) for m in mv.values)):
-        lam = Weight(a)
-        g = g0(rs, lam, emb)
-        if best is None or g > best[1]:
-            best = (lam, g)
-    return BoundResult(b=best[1] + 1, m_values=mv,
-                       box_max_weight=best[0], box_max_g0=best[1])
+    box = map(Weight, product(*(range(m) for m in mv.values)))
+    g, lam = max(((g0(rs, lam, emb), lam) for lam in box),
+                 key=lambda pair: pair[0])   # the first of the largest
+    return BoundResult(b=g + 1, m_values=mv, box_max_weight=lam, box_max_g0=g)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,9 @@ and in Python ints past it.  full_weight_values is its dict view.
 * _by_orbits: Freudenthal's multiplicities of the dominant weights
   expanded over their Weyl orbits, bounded by WEIGHT_CAP.
 
+Both formulas write their numerator into one zero-padded buffer and divide
+it there in place by prod_{alpha(h)>0} (1 - t^alpha(h)), which the per-sl2
+record _sl2 holds (its docstring says why the product formula shares it).
 The choice reads sizes the request already has (c . (lambda + rho), the
 degree of either numerator, comes from _sl2): the product formula for a
 principal h while its degree in t^2 is at most PARABOLIC_CAP; else the
@@ -64,6 +67,7 @@ COSET_CAP = 3 * 10**6  # cosets W_J\W in a coset table; |W(E7)| = 2903040
 COSET_CHUNK = 2**14  # rows of K paired with all roots at once
 DEFAULT_WEYL_ORDER_CAP = 1200  # covers all rank <= 4 simple factors (F4: 1152)
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+_Sl2 = namedtuple("_Sl2", "h c cosets groups e_sum e_max e_prod e_count")
 
 
 class CharacterError(ArithmeticError):
@@ -189,36 +193,45 @@ def _weight_row(rs: RootSystem, lam: Weight, marks) -> tuple:
     if len(marks) != rs.rank:
         raise RootSystemError(f"marks must have length {rs.rank}")
     _check_weight(rs, lam, "full_weight_values")
-    h, c, cosets = _sl2(rs, marks)
-    lam_h = _lambda_of_h(rs, lam, h)
-    degree = sum(map(mul, c, (x + 1 for x in lam.coords)))
-    if h == (2,) * rs.rank and degree <= 2 * PARABOLIC_CAP:
-        return lam_h, _by_product(rs, lam, h)
+    s = _sl2(rs, marks)
+    lam_h = _lambda_of_h(rs, lam, s.h)
+    degree = sum(map(mul, s.c, (x + 1 for x in lam.coords)))
+    if s.h == (2,) * rs.rank and degree <= 2 * PARABOLIC_CAP:
+        return lam_h, _by_product(rs, lam, s)
     # dim L(lambda) >= prod (lambda_i + 1), Weyl's factors at simple roots
-    if degree > PARABOLIC_CAP or cosets > COSET_CAP or (
-            (rs, h) not in _coset_table.held
-            and math.prod(x + 1 for x in lam.coords) <= cosets
-            and weyl_dimension(rs, lam) <= cosets):
-        return lam_h, _by_orbits(rs, lam, h)
-    return lam_h, _by_cosets(rs, lam, h)
+    if degree > PARABOLIC_CAP or s.cosets > COSET_CAP or (
+            (rs, s.h) not in _coset_table.held
+            and math.prod(x + 1 for x in lam.coords) <= s.cosets
+            and weyl_dimension(rs, lam) <= s.cosets):
+        return lam_h, _by_orbits(rs, lam, s.h)
+    return lam_h, _by_cosets(rs, lam, s)
 
 
 @lru_cache(maxsize=256)
-def _sl2(rs: RootSystem, marks: tuple) -> tuple:
-    """(h, c, cosets) for the sl2 with these marks: h the marks of its
-    dominant Weyl conjugate, c the coroot coordinates of h + h* with h* =
-    -w0 h, and cosets = |W_J\\W|, J the zero marks of h.
+def _sl2(rs: RootSystem, marks: tuple) -> _Sl2:
+    """The record of the sl2 with these marks: h the marks of its dominant
+    Weyl conjugate, c the coroot coordinates of h + h* with h* = -w0 h,
+    cosets = |W_J\\W|, J the zero marks of h, and the denominator prod (1 -
+    t^e) over the e = alpha(h) > 0, alpha in Phi+: their (e, times) groups,
+    ascending, and their sum, max, product and count.
 
     The weights of L(lambda) are W-stable, so h and its conjugates have the
     same weight-value histogram.  Reflecting -h to dominant gives h*, and
     -h - h* = sum k_j alpha_j_vee, so c = -k.  For xi = lambda + rho both
-    formulas' numerators have degree (xi - w0 xi)(h) = xi(h + h*) = c . xi,
-    in t; for the principal h, h* = h and the degree in q = t^2 is half
-    that.
+    formulas' numerators have degree (xi - w0 xi)(h) = c . xi in t (c is
+    the K of w0 in _coset_table), or half that in q = t^2 for the principal
+    h = h*, and both divide by prod (1 - t^e): for h = 2 rho_vee the e =
+    2 ht(alpha) are the 2 <rho, alpha_vee> = 2 ht(alpha_vee) of the product
+    formula, as Phi and its dual have one height partition (Kostant 1959).
     """
     h = tuple(_reflect_to_dominant(marks, rs.cartan)[0])
     k = _reflect_to_dominant([-m for m in h], rs.cartan)[1]
-    return h, tuple(-x for x in k), _orbit_size(rs, h)
+    alpha_h = rs._np["roots"] @ np.array(   # exact in int64 below 2^32
+        h, np.int64 if max(h) < 2**32 else object)
+    exps = alpha_h[alpha_h > 0].tolist()
+    return _Sl2(h, tuple(-x for x in k), _orbit_size(rs, h),
+                tuple(sorted(Counter(exps).items())), sum(exps),
+                max(exps, default=0), math.prod(exps), len(exps))
 
 
 def _lambda_of_h(rs: RootSystem, lam: Weight, marks) -> int:
@@ -232,40 +245,38 @@ def _lambda_of_h(rs: RootSystem, lam: Weight, marks) -> int:
     return val // den
 
 
-def _quotient(poly, exps, dim: int, lam: Weight, marks) -> np.ndarray:
-    """The row of poly / prod_e (1 - t^e): in place, one running sum down
-    the rows of e terms per factor.  Each partial quotient is the quotient,
-    whose terms sum to dim = dim L(lambda), times some of the (1 - t^e), so
-    its terms are at most dim 2^|exps| in size: int64 holds them below
-    2^63, and Python ints past it."""
-    n, big = len(poly), dim << len(exps) >= 2**63
-    out = np.zeros(n + max(exps, default=0), object if big else np.int64)
-    out[:n] = poly               # zeros past n give strides whole rows
-    for e, times in Counter(exps).items():
-        rows = out[:-(-n // e) * e].reshape(-1, e)
+def _quotient(buf: np.ndarray, n: int, s: _Sl2, lam: Weight) -> np.ndarray:
+    """The row of poly / prod_e (1 - t^e), e the exponents of s and poly the
+    first n terms of buf, then s.e_max zeros: in place, one running sum down
+    the rows of e terms per factor.  Each partial quotient is the quotient
+    (its terms sum to dim L(lambda)) times some (1 - t^e), so its terms are
+    at most dim 2^count: callers pass int64 below 2^63, else Python ints."""
+    for e, times in s.groups:
+        rows = buf[:-(-n // e) * e].reshape(-1, e)
         for _ in range(times):
             np.add.accumulate(rows, axis=0, out=rows)
-    top = n - 1 - sum(exps)
-    if top < 0 or out[top + 1:n].any():
+    top = n - 1 - s.e_sum
+    if top < 0 or buf[top + 1:n].any():
         raise CharacterError(
-            f"character sum of {lam} at marks {marks} is not a polynomial")
-    return out[:top + 1]
+            f"character sum of {lam} at marks {s.h} is not a polynomial")
+    return buf[:top + 1]
 
 
-def _by_product(rs: RootSystem, lam: Weight, marks) -> np.ndarray:
+def _by_product(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
     """The row for the principal h = 2 rho_vee, from prod_{alpha>0} (1 -
-    t^a_alpha) / (1 - t^b_alpha) = sum_mu mult(mu) t^{2 ht(lambda - mu)},
-    a_alpha = 2 <lambda + rho, alpha_vee>, b_alpha = 2 <rho, alpha_vee>;
-    _quotient's dtype holds the numerator, whose terms are <= 2^|Phi+|."""
-    coroots = 2 * rs._np["coroots"]
-    a = (coroots @ np.array([x + 1 for x in lam.coords], np.int64)).tolist()
-    b = coroots.sum(axis=1).tolist()
-    dim = math.prod(a) // math.prod(b)   # Weyl's formula, the value at t = 1
-    num = np.zeros(sum(a) + 1, object if dim << len(a) >= 2**63 else np.int64)
+    t^a_alpha) / (1 - t^alpha(h)) = sum_mu mult(mu) t^{2 ht(lambda - mu)},
+    a_alpha = 2 <lambda + rho, alpha_vee>; the buffer takes _quotient's
+    dtype, which holds the numerator, whose terms are at most 2^|Phi+|."""
+    a = (rs._np["coroots"] @ np.array([2 * x + 2 for x in lam.coords],
+                                      np.int64)).tolist()
+    n = sum(a) + 1
+    dim = math.prod(a) // s.e_prod   # Weyl's formula, the value at t = 1
+    num = np.zeros(n + s.e_max, object if dim << s.e_count >= 2**63
+                   else np.int64)
     num[0] = 1
-    for deg, e in zip(accumulate(a), a):   # times (1 - t^e), in place:
-        num[e:deg + 1] -= num[:deg + 1 - e]   # numpy copies the overlap
-    return _quotient(num, b, dim, lam, marks)
+    for deg, e in zip(accumulate(a), a):   # times (1 - t^e), in place
+        num[e:deg + 1] -= num[:deg + 1 - e].copy()
+    return _quotient(num, n, s, lam)
 
 
 class _Memo:
@@ -297,7 +308,6 @@ class _CosetTable(NamedTuple):
     vanish: np.ndarray  # uint8 (past 255 roots, wider): the |Phi_J+| positive
     #                     roots vanishing on h', one row per coset
     den: int            # prod_{alpha in Phi_J+} (rho, alpha)
-    exps: tuple         # alpha(h) for the positive roots with alpha(h) > 0
 
 
 @partial(_Memo, maxsize=4)
@@ -334,11 +344,10 @@ def _coset_table(rs: RootSystem, marks: tuple) -> _CosetTable:
     den = math.prod((roots[alpha_h == 0] * rs._np["d"]).sum(axis=1).tolist())
     for a in (K, signs, vanish):
         a.setflags(write=False)
-    return _CosetTable(K, signs, vanish, den,
-                       tuple(alpha_h[alpha_h > 0].tolist()))
+    return _CosetTable(K, signs, vanish, den)
 
 
-def _by_cosets(rs: RootSystem, lam: Weight, marks) -> np.ndarray:
+def _by_cosets(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
     """The row by the coset sum over W_J\\W, J = {i : alpha_i(h) = 0}:
 
     sum_mu mult(mu) t^{(lambda-mu)(h)} = sum_w sgn(w) dim_J(w xi - rho)
@@ -354,8 +363,9 @@ def _by_cosets(rs: RootSystem, lam: Weight, marks) -> np.ndarray:
     one row of a gather.  Products run in int64 only where a bound taken
     first (max (xi, beta) ** |Phi_J+|) proves that they and their sum fit.
     """
-    t = _coset_table(rs, tuple(marks))
+    t = _coset_table(rs, s.h)
     xi = [x + 1 for x in lam.coords]
+    n = sum(map(mul, s.c, xi)) + 1   # c is the largest row of K (see _sl2)
     # xi_j <= K . xi <= PARABOLIC_CAP wherever some row has K_j > 0, so
     # clipping xi there changes no degree, and int32 holds every partial sum
     degrees = t.K @ np.array([min(x, PARABOLIC_CAP) for x in xi], np.int32)
@@ -367,13 +377,17 @@ def _by_cosets(rs: RootSystem, lam: Weight, marks) -> np.ndarray:
     top = max(pairs.tolist()) ** t.vanish.shape[1]
     fits = top < 2**63 and len(t.K) * (top // t.den) < 2**63
     prods = pairs.astype(np.int64 if fits else object)[t.vanish].prod(axis=1)
-    if (prods % t.den).any():
-        raise CharacterError(
-            f"Levi dimension at marks {marks} is not integral")
-    poly = np.zeros(degrees.max() + 1, prods.dtype)
-    np.add.at(poly, degrees, t.signs * (prods // t.den))
+    if t.den != 1:
+        if (prods % t.den).any():
+            raise CharacterError(
+                f"Levi dimension at marks {s.h} is not integral")
+        prods //= t.den
     dim = math.prod(pairs.tolist()) // math.prod(rd.sum(axis=1).tolist())
-    return _quotient(poly, t.exps, dim, lam, marks)
+    poly = np.zeros(n + s.e_max, prods.dtype)
+    np.add.at(poly, degrees, t.signs * prods)
+    # the sum's bound set its dtype, and _quotient's sets the division's
+    return _quotient(poly.astype(np.int64 if dim << s.e_count < 2**63
+                                 else object, copy=False), n, s, lam)
 
 
 def _by_orbits(rs: RootSystem, lam: Weight, marks) -> np.ndarray:

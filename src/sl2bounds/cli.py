@@ -11,6 +11,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from importlib import resources
 
@@ -130,16 +131,6 @@ def _emit_obj(args, obj, text_fn):
         text_fn()
 
 
-def _golden_diff(grid, gold, label):
-    """Return mismatch descriptions against an embedded golden table."""
-    diffs = []
-    for i, row in enumerate(grid):
-        for j, v in enumerate(row):
-            if v != gold[i][j]:
-                diffs.append(f"{label}[{i}][{j}]: got {v}, expected {gold[i][j]}")
-    return diffs
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -208,10 +199,11 @@ def _table_cmd(args, entry_fn, fixture, label):
     _emit_table(args, rows, header)
     if args.golden:
         gold = _load_fixture(fixture)["table"]
-        diffs = _golden_diff(grid, gold, label)
+        diffs = [f"{label}[{i}][{j}]: got {v}, expected {gold[i][j]}"
+                 for i, row in enumerate(grid) for j, v in enumerate(row)
+                 if v != gold[i][j]]
         if diffs:
-            for d in diffs:
-                print(d, file=sys.stderr)
+            print(*diffs, sep="\n", file=sys.stderr)
             return EXIT_GOLDEN_MISMATCH
         print(f"golden check passed: {label} matches the embedded table",
               file=sys.stderr)
@@ -396,6 +388,9 @@ def main(argv=None) -> int:
             bounds.BoundsError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except BrokenPipeError:   # as in `| head -1`; the last flush goes nowhere
+        sys.stdout = open(os.devnull, "w")
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -261,13 +261,9 @@ def build(components) -> RootSystem:
             f"positive-root closure produced {len(roots)} roots, "
             f"expected {expected}")
 
-    rs = RootSystem(
-        components=comps,
-        rank=rank,
-        cartan=tuple(tuple(row) for row in cartan),
-        symmetrizers=tuple(d),
-        positive_roots=tuple(roots),
-    )
+    rs = RootSystem(components=comps, rank=rank,
+                    cartan=tuple(tuple(row) for row in cartan),
+                    symmetrizers=tuple(d), positive_roots=tuple(roots))
     A = np.array(cartan, dtype=np.int64)
     rootmat = np.array(roots, dtype=np.int64)           # (nroots, rank)
     rs._np["A"] = A
@@ -452,12 +448,9 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     """dim L(lambda) by the Weyl dimension formula, exact."""
     _check_weight(rs, lam, "weyl_dimension")
     d = rs.symmetrizers
-    num = den = 1
-    for root in rs.positive_roots:
-        top = sum(root[i] * d[i] * (lam.coords[i] + 1) for i in range(rs.rank))
-        bot = sum(root[i] * d[i] for i in range(rs.rank))
-        num *= top
-        den *= bot
+    xi = [di * (x + 1) for di, x in zip(d, lam.coords)]
+    num = math.prod(sum(map(mul, root, xi)) for root in rs.positive_roots)
+    den = math.prod(sum(map(mul, root, d)) for root in rs.positive_roots)
     dim, r = divmod(num, den)
     if r:
         raise RootSystemError("Weyl dimension product not integral")

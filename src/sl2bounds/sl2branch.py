@@ -89,14 +89,14 @@ def sl2_decompose(rs: RootSystem, lam: Weight, emb: Sl2Embedding) -> Sl2Decompos
     N symmetric under negation and every computed multiplicity nonnegative.
     """
     lam_h, row = _weight_row(rs, lam, emb.marks)
-    if len(row) != 2 * lam_h + 1 or not np.array_equal(row, row[::-1]):
+    if len(row) != 2 * lam_h + 1 or not (row == row[::-1]).all():
         N = _histogram(lam_h, row)   # its ends are nonzero: some N_j != N_-j
         j = next(j for j, n in N.items() if N.get(-j, 0) != n)
         raise BranchingError(f"weight-value histogram not symmetric at {j} "
                              f"(marks {emb.marks} are not an sl2 triple?)")
     v_row = row[:lam_h + 1].copy()
     v_row[2:] -= row[:lam_h - 1]
-    if (v_row < 0).any():
+    if v_row.min() < 0:
         j = int(np.flatnonzero(v_row < 0)[-1])
         raise BranchingError(
             f"negative multiplicity for V({lam_h - j}) (marks {emb.marks})")

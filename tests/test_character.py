@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from functools import lru_cache
 from operator import mul
 from pathlib import Path
@@ -187,11 +188,12 @@ def _weight_values_from(expansion, marks):
 
 def _answer(path, rs, lam, marks):
     """What full_weight_values returns when this path answers: the path
-    runs on the dominant conjugate h of the marks, and its row is read as
-    the histogram lambda(h) - k -> row[k]."""
-    h = character._sl2(rs, tuple(marks))[0]
-    lam_h = character._lambda_of_h(rs, lam, h)
-    return {lam_h - k: n for k, n in enumerate(path(rs, lam, h).tolist()) if n}
+    runs on the per-sl2 record of the marks, whose h is their dominant
+    conjugate, and its row is read as the histogram lambda(h) - k ->
+    row[k]."""
+    s = character._sl2(rs, tuple(marks))
+    lam_h = character._lambda_of_h(rs, lam, s.h)
+    return {lam_h - k: n for k, n in enumerate(path(rs, lam, s).tolist()) if n}
 
 
 def _by_product(rs, lam, marks):
@@ -203,7 +205,8 @@ def _by_cosets(rs, lam, marks):
 
 
 def _by_orbits(rs, lam, marks):
-    return _answer(character._by_orbits, rs, lam, marks)
+    return _answer(lambda rs, lam, s: character._by_orbits(rs, lam, s.h),
+                   rs, lam, marks)
 
 
 def _assert_three_ways(rs, lam):
@@ -284,7 +287,7 @@ def test_marks_conjugate_to_dominant():
     # conjugation.
     rs = build([("B", 4)])
     lam = Weight((0, 1, 0, 1))
-    marks = character._sl2(rs, (2, -1, 0, 0))[0]
+    marks = character._sl2(rs, (2, -1, 0, 0)).h
     assert marks == tuple(root_embedding(rs, (1, 2, 2, 2)).marks) \
         == (0, 1, 0, 0)
     # h - h' = sum k_j alpha_j_vee, so lambda(h') = lambda(h) - k . lambda
@@ -360,7 +363,7 @@ def test_small_weight_past_a_million_cosets_builds_no_table(answered):
     # adjoint is answered by the orbit expansion, and no table is built.
     rs = build([("E", 8)])
     marks = (0, 0, 0, 0, 2, 0, 2, 2)
-    assert character._sl2(rs, marks)[2] == 2903040
+    assert character._sl2(rs, marks).cosets == 2903040
     before = character._coset_table.cache_info()
     N = full_weight_values(rs, Weight((0,) * 7 + (1,)), marks)
     info = character._coset_table.cache_info()
@@ -444,7 +447,7 @@ def test_coset_degree_cap_boundary(answered):
     # expansion does (and refuses L(49999, 0) at the weight cap).
     rs = build([("A", 2)])
     assert tuple(root_embedding(rs, (1, 1)).marks) == (1, 1)
-    assert character._sl2(rs, (1, 1))[1] == (2, 2)
+    assert character._sl2(rs, (1, 1)).c == (2, 2)
     lam = Weight((49998, 0))
     assert sum(full_weight_values(rs, lam, (1, 1)).values()) == \
         weyl_dimension(rs, lam)
@@ -478,15 +481,15 @@ def test_degree_formula_matches_reflection_of_xi(fam, rank):
     marks += [tuple(a + b for a, b in zip(alpha_1, marks[-1])), (2,) * rank]
     columns = tuple(zip(*rs.cartan))
     for m in marks:
-        h, c, cosets = character._sl2(rs, tuple(m))
+        s = character._sl2(rs, tuple(m))
         for _ in range(3):
             xi = [rng.randint(1, 50) for _ in range(rank)]
             k = _reflect_to_dominant([-x for x in xi], columns)[1]
-            assert sum(map(mul, c, xi)) == -sum(map(mul, k, h)), (m, xi)
-        if cosets <= 2000:
-            K = character._coset_table(rs, h).K.tolist()
-            assert list(c) in K, m
-            assert [max(col) for col in zip(*K)] == list(c), m
+            assert sum(map(mul, s.c, xi)) == -sum(map(mul, k, s.h)), (m, xi)
+        if s.cosets <= 2000:
+            K = character._coset_table(rs, s.h).K.tolist()
+            assert list(s.c) in K, m
+            assert [max(col) for col in zip(*K)] == list(s.c), m
 
 
 def test_conjugates_of_the_principal_marks_take_the_product_formula(
@@ -505,6 +508,67 @@ def test_conjugates_of_the_principal_marks_take_the_product_formula(
     assert N == full_weight_values(e8, lam, (2,) * 8)
     assert sum(N.values()) == weyl_dimension(e8, lam)
     assert answered == {"_by_product": 2 * len(box) + 2}
+
+
+def _record_exponents(s):
+    """The exponents e of the record's denominator prod (1 - t^e), listed
+    from its groups, after checking its sum, max, product and count."""
+    exps = [e for e, times in s.groups for _ in range(times)]
+    assert [e for e, _ in s.groups] == sorted({e for e in exps})
+    assert (s.e_sum, s.e_max, s.e_prod, s.e_count) == (
+        sum(exps), max(exps, default=0), math.prod(exps), len(exps))
+    return exps
+
+
+@pytest.mark.parametrize("fam,rank", _SIMPLE_TYPES,
+                         ids=[f"{f}{r}" for f, r in _SIMPLE_TYPES])
+def test_product_formula_shares_the_principal_denominator(fam, rank):
+    # Kostant: the product formula's exponents 2 ht(alpha_vee) and the
+    # alpha(2 rho_vee) = 2 ht(alpha) agree as multisets, since Phi and its
+    # dual have the same height partition; the record holds the latter.
+    rs = build([(fam, rank)])
+    coroot_heights = sorted(2 * sum(c) for c in rs._np["coroots"].tolist())
+    root_heights = sorted(2 * sum(a) for a in rs.positive_roots)
+    assert coroot_heights == root_heights == \
+        _record_exponents(character._sl2(rs, (2,) * rank))
+    if fam in "BCFG":   # where roots and coroots differ as coordinates
+        assert sorted(rs._np["coroots"].tolist()) != \
+            sorted(map(list, rs.positive_roots))
+
+
+_RANK_6 = [(f, r) for f, r in _SIMPLE_TYPES if r <= 6]
+
+
+@pytest.mark.parametrize("fam,rank", _RANK_6,
+                         ids=[f"{f}{r}" for f, r in _RANK_6])
+def test_root_sl2_record_holds_the_positive_root_values(fam, rank):
+    # The record's exponents are the alpha(h) > 0 of the dominant h; the
+    # multiset {alpha(h) : alpha(h) > 0} is Weyl-invariant, so it is read
+    # here from the root's own marks, |alpha(marks)| over alpha > 0.
+    rs = build([(fam, rank)])
+    for beta in rs.positive_roots:
+        marks = root_embedding(rs, beta).marks
+        values = (abs(sum(map(mul, a, marks))) for a in rs.positive_roots)
+        assert _record_exponents(character._sl2(rs, marks)) == \
+            sorted(v for v in values if v), beta
+
+
+_RANK_4 = [(f, r) for f, r in _SIMPLE_TYPES if r <= 4]
+
+
+@pytest.mark.parametrize("fam,rank", _RANK_4,
+                         ids=[f"{f}{r}" for f, r in _RANK_4])
+def test_product_rows_match_orbit_rows_on_a_seeded_box(fam, rank):
+    # The product formula with the record's denominator against the orbit
+    # expansion, row for row, including B, C, F and G, where roots and
+    # coroots differ.
+    rs, h = build([(fam, rank)]), (2,) * rank
+    s = character._sl2(rs, h)
+    box = list(itertools.product(range(3), repeat=rank))
+    for lam in random.Random(rank).sample(box, min(6, len(box))):
+        lam = Weight(lam)
+        assert np.array_equal(character._by_product(rs, lam, s),
+                              character._by_orbits(rs, lam, h)), lam
 
 
 def test_principal_values_e6_against_freudenthal():
@@ -531,21 +595,30 @@ def test_product_row_dtype_boundary(fam, rank, lam, int64):
     rs, lam, h = build([(fam, rank)]), Weight(lam), (2,) * rank
     dim = weyl_dimension(rs, lam)
     assert (dim << len(rs.positive_roots) < 2**63) == int64
-    product = character._by_product(rs, lam, h)
+    product = character._by_product(rs, lam, character._sl2(rs, h))
     assert (product.dtype == np.int64) == int64
     assert np.array_equal(product, character._by_orbits(rs, lam, h))
     assert sum(product.tolist()) == dim
 
 
+def _with_denominator(s, exps):
+    """The per-sl2 record s with prod_e (1 - t^e) as its denominator."""
+    return s._replace(groups=tuple(sorted(Counter(exps).items())),
+                      e_sum=sum(exps), e_max=max(exps),
+                      e_prod=math.prod(exps), e_count=len(exps))
+
+
 def test_product_numerator_past_int64_stays_exact(monkeypatch):
     # 70 copies of A1's positive coroot make the numerator (1 - t^4)^70,
-    # whose middle terms pass 2^63, and the row that of (1 + t^2)^70: the
-    # bound dim 2^|Phi+| must put the numerator in Python ints too.
+    # whose middle terms pass 2^63, and with 70 copies of its denominator
+    # (1 - t^2) the row that of (1 + t^2)^70: the bound dim 2^|Phi+| must
+    # put the numerator in Python ints too.
     rs = build([("A", 1)])
     monkeypatch.setitem(rs._np, "coroots",
                         np.repeat(rs._np["coroots"], 70, axis=0))
     assert math.comb(70, 35) > 2**63
-    row = character._by_product(rs, Weight((1,)), (2,))
+    s = _with_denominator(character._sl2(rs, (2,)), [2] * 70)
+    row = character._by_product(rs, Weight((1,)), s)
     assert row[::2].tolist() == [math.comb(70, k) for k in range(71)]
     assert not row[1::2].any()
 
@@ -554,7 +627,7 @@ def test_orbit_row_past_int64_stays_exact(monkeypatch):
     # Multiplicities scaled by 2^62 put dim L(lambda) past 2^63, so the
     # orbit expansion must add its counts in Python ints, not wrap int64.
     rs = build([("B", 3)])
-    lam, h = Weight((1, 0, 1)), character._sl2(rs, (0, 1, 0))[0]
+    lam, h = Weight((1, 0, 1)), character._sl2(rs, (0, 1, 0)).h
     want = character._by_orbits(rs, lam, h)
     assert want.dtype == np.int64
     real = character._dominant_weights
@@ -581,9 +654,10 @@ def test_every_path_row_sums_to_the_weyl_dimension(fam, rank, lam):
     # expansion at the principal h and at the highest root's.
     rs, lam, principal = build([(fam, rank)]), Weight(lam), (2,) * rank
     theta = root_embedding(rs, rs.positive_roots[-1]).marks
-    rows = [character._by_product(rs, lam, principal)] + [
-        path(rs, lam, character._sl2(rs, h)[0]) for h in (principal, theta)
-        for path in (character._by_cosets, character._by_orbits)]
+    rows = [character._by_product(rs, lam, character._sl2(rs, principal))]
+    for s in (character._sl2(rs, principal), character._sl2(rs, theta)):
+        rows += [character._by_cosets(rs, lam, s),
+                 character._by_orbits(rs, lam, s.h)]
     assert [sum(row.tolist()) for row in rows] == [weyl_dimension(rs, lam)] * 5
 
 
@@ -606,6 +680,16 @@ def _divide_by_loop(poly, exps):
     return poly
 
 
+def _quotient(poly, exps, dim):
+    """character._quotient on a record holding exps, with poly written into
+    a buffer of the dtype its callers take for dim L(lambda) = dim."""
+    s = _with_denominator(character._sl2(build([("A", 1)]), (2,)), exps)
+    buf = np.zeros(len(poly) + s.e_max,
+                   np.int64 if dim << s.e_count < 2**63 else object)
+    buf[:len(poly)] = poly
+    return character._quotient(buf, len(poly), s, Weight((0,)))
+
+
 def test_division_matches_the_loop_in_int64_and_in_python_ints():
     # dim L(lambda) 2^|exps| below 2^63 divides in int64, past it over
     # Python ints; both match the loop, and both refuse a remainder.
@@ -619,15 +703,13 @@ def test_division_matches_the_loop_in_int64_and_in_python_ints():
         loop = _divide_by_loop(poly.tolist(), exps)
         assert loop == quotient + [0] * sum(exps)
         for dim in (sum(quotient), 2**62):
-            args = exps, dim, Weight((0,)), (2,)
-            assert character._quotient(poly.tolist(), *args).tolist() == \
-                quotient
-            assert character._quotient(poly, *args).tolist() == quotient
+            for coeffs in (poly.tolist(), poly):
+                assert _quotient(coeffs, exps, dim).tolist() == quotient
         poly[rng.randrange(len(poly))] += 1
         assert any(_divide_by_loop(poly.tolist(), exps)[len(quotient):])
         for dim in (sum(quotient), 2**62):
             with pytest.raises(CharacterError, match="not a polynomial"):
-                character._quotient(poly, exps, dim, Weight((0,)), (2,))
+                _quotient(poly, exps, dim)
 
 
 # The spec weights of the benchmark's large-root-branching workload and the

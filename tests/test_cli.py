@@ -303,6 +303,27 @@ def test_parabolic_and_e_tables():
     assert run("e-table", "--rank-cap", "0") == (EXIT_OK, "type  e\n", "")
 
 
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, as in `sl2bounds ... | head -1`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ("e-table", "--rank-cap", "30", "--format", "csv"), ("describe", "G", "2")])
+def test_closed_stdout_ends_quietly(monkeypatch, argv):
+    # A closed pipe ends the command with exit 0 and nothing on stderr, and
+    # stdout is left on devnull, where the interpreter's last flush goes.
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    monkeypatch.setattr(sys, "stderr", err)
+    assert main(list(argv)) == EXIT_OK
+    assert err.getvalue() == ""
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+
+
 def test_csv_is_refused_where_no_table_is_printed(monkeypatch):
     # Only table1, table2, parabolic-table and e-table print a table; the
     # other commands refuse --format csv as usage, before computing anything.
