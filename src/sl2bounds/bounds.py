@@ -13,7 +13,7 @@ from .rootsys import (FAMILIES, RootSystem, SimpleComponent, Weight, _ranks,
 from .sl2branch import Sl2Embedding, g0, invariant_dim
 
 DEFAULT_M_CAP = 64
-E_SET_CAP = 64  # dim_k; E_set(64) walks ranks <= 63 in about 0.5 s
+E_SET_CAP = 64  # dim_k; E_set(64) takes about 10 ms, mostly naming types
 
 
 class BoundsError(ValueError):
@@ -162,9 +162,22 @@ def parabolic_table(comp: SimpleComponent):
     return rows
 
 
+# e per family at rank n, 1 + the least dim G/P_k (Bourbaki, Lie Groups and
+# Lie Algebras VI, Plates I-IX): P_1 gives P^n for A_n, P^{2n-1} for C_n and
+# the quadrics of dimension 2n - 1 for B_n and 2n - 2 for D_n, whose spinor
+# variety G/P_n, of dimension n(n-1)/2, is smaller at n = 3 (D3 = A3); E6,
+# E7, E8, F4 and G2 have least dim G/P_k 16, 27, 57, 15 and 5.
+_E_FORMS = {"A": lambda n: n + 1, "B": lambda n: 2 * n, "C": lambda n: 2 * n,
+            "D": lambda n: min(2 * n - 1, n * (n - 1) // 2 + 1),
+            "E": {6: 17, 7: 28, 8: 58}.get, "F": lambda n: 16,
+            "G": lambda n: 6}
+
+
 def e_value(comp: SimpleComponent) -> int:
-    """Minimum highest-weight-orbit dimension over the maximal parabolics."""
-    return min(row.dim_X for row in parabolic_table(comp))
+    """Minimum highest-weight-orbit dimension over the maximal parabolics,
+    min dim_X of parabolic_table, by its closed form per family (Bourbaki,
+    Lie Groups and Lie Algebras VI, Plates I-IX); no diagram is walked."""
+    return _E_FORMS[comp.family](comp.rank)
 
 
 def _all_simple_types(rank_cap: int):

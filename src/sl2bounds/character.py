@@ -216,20 +216,29 @@ def _sl2(rs: RootSystem, marks: tuple) -> _Sl2:
     ascending, and their sum, max, product and count.
 
     The weights of L(lambda) are W-stable, so h and its conjugates have the
-    same weight-value histogram.  Reflecting -h to dominant gives h*, and
-    -h - h* = sum k_j alpha_j_vee, so c = -k.  For xi = lambda + rho both
-    formulas' numerators have degree (xi - w0 xi)(h) = c . xi in t (c is
-    the K of w0 in _coset_table), or half that in q = t^2 for the principal
-    h = h*, and both divide by prod (1 - t^e): for h = 2 rho_vee the e =
-    2 ht(alpha) are the 2 <rho, alpha_vee> = 2 ht(alpha_vee) of the product
-    formula, as Phi and its dual have one height partition (Kostant 1959).
+    same weight-value histogram.  h* has the marks alpha_i(h*) =
+    alpha_sigma(i)(h), sigma the node permutation of -w0, and the coroot
+    coordinates of marks m are A^-T m.  |W h| is Macdonald's product of
+    (ht alpha + 1) / ht alpha over the alpha(h) > 0.  For xi = lambda + rho
+    both formulas' numerators have degree (xi - w0 xi)(h) = c . xi in t (c
+    is the K of w0 in _coset_table), or half that in q = t^2 for the
+    principal h = h*, and both divide by prod (1 - t^e): for h = 2 rho_vee
+    the e = 2 ht(alpha) are the 2 <rho, alpha_vee> = 2 ht(alpha_vee) of the
+    product formula, as Phi and its dual have one height partition
+    (Kostant 1959).
     """
     h = tuple(_reflect_to_dominant(marks, rs.cartan)[0])
-    k = _reflect_to_dominant([-m for m in h], rs.cartan)[1]
+    den, N = rs._np["Ainv_int"]
+    both = [x + h[j] for x, j in zip(h, rs._np["sigma"])]
+    c = [sum(map(mul, col, both)) for col in zip(*N)]
+    if any(x % den for x in c):
+        raise CharacterError(f"h + h* is not integral at marks {h}")
     alpha_h = rs._np["roots"] @ np.array(   # exact in int64 below 2^32
         h, np.int64 if max(h) < 2**32 else object)
-    exps = alpha_h[alpha_h > 0].tolist()
-    return _Sl2(h, tuple(-x for x in k), _orbit_size(rs, h),
+    up = alpha_h > 0
+    exps, heights = alpha_h[up].tolist(), rs._np["heights"][up].tolist()
+    return _Sl2(h, tuple(x // den for x in c),
+                math.prod(x + 1 for x in heights) // math.prod(heights),
                 tuple(sorted(Counter(exps).items())), sum(exps),
                 max(exps, default=0), math.prod(exps), len(exps))
 
@@ -341,7 +350,7 @@ def _coset_table(rs: RootSystem, marks: tuple) -> _CosetTable:
             for s in range(0, len(K), COSET_CHUNK)]
     vanish = np.concatenate(cols).astype(
         np.min_scalar_type(len(roots))).reshape(len(K), -1)
-    den = math.prod((roots[alpha_h == 0] * rs._np["d"]).sum(axis=1).tolist())
+    den = math.prod(rs._np["roots_d"][alpha_h == 0].sum(axis=1).tolist())
     for a in (K, signs, vanish):
         a.setflags(write=False)
     return _CosetTable(K, signs, vanish, den)
@@ -372,8 +381,7 @@ def _by_cosets(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
     # the degree cap bounds xi only where some mark is nonzero; past int64
     # headroom, the Levi pairings are formed in Python ints
     xi = np.array(xi, dtype=np.int64 if max(xi) < 2**32 else object)
-    rd = rs._np["roots"] * rs._np["d"]
-    pairs = rd @ xi
+    pairs = rs._np["roots_d"] @ xi
     top = max(pairs.tolist()) ** t.vanish.shape[1]
     fits = top < 2**63 and len(t.K) * (top // t.den) < 2**63
     prods = pairs.astype(np.int64 if fits else object)[t.vanish].prod(axis=1)
@@ -382,7 +390,7 @@ def _by_cosets(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
             raise CharacterError(
                 f"Levi dimension at marks {s.h} is not integral")
         prods //= t.den
-    dim = math.prod(pairs.tolist()) // math.prod(rd.sum(axis=1).tolist())
+    dim = math.prod(pairs.tolist()) // rs._np["weyl_den"]
     poly = np.zeros(n + s.e_max, prods.dtype)
     np.add.at(poly, degrees, t.signs * prods)
     # the sum's bound set its dtype, and _quotient's sets the division's

@@ -275,13 +275,21 @@ def build(components) -> RootSystem:
                                      for row in Ainv))
     rs._np["d"] = np.array(d, dtype=np.int64)
     rs._np["roots"] = rootmat
+    rs._np["heights"] = rootmat.sum(axis=1)
     rs._np["roots_wc"] = rootmat @ A.T                  # weight coords per root
-    # (alpha, alpha) per root: sum_i c_i d_i <alpha, alpha_i_vee> d_i ... via
-    # (alpha, alpha_i) = d_i * wc(alpha)_i
-    rs._np["roots_norm"] = (rootmat * rs._np["d"] * rs._np["roots_wc"]).sum(axis=1)
+    # (alpha, mu) = roots_d[alpha] . mu for mu in weight coords, as
+    # (alpha_i, omega_j) = d_i delta_ij; the Weyl denominator is the
+    # product of the (alpha, rho)
+    rs._np["roots_d"] = rootmat * rs._np["d"]
+    rs._np["weyl_den"] = math.prod(rs._np["roots_d"].sum(axis=1).tolist())
+    rs._np["roots_norm"] = (rs._np["roots_d"] * rs._np["roots_wc"]).sum(axis=1)
     # simple-coroot coordinates of alpha_vee = 2 alpha / (alpha, alpha)
-    rs._np["coroots"] = (2 * rootmat * rs._np["d"]
-                         // rs._np["roots_norm"][:, None])
+    rs._np["coroots"] = 2 * rs._np["roots_d"] // rs._np["roots_norm"][:, None]
+    # -w0 permutes the nodes, alpha_i -> alpha_sigma(i): the marks -(1, 2,
+    # ..., r) reflect to the dominant -w0 (1, 2, ..., r), whose i-th mark
+    # is sigma(i) + 1
+    rs._np["sigma"] = tuple(x - 1 for x in _reflect_to_dominant(
+        range(-1, -rank - 1, -1), cartan)[0])
 
     # fix of orientation required by the G2 labeling: dim L(omega_1) = 7
     off = 0
@@ -450,8 +458,7 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     d = rs.symmetrizers
     xi = [di * (x + 1) for di, x in zip(d, lam.coords)]
     num = math.prod(sum(map(mul, root, xi)) for root in rs.positive_roots)
-    den = math.prod(sum(map(mul, root, d)) for root in rs.positive_roots)
-    dim, r = divmod(num, den)
+    dim, r = divmod(num, rs._np["weyl_den"])
     if r:
         raise RootSystemError("Weyl dimension product not integral")
     return dim

@@ -195,8 +195,30 @@ def test_e_exceeds_rank(comp):
         assert sum(1 for r in roots if r[k]) >= comp.rank, (comp, k + 1)
 
 
+def _walked_e(comp):
+    """e by the Dynkin walk: the least dim_X of the parabolic table."""
+    return min(row.dim_X for row in parabolic_table(comp))
+
+
+@pytest.mark.parametrize("comp", list(bounds._all_simple_types(16)), ids=str)
+def test_e_closed_form_matches_the_dynkin_walk(comp):
+    assert e_value(comp) == _walked_e(comp)
+
+
+def test_e_value_walks_no_diagram(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("e_value walked a Dynkin diagram")
+
+    monkeypatch.setattr(bounds, "parabolic_table", forbidden)
+    monkeypatch.setattr(bounds, "levi_ss_components", forbidden)
+    assert [e_value(s) for s in map(SimpleComponent, "ABCDEFG",
+                                    (5, 5, 5, 5, 7, 4, 2))] == \
+        [6, 10, 10, 9, 28, 16, 6]
+
+
 def test_exclusion_set_matches_every_e_value_to_rank_12():
-    e = {s: e_value(s) for s in _RANK_12}
+    # E_set reads the closed forms; the reference takes e from the walk
+    e = {s: _walked_e(s) for s in _RANK_12}
     for d in range(1, 13):
         assert E_set(d) == sorted({_canonical(s) for s in _RANK_12
                                    if e[s] <= d},

@@ -16,8 +16,9 @@ from sl2bounds import (
     weyl_orbit,
 )
 from sl2bounds import character
-from sl2bounds.rootsys import (RootSystemError, _reflect_to_dominant,
-                                weight_to_root_coords)
+from sl2bounds.bounds import _all_simple_types
+from sl2bounds.rootsys import (RootSystemError, _orbit_size,
+                                _reflect_to_dominant, weight_to_root_coords)
 
 
 def mults_by_coords(ch):
@@ -551,6 +552,50 @@ def test_root_sl2_record_holds_the_positive_root_values(fam, rank):
         values = (abs(sum(map(mul, a, marks))) for a in rs.positive_roots)
         assert _record_exponents(character._sl2(rs, marks)) == \
             sorted(v for v in values if v), beta
+
+
+def _reflected_record(rs, marks):
+    """The per-sl2 record by reflection, the reference for _sl2: -h
+    reflected to dominant gives h* and -h - h* = sum k_j alpha_j_vee, so
+    c = -k; the cosets are rootsys._orbit_size of h."""
+    h = tuple(_reflect_to_dominant(marks, rs.cartan)[0])
+    k = _reflect_to_dominant([-m for m in h], rs.cartan)[1]
+    alpha_h = rs._np["roots"] @ np.array(h, np.int64)
+    exps = alpha_h[alpha_h > 0].tolist()
+    return character._Sl2(h, tuple(-x for x in k), _orbit_size(rs, h),
+                          tuple(sorted(Counter(exps).items())), sum(exps),
+                          max(exps, default=0), math.prod(exps), len(exps))
+
+
+# every simple type of rank <= 4, C2 and D3 included, then D5, E6 and two
+# products
+_RECORD_TYPES = ([[(s.family, s.rank)] for s in _all_simple_types(4)]
+                 + [[("D", 5)], [("E", 6)], [("A", 1), ("G", 2)],
+                    [("A", 2), ("B", 2)]])
+
+
+@pytest.mark.parametrize("comps", _RECORD_TYPES,
+                         ids=["+".join(f"{f}{r}" for f, r in c)
+                              for c in _RECORD_TYPES])
+def test_record_matches_reflection_on_small_marks(comps):
+    # c from the node permutation of -w0 and the cosets from the root
+    # heights, against the two reflections and _orbit_size, on every
+    # marks vector with entries in {-1, 0, 1, 2}.
+    rs = build(comps)
+    for marks in itertools.product((-1, 0, 1, 2), repeat=rs.rank):
+        assert character._sl2.__wrapped__(rs, marks) == \
+            _reflected_record(rs, marks), marks
+
+
+def test_record_refuses_a_non_integral_h_plus_h_star(monkeypatch):
+    # -w0 swaps A2's nodes; with sigma taken as the identity, h + h* for
+    # h = (1, 0) would be 2 omega_1_vee, whose coroot coordinates are
+    # (4/3, 2/3).
+    rs = build([("A", 2)])
+    assert rs._np["sigma"] == (1, 0)
+    monkeypatch.setitem(rs._np, "sigma", (0, 1))
+    with pytest.raises(CharacterError, match="not integral"):
+        character._sl2.__wrapped__(rs, (1, 0))
 
 
 _RANK_4 = [(f, r) for f, r in _SIMPLE_TYPES if r <= 4]
