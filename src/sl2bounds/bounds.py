@@ -5,7 +5,6 @@ maximal-parabolic dimension bookkeeping (dim g/l_ss, dim X, e, E).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .rootsys import (FAMILIES, RootSystem, SimpleComponent, Weight, _ranks,
@@ -13,7 +12,7 @@ from .rootsys import (FAMILIES, RootSystem, SimpleComponent, Weight, _ranks,
 from .sl2branch import Sl2Embedding, g0, invariant_dim
 
 DEFAULT_M_CAP = 64
-E_SET_CAP = 64  # dim_k; E_set(64) takes about 10 ms, mostly naming types
+E_SET_CAP = 64  # dim_k; a higher cap would print more types, not take long
 
 
 class BoundsError(ValueError):
@@ -91,13 +90,6 @@ def _neighbours(cartan):
                  for i, row in enumerate(cartan))
 
 
-@lru_cache(maxsize=None)
-def _diagram(comp: SimpleComponent):
-    """(d, neighbours) of a simple type's Cartan block."""
-    cartan, d = _simple_block(comp)
-    return tuple(d), _neighbours(cartan)
-
-
 def _identify(d, nbrs, nodes) -> SimpleComponent:
     """Simple type of the connected Dynkin subdiagram on ``nodes``, with
     nbrs from _neighbours of the whole block, named by its shape (Bourbaki
@@ -124,7 +116,9 @@ def _identify(d, nbrs, nodes) -> SimpleComponent:
 
 
 def _canonical(comp: SimpleComponent) -> SimpleComponent:
-    return _identify(*_diagram(comp), range(comp.rank))
+    """The name _identify gives a simple type: C2 is B2 and D3 is A3."""
+    return {"C2": SimpleComponent("B", 2),
+            "D3": SimpleComponent("A", 3)}.get(str(comp), comp)
 
 
 def levi_ss_components(comp: SimpleComponent, k: int):
@@ -133,11 +127,16 @@ def levi_ss_components(comp: SimpleComponent, k: int):
     parabolic.
 
     Reads only the Cartan block and the symmetrizers of ``comp`` (from
-    ``_simple_block``, once per type); no root system is built."""
+    ``_simple_block``); no root system is built."""
     if not 1 <= k <= comp.rank:
         raise BoundsError(f"node {k} out of range for {comp}")
-    d, nbrs = _diagram(comp)
-    rest = set(range(comp.rank)) - {k - 1}
+    cartan, d = _simple_block(comp)
+    return _levi(d, _neighbours(cartan), k)
+
+
+def _levi(d, nbrs, k: int):
+    """levi_ss_components of node k, from d and nbrs of its whole block."""
+    rest = set(range(len(d))) - {k - 1}
     out = []
     while rest:
         nodes = [rest.pop()]
@@ -150,10 +149,12 @@ def levi_ss_components(comp: SimpleComponent, k: int):
 
 
 def parabolic_table(comp: SimpleComponent):
-    """One ParabolicRow per Dynkin node of a simple type."""
-    rows = []
+    """One ParabolicRow per Dynkin node of a simple type, all split from
+    one reading of its Cartan block."""
+    cartan, d = _simple_block(comp)
+    nbrs, rows = _neighbours(cartan), []
     for k in range(1, comp.rank + 1):
-        levi = levi_ss_components(comp, k)
+        levi = _levi(d, nbrs, k)
         dml = comp.dim - sum(c.dim for c in levi)
         if dml % 2 == 0:
             raise BoundsError(f"dim g/l_ss = {dml} should be odd ({comp}, {k})")

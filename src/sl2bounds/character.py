@@ -370,7 +370,8 @@ def _by_cosets(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
     (xi - w xi)(h) = K . xi, and w^-1 maps Phi_J+ onto the positive roots
     beta vanishing on h': dim_J(w xi - rho) has numerator prod (xi, beta),
     one row of a gather.  Products run in int64 only where a bound taken
-    first (max (xi, beta) ** |Phi_J+|) proves that they and their sum fit.
+    first (max (xi, beta) ** |Phi_J+|) proves that they fit, and their sum
+    where len(K) times the largest quotient does (every (xi, beta) is > 0).
     """
     t = _coset_table(rs, s.h)
     xi = [x + 1 for x in lam.coords]
@@ -382,14 +383,15 @@ def _by_cosets(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
     # headroom, the Levi pairings are formed in Python ints
     xi = np.array(xi, dtype=np.int64 if max(xi) < 2**32 else object)
     pairs = rs._np["roots_d"] @ xi
-    top = max(pairs.tolist()) ** t.vanish.shape[1]
-    fits = top < 2**63 and len(t.K) * (top // t.den) < 2**63
+    fits = max(pairs.tolist()) ** t.vanish.shape[1] < 2**63
     prods = pairs.astype(np.int64 if fits else object)[t.vanish].prod(axis=1)
     if t.den != 1:
         if (prods % t.den).any():
             raise CharacterError(
                 f"Levi dimension at marks {s.h} is not integral")
         prods //= t.den
+    if len(prods) * int(prods.max()) >= 2**63:
+        prods = prods.astype(object, copy=False)
     dim = math.prod(pairs.tolist()) // rs._np["weyl_den"]
     poly = np.zeros(n + s.e_max, prods.dtype)
     np.add.at(poly, degrees, t.signs * prods)

@@ -18,6 +18,8 @@ Conventions used throughout the package:
 * The invariant form is normalized per simple block so short roots have
   squared length 2; the symmetrizers ``d[i] = (alpha_i, alpha_i)/2`` make
   ``diag(d) @ A`` symmetric.
+* Weights go to root coordinates N mu / den through one integer inverse
+  A N = den I; only weight_to_root_coords and inner_product form Fractions.
 """
 
 from __future__ import annotations
@@ -217,21 +219,23 @@ def _positive_roots_closure(cartan, rank):
     return sorted(roots, key=lambda c: (sum(c), c))
 
 
-def _invert_rational(mat):
-    """Exact inverse of a small integer matrix, as Fractions."""
-    n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] +
-           [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _inverse_int(mat):
+    """(den, N) with mat @ N = den I, den > 0 and gcd(den, N) = 1, by one
+    fraction-free Gauss-Jordan pass over [mat | I] (Bareiss 1968), which
+    ends as [det I | adj] with every division exact.  No pivot is zero:
+    diag(d) A is positive definite, so every leading minor of A is > 0."""
+    last, n = 1, len(mat)
+    aug = [[*row, *(int(i == j) for j in range(n))]
+           for i, row in enumerate(mat)]
+    for k, pivot in enumerate(aug):
+        p = pivot[k]
+        for i, row in enumerate(aug):
+            if i != k:
+                f = row[k]
+                aug[i] = [(p * x - f * y) // last for x, y in zip(row, pivot)]
+        last = p
+    g = math.gcd(last, *(x for row in aug for x in row[n:]))
+    return last // g, tuple(tuple(x // g for x in row[n:]) for row in aug)
 
 
 def build(components) -> RootSystem:
@@ -267,12 +271,7 @@ def build(components) -> RootSystem:
     A = np.array(cartan, dtype=np.int64)
     rootmat = np.array(roots, dtype=np.int64)           # (nroots, rank)
     rs._np["A"] = A
-    Ainv = _invert_rational(cartan)
-    rs._np["Ainv"] = Ainv
-    # (den, den * Ainv) in Python ints: exact root coordinates of any weight
-    den = math.lcm(*(x.denominator for row in Ainv for x in row))
-    rs._np["Ainv_int"] = (den, tuple(tuple(int(x * den) for x in row)
-                                     for row in Ainv))
+    rs._np["Ainv_int"] = _inverse_int(cartan)
     rs._np["d"] = np.array(d, dtype=np.int64)
     rs._np["roots"] = rootmat
     rs._np["heights"] = rootmat.sum(axis=1)
@@ -322,9 +321,8 @@ def root_to_weight_coords(rs: RootSystem, root) -> Weight:
 def weight_to_root_coords(rs: RootSystem, mu: Weight):
     """Simple-root coordinates of a weight, as exact Fractions."""
     _check_weight(rs, mu)
-    Ainv = rs._np["Ainv"]
-    return [sum(Ainv[i][j] * mu.coords[j] for j in range(rs.rank))
-            for i in range(rs.rank)]
+    den, N = rs._np["Ainv_int"]
+    return [Fraction(sum(map(mul, row, mu.coords)), den) for row in N]
 
 
 def inner_product(rs: RootSystem, mu: Weight, nu: Weight) -> Fraction:
@@ -334,9 +332,7 @@ def inner_product(rs: RootSystem, mu: Weight, nu: Weight) -> Fraction:
     """
     _check_weight(rs, mu)
     c = weight_to_root_coords(rs, nu)
-    d = rs.symmetrizers
-    return sum((c[j] * d[j] * mu.coords[j] for j in range(rs.rank)),
-               start=Fraction(0))
+    return sum(map(mul, c, map(mul, rs.symmetrizers, mu.coords)))
 
 
 def simple_reflection(rs: RootSystem, j: int, mu: Weight) -> Weight:

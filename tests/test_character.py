@@ -17,7 +17,7 @@ from sl2bounds import (
 )
 from sl2bounds import character
 from sl2bounds.bounds import _all_simple_types
-from sl2bounds.rootsys import (RootSystemError, _orbit_size,
+from sl2bounds.rootsys import (RootSystemError, _inverse_int, _orbit_size,
                                 _reflect_to_dominant, weight_to_root_coords)
 
 
@@ -169,7 +169,7 @@ def _oracle_expansion(rs, lam):
     expanded to its Weyl orbit; m is the multiplicity and D a common
     denominator of the q."""
     ch = weyl_alternating_character(rs, lam)
-    D = math.lcm(*(x.denominator for row in rs._np["Ainv"] for x in row))
+    D = _inverse_int(rs.cartan)[0]
     return D, [([int(x * D) for x in weight_to_root_coords(rs, nu)], m)
                for mu, m in ch.mults.items() for nu in weyl_orbit(rs, mu)]
 
@@ -426,6 +426,48 @@ def test_levi_products_past_int64_stay_exact():
     assert all(N[-v] == n for v, n in N.items())
     assert sum(N.values()) == weyl_dimension(rs, lam)
     assert sl2_decompose(rs, lam, emb).dimension() == weyl_dimension(rs, lam)
+
+
+@pytest.mark.parametrize("lam", [(24, 0, 0, 0, 0, 0, 0),
+                                 (0, 0, 0, 12, 0, 0, 0)], ids=_weight_id)
+def test_coset_sum_is_bounded_by_its_largest_product(lam):
+    # D7 at marks (0,0,0,2,0,0,0): 560 cosets, |Phi_J+| = 12.  560 times
+    # max (xi, beta)^12 / den is about 2^64, but 560 times the largest
+    # quotient is 2^38 at 24 omega_1 and 2^48 at 12 omega_4, so the sum
+    # runs in int64.  It must match the sum in Python ints over the same
+    # table, divided by prod (1 - t^e) term by term.
+    rs = build([("D", 7)])
+    lam = Weight(lam)
+    s = character._sl2(rs, (0, 0, 0, 2, 0, 0, 0))
+    t = character._coset_table(rs, s.h)
+    assert t.vanish.shape == (560, 12)
+    xi = [x + 1 for x in lam.coords]
+    pairs = [sum(map(mul, r, xi)) for r in rs._np["roots_d"].tolist()]
+    prods = [math.prod(pairs[b] for b in row) // t.den
+             for row in t.vanish.tolist()]
+    assert 560 * max(prods) < 2**63 <= 560 * (max(pairs) ** 12 // t.den)
+    poly = [0] * (sum(map(mul, s.c, xi)) + 1)
+    for row, sign, p in zip(t.K.tolist(), t.signs.tolist(), prods):
+        poly[sum(map(mul, row, xi))] += sign * p
+    for e, times in s.groups:
+        for _ in range(times):
+            for i in range(e, len(poly)):
+                poly[i] += poly[i - e]
+    row = character._by_cosets(rs, lam, s).tolist()
+    assert row == poly[:len(row)] and not any(poly[len(row):])
+    assert sum(row) == weyl_dimension(rs, lam)
+
+
+def test_coset_sum_past_int64_stays_exact():
+    # A1+A1+A2 at marks (0,0,2,2): six cosets, each with the product xi_1
+    # xi_2 of the two A1 pairings (den = 1), just below 2^63 at xi_1 = xi_2
+    # = 3037000499.  The two cosets of length 1 share a degree, so their sum
+    # passes 2^63 and must not run in int64.
+    rs = build([("A", 1), ("A", 1), ("A", 2)])
+    xi = 3037000499
+    assert xi**2 < 2**63 <= 2 * xi**2
+    lam = Weight((xi - 1, xi - 1, 0, 0))
+    assert _by_cosets(rs, lam, (0, 0, 2, 2)) == {0: xi**2}
 
 
 def test_principal_degree_cap_boundary(answered):

@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from sl2bounds import (
     inner_product, root_to_weight_coords, weyl_dimension, weyl_orbit,
 )
 from sl2bounds import rootsys
+from sl2bounds.bounds import _all_simple_types
 from sl2bounds.character import (
     dominant_character, full_weight_values, weyl_alternating_character)
 from sl2bounds.rootsys import _reflect_to_dominant, simple_reflection
@@ -277,14 +280,47 @@ def test_reflect_to_dominant_is_exact_for_huge_weights():
 
 def test_build_inverts_the_cartan_matrix_once(monkeypatch):
     calls = []
-    real = rootsys._invert_rational
-    monkeypatch.setattr(rootsys, "_invert_rational",
-                        lambda m: calls.append(m) or real(m))
+    real = rootsys._inverse_int
+    monkeypatch.setattr(rootsys, "_inverse_int",
+                        lambda m: calls.append(real(m)) or calls[-1])
     rs = build([("B", 3)])
-    assert len(calls) == 1
-    den, scaled = rs._np["Ainv_int"]
-    assert [[Fraction(x, den) for x in row] for row in scaled] == \
-        rs._np["Ainv"]
+    assert calls == [rs._np["Ainv_int"]]
+
+
+def test_integer_inverse_of_the_cartan_matrix():
+    # A N = den I with den > 0 and gcd(den, N) = 1 determines (den, N);
+    # A1 taken 40 times has det 2^40 but den 2.
+    products = [[("A", 1)] * 40, [("A", 1), ("G", 2)], [("A", 2), ("B", 2)],
+                [("E", 6), ("D", 5), ("A", 3)]]
+    for types in [[s] for s in _all_simple_types(24)] + products:
+        rs = build(types)
+        den, N = rs._np["Ainv_int"]
+        assert den > 0 and math.gcd(den, *itertools.chain(*N)) == 1, types
+        assert [[sum(map(mul, row, col)) for col in zip(*N)]
+                for row in rs.cartan] == [[den * (i == j) for j in range(
+                    rs.rank)] for i in range(rs.rank)], types
+    assert build([("A", 1)] * 40)._np["Ainv_int"][0] == 2
+
+
+# dual Coxeter numbers h_vee (Kac, Infinite-dimensional Lie algebras, 6.1)
+_DUAL_COXETER = {"A": lambda n: n + 1, "B": lambda n: 2 * n - 1,
+                 "C": lambda n: n + 1, "D": lambda n: 2 * n - 2,
+                 "E": {6: 12, 7: 18, 8: 30}.get, "F": lambda n: 9,
+                 "G": lambda n: 4}
+
+
+def test_strange_formula():
+    # Freudenthal-de Vries: |rho|^2 = h_vee dim g / 12 when long roots have
+    # squared length 2.  Here short roots do, so the form is max(d) times
+    # that one.
+    norms = {}
+    for s in _all_simple_types(16):
+        rs = build([s])
+        norms[str(s)] = inner_product(rs, rs.rho, rs.rho)
+        assert norms[str(s)] == Fraction(max(rs.symmetrizers) * s.dim *
+                                         _DUAL_COXETER[s.family](s.rank), 12)
+    assert [norms[t] for t in ("E6", "E7", "E8", "F4", "G2")] == [
+        78, Fraction(399, 2), 620, 78, 14]
 
 
 class _Walked(Exception):
