@@ -296,9 +296,10 @@ def test_integer_inverse_of_the_cartan_matrix():
         rs = build(types)
         den, N = rs._np["Ainv_int"]
         assert den > 0 and math.gcd(den, *itertools.chain(*N)) == 1, types
-        assert [[sum(map(mul, row, col)) for col in zip(*N)]
-                for row in rs.cartan] == [[den * (i == j) for j in range(
-                    rs.rank)] for i in range(rs.rank)], types
+        product = [[sum(map(mul, row, col)) for col in zip(*N)]
+                   for row in rs.cartan]
+        assert product == [[den * (i == j) for j in range(rs.rank)]
+                           for i in range(rs.rank)], types
     assert build([("A", 1)] * 40)._np["Ainv_int"][0] == 2
 
 
