@@ -1,14 +1,18 @@
 """Headline quantities: m-values, the uniform branching bound b, and
 maximal-parabolic dimension bookkeeping (dim g/l_ss, dim X, e, E).
+
+The Levi type of each maximal parabolic and e are read off closed forms
+per family (Bourbaki, Lie Groups and Lie Algebras VI, Plates I-IX); no
+Dynkin diagram is walked and no root system is built for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
-from .rootsys import (FAMILIES, RootSystem, SimpleComponent, Weight, _ranks,
-                      _simple_block)
+from .rootsys import FAMILIES, RootSystem, SimpleComponent, Weight, _ranks
 from .sl2branch import Sl2Embedding, g0, invariant_dim
 
 DEFAULT_M_CAP = 64
@@ -83,82 +87,73 @@ def b_bound(rs: RootSystem, emb: Sl2Embedding,
 # Maximal parabolics
 
 
-def _neighbours(cartan):
-    """Per node i of a Cartan block, its neighbours in the Dynkin diagram:
-    one pass over the block."""
-    return tuple(tuple(j for j, a in enumerate(row) if a and j != i)
-                 for i, row in enumerate(cartan))
-
-
-def _identify(d, nbrs, nodes) -> SimpleComponent:
-    """Simple type of the connected Dynkin subdiagram on ``nodes``, with
-    nbrs from _neighbours of the whole block, named by its shape (Bourbaki
-    VI, Plates I-IX).  The symmetrizers d give the bonds: a length ratio of
-    3 is G2; of 2, B_n with one short node, F4 with two of four, else C_n.
-    A simply-laced branch node is D_n's with two or three leaves next to
-    it, E_n's with one; anything else is A_n.  So C2 names as B2, D3 as A3."""
-    n = len(nodes)
-    ds = [d[i] for i in nodes]
-    ratio, short = max(ds) // min(ds), ds.count(min(ds))
-    if ratio == 3:
-        return SimpleComponent("G", 2)
-    if ratio == 2:
-        return SimpleComponent(
-            "B" if short == 1 else "F" if (n, short) == (4, 2) else "C", n)
-    inside = set(nodes)
-    for i in nodes:
-        linked = [j for j in nbrs[i] if j in inside]
-        if len(linked) == 3:
-            leaves = sum(sum(k in inside for k in nbrs[j]) == 1
-                         for j in linked)
-            return SimpleComponent("D" if leaves >= 2 else "E", n)
-    return SimpleComponent("A", n)
+_RENAMED = {"C2": SimpleComponent("B", 2), "D3": SimpleComponent("A", 3)}
 
 
 def _canonical(comp: SimpleComponent) -> SimpleComponent:
-    """The name _identify gives a simple type: C2 is B2 and D3 is A3."""
-    return {"C2": SimpleComponent("B", 2),
-            "D3": SimpleComponent("A", 3)}.get(str(comp), comp)
+    """The name a simple type goes by: C2 is B2 and D3 is A3."""
+    return _RENAMED.get(str(comp), comp)
+
+
+def _by_type(levi: str):
+    """The SimpleComponents of a Levi type like 'A1+A4', sorted."""
+    return tuple(sorted(SimpleComponent(c[0], int(c[1:]))
+                        for c in levi.split("+")))
+
+
+# The Levi types of the exceptional nodes, node 1 first (Bourbaki, Lie
+# Groups and Lie Algebras VI, Plates V-IX)
+_PLATES = {name: tuple(map(_by_type, levis.split())) for name, levis in {
+    "E6": "D5 A5 A1+A4 A1+A2+A2 A1+A4 D5",
+    "E7": "D6 A6 A1+A5 A1+A2+A3 A2+A4 A1+D5 E6",
+    "E8": "D7 A7 A1+A6 A1+A2+A4 A3+A4 A2+D5 A1+E6 E7",
+    "F4": "C3 A1+A2 A1+A2 B3", "G2": "A1 A1"}.items()}
+
+
+@cache
+def _piece(family: str, r: int):
+    """The components of the rank-r end of a classical diagram, named as
+    _canonical names them: none at rank 0, A1 at rank 1, two A1 for D2."""
+    if (family, r) == ("D", 2):
+        return _piece("A", 1) * 2
+    if r < 2:
+        return (SimpleComponent("A", 1),) * r
+    return (_canonical(SimpleComponent(family, r)),)
+
+
+def _levi(comp: SimpleComponent, k: int):
+    """levi_ss_components of node k, which is in range."""
+    n, fam = comp.rank, comp.family
+    if fam in "EFG":
+        return _PLATES[str(comp)][k - 1]
+    if fam == "D" and k >= n - 1:  # a spin node
+        return _piece("A", n - 1)
+    return tuple(sorted(_piece("A", k - 1) + _piece(fam, n - k)))
 
 
 def levi_ss_components(comp: SimpleComponent, k: int):
     """Simple components of the Dynkin diagram with node k (Bourbaki,
-    1-based) deleted: the semisimple Levi type of the k-th maximal
-    parabolic.
-
-    Reads only the Cartan block and the symmetrizers of ``comp`` (from
-    ``_simple_block``); no root system is built."""
+    1-based) deleted, sorted: the semisimple Levi type of the k-th maximal
+    parabolic, read off Bourbaki, Lie Groups and Lie Algebras VI, Plates
+    I-IX.  A_n leaves A_{k-1} + A_{n-k}; B_n, C_n and D_n leave A_{k-1}
+    and an end of rank n - k of their own family, but D_n's spin nodes
+    n - 1 and n leave A_{n-1}; E6, E7, E8, F4 and G2 read _PLATES."""
     if not 1 <= k <= comp.rank:
         raise BoundsError(f"node {k} out of range for {comp}")
-    cartan, d = _simple_block(comp)
-    return _levi(d, _neighbours(cartan), k)
-
-
-def _levi(d, nbrs, k: int):
-    """levi_ss_components of node k, from d and nbrs of its whole block."""
-    rest = set(range(len(d))) - {k - 1}
-    out = []
-    while rest:
-        nodes = [rest.pop()]
-        for i in nodes:  # nodes grows to the connected component of its head
-            linked = [j for j in nbrs[i] if j in rest]
-            nodes += linked
-            rest.difference_update(linked)
-        out.append(_identify(d, nbrs, nodes))
-    return sorted(out, key=lambda c: (c.family, c.rank))
+    return list(_levi(comp, k))
 
 
 def parabolic_table(comp: SimpleComponent):
-    """One ParabolicRow per Dynkin node of a simple type, all split from
-    one reading of its Cartan block."""
-    cartan, d = _simple_block(comp)
-    nbrs, rows = _neighbours(cartan), []
+    """One ParabolicRow per Dynkin node of a simple type, its Levi type by
+    the closed forms of levi_ss_components (Bourbaki, Lie Groups and Lie
+    Algebras VI, Plates I-IX)."""
+    rows = []
     for k in range(1, comp.rank + 1):
-        levi = _levi(d, nbrs, k)
+        levi = _levi(comp, k)
         dml = comp.dim - sum(c.dim for c in levi)
         if dml % 2 == 0:
             raise BoundsError(f"dim g/l_ss = {dml} should be odd ({comp}, {k})")
-        rows.append(ParabolicRow(node=k, levi_ss_components=tuple(levi),
+        rows.append(ParabolicRow(node=k, levi_ss_components=levi,
                                  dim_g_mod_lss=dml, dim_X=(dml + 1) // 2))
     return rows
 
@@ -196,4 +191,4 @@ def E_set(dim_k: int):
     if dim_k > E_SET_CAP:
         raise BoundsError(f"dim_k = {dim_k} exceeds cap {E_SET_CAP}")
     return sorted({_canonical(s) for s in _all_simple_types(dim_k - 1)
-                   if e_value(s) <= dim_k}, key=lambda c: (c.family, c.rank))
+                   if e_value(s) <= dim_k})

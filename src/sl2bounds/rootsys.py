@@ -68,7 +68,7 @@ class RootSystemError(ValueError):
     """Invalid root-system input (bad family letter or rank)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SimpleComponent:
     family: str
     rank: int

@@ -53,19 +53,22 @@ class ComplementResult:
 def _partition_fill(grid, gens):
     """Multiply grid in place by prod_g 1 / (1 - x^g), a cell v being the
     coefficient of x^v: for each g, the running sum P(v) += P(v - g) in
-    ascending order along an axis where g is positive, so the cells it
-    reads are already final.  On a bool grid += is an or.  A generator
-    that does not fit the box adds nothing and is skipped.
+    ascending blocks of a = g[ax] rows along g's largest coordinate ax.
+    Block [t, t + a) reads only block [t - a, t), which is already final,
+    so each block is one slice operation.  On a bool grid += is an or.  A
+    generator that does not fit the box adds nothing and is skipped.
     """
     shape = grid.shape
     for g in gens:
         if any(x >= s for x, s in zip(g, shape)):
             continue
-        ax = next(i for i, x in enumerate(g) if x)
+        a = max(g)
+        ax = g.index(a)
+        n = shape[ax]
         dst = [slice(x, None) for x in g]
         src = [slice(None, s - x) for x, s in zip(g, shape)]
-        for t in range(g[ax], shape[ax]):
-            dst[ax], src[ax] = t, t - g[ax]
+        for t in range(a, n, a):
+            dst[ax], src[ax] = slice(t, t + a), slice(t - a, min(t, n - a))
             grid[tuple(dst)] += grid[tuple(src)]
 
 

@@ -195,9 +195,80 @@ def test_e_exceeds_rank(comp):
         assert sum(1 for r in roots if r[k]) >= comp.rank, (comp, k + 1)
 
 
+# The Dynkin walk: an independent reference for the closed forms of
+# levi_ss_components, parabolic_table and e_value.  It splits the diagram of
+# _simple_block with node k deleted into connected pieces and names each by
+# its shape.
+
+def _neighbours(cartan):
+    """Per node i of a Cartan block, its neighbours in the Dynkin diagram."""
+    return tuple(tuple(j for j, a in enumerate(row) if a and j != i)
+                 for i, row in enumerate(cartan))
+
+
+def _identify(d, nbrs, nodes):
+    """Simple type of the connected Dynkin subdiagram on ``nodes``, with
+    nbrs from _neighbours of the whole block, named by its shape (Bourbaki
+    VI, Plates I-IX).  The symmetrizers d give the bonds: a length ratio of
+    3 is G2; of 2, B_n with one short node, F4 with two of four, else C_n.
+    A simply-laced branch node is D_n's with two or three leaves next to
+    it, E_n's with one; anything else is A_n.  So C2 names as B2, D3 as A3."""
+    n = len(nodes)
+    ds = [d[i] for i in nodes]
+    ratio, short = max(ds) // min(ds), ds.count(min(ds))
+    if ratio == 3:
+        return SimpleComponent("G", 2)
+    if ratio == 2:
+        return SimpleComponent(
+            "B" if short == 1 else "F" if (n, short) == (4, 2) else "C", n)
+    inside = set(nodes)
+    for i in nodes:
+        linked = [j for j in nbrs[i] if j in inside]
+        if len(linked) == 3:
+            leaves = sum(sum(k in inside for k in nbrs[j]) == 1
+                         for j in linked)
+            return SimpleComponent("D" if leaves >= 2 else "E", n)
+    return SimpleComponent("A", n)
+
+
+def _walked_levi(comp, k):
+    """The Levi type of node k by the walk, sorted by (family, rank)."""
+    cartan, d = rootsys._simple_block(comp)
+    nbrs = _neighbours(cartan)
+    rest = set(range(comp.rank)) - {k - 1}
+    out = []
+    while rest:
+        nodes = [rest.pop()]
+        for i in nodes:  # nodes grows to the connected component of its head
+            linked = [j for j in nbrs[i] if j in rest]
+            nodes += linked
+            rest.difference_update(linked)
+        out.append(_identify(d, nbrs, nodes))
+    return sorted(out, key=lambda c: (c.family, c.rank))
+
+
+def _walked_table(comp):
+    """(node, Levi type, dim g/l_ss, dim X) per node, by the walk."""
+    rows = []
+    for k in range(1, comp.rank + 1):
+        levi = _walked_levi(comp, k)
+        dml = comp.dim - sum(c.dim for c in levi)
+        rows.append((k, tuple(levi), dml, (dml + 1) // 2))
+    return rows
+
+
 def _walked_e(comp):
-    """e by the Dynkin walk: the least dim_X of the parabolic table."""
-    return min(row.dim_X for row in parabolic_table(comp))
+    """e by the Dynkin walk: the least dim_X of the walked table."""
+    return min(dim_x for *_, dim_x in _walked_table(comp))
+
+
+@pytest.mark.parametrize("comp", list(bounds._all_simple_types(24)), ids=str)
+def test_levi_closed_forms_match_the_dynkin_walk(comp):
+    rows = [(r.node, r.levi_ss_components, r.dim_g_mod_lss, r.dim_X)
+            for r in parabolic_table(comp)]
+    assert rows == _walked_table(comp)
+    for k in range(1, comp.rank + 1):
+        assert levi_ss_components(comp, k) == _walked_levi(comp, k), k
 
 
 @pytest.mark.parametrize("comp", list(bounds._all_simple_types(16)), ids=str)
@@ -276,24 +347,28 @@ def test_dynkin_shapes_identify_every_simple_type(monkeypatch):
         cartan, d = rootsys._simple_block(s)
         nodes = range(s.rank)
         want = renamed.get(str(s), str(s))
-        assert str(bounds._identify(d, bounds._neighbours(cartan),
-                                    nodes)) == want
+        assert str(_identify(d, _neighbours(cartan), nodes)) == want
         flipped = [row[::-1] for row in cartan[::-1]]
-        assert str(bounds._identify(d[::-1], bounds._neighbours(flipped),
-                                    nodes)) == want
+        assert str(_identify(d[::-1], _neighbours(flipped), nodes)) == want
         assert str(_canonical(s)) == want
 
 
-def test_parabolic_table_reads_the_block_once(monkeypatch):
-    # Each node's neighbours come from one pass over the Cartan block per
-    # type, not one per deleted node.
-    real = bounds._simple_block
-    calls = []
-    monkeypatch.setattr(bounds, "_simple_block",
-                        lambda comp: calls.append(comp) or real(comp))
-    comp = SimpleComponent("D", 12)
-    assert len(parabolic_table(comp)) == 12
-    assert calls.count(comp) == 1
+def test_levi_types_read_no_cartan_block(monkeypatch):
+    # The Levi types come from closed forms, so a spy that refuses every
+    # reading of a Cartan block changes no answer.
+    types = [SimpleComponent("D", 12), SimpleComponent("E", 8)]
+    want = {s: _walked_table(s) for s in types}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Cartan block was read for a Levi type")
+
+    monkeypatch.setattr(rootsys, "_simple_block", forbidden)
+    monkeypatch.setattr(bounds, "_simple_block", forbidden, raising=False)
+    for s in types:
+        assert [(r.node, r.levi_ss_components, r.dim_g_mod_lss, r.dim_X)
+                for r in parabolic_table(s)] == want[s]
+        assert [tuple(levi_ss_components(s, k))
+                for k in range(1, s.rank + 1)] == [w[1] for w in want[s]]
 
 
 # short positive roots of a simple type: e_i in B_n, e_i +- e_j in C_n

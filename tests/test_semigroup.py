@@ -3,12 +3,13 @@ import random
 from importlib import resources
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2bounds import ComplementResult, GeneratorSet, complement, member
-from sl2bounds.semigroup import SemigroupError
+from sl2bounds.semigroup import SemigroupError, _partition_fill
 
 GENS9 = [(0, 2), (0, 17), (4, 0), (6, 0), (15, 0), (5, 1), (1, 3), (7, 1),
          (1, 6)]
@@ -152,3 +153,37 @@ def test_against_brute_force(r):
             assert all(v in wider for v in product(range(2 * bound + 1),
                                                    repeat=r)
                        if v not in res.points)
+
+
+def _fill_row_by_row(grid, gens):
+    """Reference for _partition_fill: the running sum one row at a time,
+    along the first axis where g is positive."""
+    shape = grid.shape
+    for g in gens:
+        if any(x >= s for x, s in zip(g, shape)):
+            continue
+        ax = next(i for i, x in enumerate(g) if x)
+        dst = [slice(x, None) for x in g]
+        src = [slice(None, s - x) for x, s in zip(g, shape)]
+        for t in range(g[ax], shape[ax]):
+            dst[ax], src[ax] = t, t - g[ax]
+            grid[tuple(dst)] += grid[tuple(src)]
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int64])
+def test_blocked_fill_matches_row_by_row(dtype):
+    # 300 seeded grids per dtype, rank 1-3, with generators that may not
+    # fit the box; an int grid counts the representations exactly.
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        r = int(rng.integers(1, 4))
+        shape = tuple(int(x) for x in rng.integers(1, (40, 14, 8)[r - 1],
+                                                   size=r))
+        gens = [tuple(int(x) for x in rng.integers(0, max(shape) + 2, size=r))
+                for _ in range(rng.integers(1, 6))]
+        gens = [g for g in gens if any(g)]
+        grid = rng.integers(0, 3, size=shape).astype(dtype)
+        want = grid.copy()
+        _fill_row_by_row(want, gens)
+        _partition_fill(grid, gens)
+        assert np.array_equal(grid, want), (shape, gens)
