@@ -39,7 +39,8 @@ orbit expansion when the degree passes PARABOLIC_CAP, when W_J\\W has
 over COSET_CAP cosets (a memory guard), or when h has no coset table yet
 and dim L(lambda) is at most its number of cosets; else the coset sum.
 So a small lambda builds no table, and the lambda of a bound share one.
-Memos are keyed by the sl2 alone, bounded, and shared across builds.
+The one memo, _sl2, is keyed by the sl2 alone, bounded, and shared across
+builds: conjugate sl2s get one record, which carries its coset table.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
@@ -66,8 +67,10 @@ PARABOLIC_CAP = 10**5  # degree of either formula
 COSET_CAP = 3 * 10**6  # cosets W_J\W in a coset table; |W(E7)| = 2903040
 COSET_CHUNK = 2**14  # rows of K paired with all roots at once
 DEFAULT_WEYL_ORDER_CAP = 1200  # covers all rank <= 4 simple factors (F4: 1152)
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-_Sl2 = namedtuple("_Sl2", "h c cosets groups e_sum e_max e_prod e_count")
+
+
+class _Sl2(namedtuple("_Sl2", "h c cosets groups e_sum e_max e_prod e_count")):
+    table = None   # the _CosetTable of h, set by _by_cosets when first needed
 
 
 class CharacterError(ArithmeticError):
@@ -200,19 +203,21 @@ def _weight_row(rs: RootSystem, lam: Weight, marks) -> tuple:
         return lam_h, _by_product(rs, lam, s)
     # dim L(lambda) >= prod (lambda_i + 1), Weyl's factors at simple roots
     if degree > PARABOLIC_CAP or s.cosets > COSET_CAP or (
-            (rs, s.h) not in _coset_table.held
+            s.table is None
             and math.prod(x + 1 for x in lam.coords) <= s.cosets
             and weyl_dimension(rs, lam) <= s.cosets):
         return lam_h, _by_orbits(rs, lam, s.h)
     return lam_h, _by_cosets(rs, lam, s)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=4)
 def _sl2(rs: RootSystem, marks: tuple) -> _Sl2:
-    """The record of the sl2 with these marks: h the marks of its dominant
-    Weyl conjugate, c the coroot coordinates of h + h* with h* = -w0 h,
-    cosets = |W_J\\W|, J the zero marks of h, and the denominator prod (1 -
-    t^e) over the e = alpha(h) > 0, alpha in Phi+: their (e, times) groups,
+    """The record of the sl2 with these marks; marks not dominant get that
+    of their dominant Weyl conjugate h, so conjugate sl2s share one record
+    and the coset table it carries, and at most four tables are alive.  It
+    holds h, c the coroot coordinates of h + h* with h* = -w0 h, cosets =
+    |W_J\\W|, J the zero marks of h, and the denominator prod (1 - t^e)
+    over the e = alpha(h) > 0, alpha in Phi+: their (e, times) groups,
     ascending, and their sum, max, product and count.
 
     The weights of L(lambda) are W-stable, so h and its conjugates have the
@@ -228,6 +233,8 @@ def _sl2(rs: RootSystem, marks: tuple) -> _Sl2:
     (Kostant 1959).
     """
     h = tuple(_reflect_to_dominant(marks, rs.cartan)[0])
+    if h != marks:
+        return _sl2(rs, h)
     den, N = rs._np["Ainv_int"]
     both = [x + h[j] for x, j in zip(h, rs._np["sigma"])]
     c = [sum(map(mul, col, both)) for col in zip(*N)]
@@ -288,28 +295,6 @@ def _by_product(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
     return _quotient(num, n, s, lam)
 
 
-class _Memo:
-    """lru_cache(maxsize) over fn whose ``held`` dict shows what it holds."""
-
-    def __init__(self, fn, maxsize: int):
-        self.fn, self.maxsize = fn, maxsize
-        self.cache_clear()
-
-    def __call__(self, *key):
-        hit = key in self.held
-        self.hits, self.misses = self.hits + hit, self.misses + (not hit)
-        self.held[key] = self.held.pop(key) if hit else self.fn(*key)  # latest
-        if len(self.held) > self.maxsize:
-            del self.held[next(iter(self.held))]   # the least recent
-        return self.held[key]
-
-    def cache_info(self):
-        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self.held))
-
-    def cache_clear(self):
-        self.held, self.hits, self.misses = {}, 0, 0
-
-
 class _CosetTable(NamedTuple):
     """The lambda-independent half of the coset sum for one dominant h."""
     K: np.ndarray       # int32, coroot coordinates of h - h', one row per coset
@@ -319,7 +304,6 @@ class _CosetTable(NamedTuple):
     den: int            # prod_{alpha in Phi_J+} (rho, alpha)
 
 
-@partial(_Memo, maxsize=4)
 def _coset_table(rs: RootSystem, marks: tuple) -> _CosetTable:
     """Walk the W-orbit of the dominant h with these marks once.
 
@@ -373,7 +357,9 @@ def _by_cosets(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
     first (max (xi, beta) ** |Phi_J+|) proves that they fit, and their sum
     where len(K) times the largest quotient does (every (xi, beta) is > 0).
     """
-    t = _coset_table(rs, s.h)
+    if s.table is None:
+        s.table = _coset_table(rs, s.h)
+    t = s.table
     xi = [x + 1 for x in lam.coords]
     n = sum(map(mul, s.c, xi)) + 1   # c is the largest row of K (see _sl2)
     # xi_j <= K . xi <= PARABOLIC_CAP wherever some row has K_j > 0, so
@@ -404,18 +390,16 @@ def _by_orbits(rs: RootSystem, lam: Weight, marks) -> np.ndarray:
     """The row by the orbit expansion, for dominant marks: row[k] counts
     the weights mu of L(lambda), with multiplicity, at k = (lambda - mu)(h).
     The orbits of all dominant weights are walked at once by _orbit_walk,
-    with the multiplicity group riding along; the rows are sorted stably by
-    group, and each group adds one bincount, in int64 while dim L(lambda),
-    which bounds every entry, is below 2^63."""
+    with the index of each row's dominant weight riding along, and one
+    scatter-add puts each weight's multiplicity at its degree, in int64
+    while dim L(lambda), which bounds every entry, is below 2^63."""
     doms = _dominant_weights(rs, lam)
-    mults = sorted({m for _, _, m in doms})
-    group = {m: g for g, m in enumerate(mults)}
-    # columns: weight coords mu, root coords k, multiplicity group; int32
-    # holds them, since WEIGHT_CAP bounds lambda
-    rows = np.array([(*mu, *k, group[m]) for mu, k, m in doms], dtype=np.int32)
+    # columns: weight coords mu, root coords k, index into doms; int32
+    # holds them, since WEIGHT_CAP bounds lambda and the index
+    rows = np.array([(*mu, *k, i) for i, (mu, k, _) in enumerate(doms)],
+                    dtype=np.int32)
     rows = np.concatenate(_orbit_walk(rows, rs._np["A"].T))
-    rows = rows[np.argsort(rows[:, -1], kind="stable")]
-    bounds = np.searchsorted(rows[:, -1], np.arange(len(mults) + 1)).tolist()
+    index = rows[:, -1]
     # k is int32 and the marks are dominant, so int64 is exact while
     # sum(marks) < 2^32; past that, Python ints
     degrees = rows[:, :-1] @ np.array(
@@ -424,11 +408,12 @@ def _by_orbits(rs: RootSystem, lam: Weight, marks) -> np.ndarray:
     if top > 2 * WEIGHT_CAP:
         raise CharacterError(f"weight values of {lam} at marks {marks} "
                              f"span past twice the weight cap")
-    dim = sum(map(mul, np.diff(bounds).tolist(), mults))
-    dtype = np.int64 if dim < 2**63 else object
-    return sum(np.bincount(degrees[start:stop].astype(np.int64),
-                           minlength=top + 1).astype(dtype) * m
-               for start, stop, m in zip(bounds[:-1], bounds[1:], mults))
+    mults = [m for _, _, m in doms]
+    dim = sum(map(mul, np.bincount(index).tolist(), mults))
+    mults = np.array(mults, np.int64 if dim < 2**63 else object)
+    row = np.zeros(top + 1, mults.dtype)
+    np.add.at(row, degrees.astype(np.int64), mults[index])
+    return row
 
 
 # ---------------------------------------------------------------------------

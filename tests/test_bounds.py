@@ -71,21 +71,20 @@ def _e6_subregular_bound():
     assert res.box_max_weight.coords == (0, 0, 0, 0, 0, 1)
 
 
-def test_b_bound_walks_the_orbit_of_h_once(answered):
+def test_b_bound_walks_the_orbit_of_h_once(answered, builds):
     # The E6 subregular bound restricts 43 weights to one sl2.  Its first
     # five, each with dim L(lambda) at most the 25920 cosets of h, are
     # expanded over their orbits and build no table; the first larger one
     # builds the one coset table, one walk over the orbit of h, and the
-    # remaining 37 read it.
+    # remaining 37 read it from the sl2's record.
     _e6_subregular_bound()
-    info = character._coset_table.cache_info()
-    assert (info.misses, info.hits) == (1, 37)
+    assert builds == [(2, 2, 2, 0, 2, 2)]
     assert answered == {"_by_orbits": 5, "_by_cosets": 38}
 
 
 def test_b_bound_e6_subregular_budget():
     # In process, with a cold coset table; 2 s is a gate, not a target.
-    character._coset_table.cache_clear()
+    character._sl2.cache_clear()
     start = time.monotonic()
     _e6_subregular_bound()
     assert time.monotonic() - start < 2.0

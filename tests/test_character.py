@@ -145,21 +145,19 @@ def test_dominant_character_rejects_nondominant():
 
 
 def test_box_memo_is_bounded_and_shared_across_builds():
-    # Every memo is keyed by sl2, never by lambda: the per-sl2 record and
-    # the coset table are the only ones, both bounded, and a second build
-    # of the same root system hits both.
+    # Every memo is keyed by sl2, never by lambda: the per-sl2 record, which
+    # carries its coset table, is the only one, bounded at four records,
+    # and a second build of the same root system hits it.
     memos = {name for name, value in vars(character).items()
              if hasattr(value, "cache_info") and not isinstance(value, type)}
-    assert memos == {"_sl2", "_coset_table"}
+    assert memos == {"_sl2"}
+    assert character._sl2.cache_info().maxsize == 4
     lam = Weight((4, 3))
     first = full_weight_values(build([("G", 2)]), lam, (1, 0))
-    hits = [getattr(character, n).cache_info().hits for n in sorted(memos)]
+    hits = character._sl2.cache_info().hits
     again = full_weight_values(build([("G", 2)]), lam, (1, 0))
     assert again == first
-    for name, before in zip(sorted(memos), hits):
-        info = getattr(character, name).cache_info()
-        assert info.maxsize is not None
-        assert info.hits == before + 1, name
+    assert character._sl2.cache_info().hits == hits + 1
 
 
 @lru_cache(maxsize=None)
@@ -320,7 +318,9 @@ def test_parabolic_cap_falls_back_to_orbit_expansion():
 def test_one_solve_and_one_conjugation_per_request(monkeypatch):
     # The marks are conjugated once per request, by the per-sl2 record, and
     # lambda(h) is solved once, on the dominant conjugate; principal and
-    # non-principal requests take the same steps.
+    # non-principal requests take the same steps, but a cold request for
+    # marks that are not dominant asks for the record of their dominant
+    # conjugate, which it shares.
     calls = []
     for name in ("_sl2", "_lambda_of_h"):
         real = getattr(character, name)
@@ -333,19 +333,24 @@ def test_one_solve_and_one_conjugation_per_request(monkeypatch):
     calls.clear()
     marks = root_embedding(rs, (1, 0, 0)).marks
     full_weight_values(rs, lam, marks)
-    assert calls == [("_sl2", tuple(marks)), ("_lambda_of_h", (0, 1, 0))]
+    assert calls == [("_sl2", tuple(marks)), ("_sl2", (0, 1, 0)),
+                     ("_lambda_of_h", (0, 1, 0))]
 
 
-def test_conjugate_sl2s_share_one_coset_table():
+def test_conjugate_sl2s_share_one_coset_table(answered, builds):
     # alpha_1 is a long root of B4, so its sl2 has the dominant marks of
-    # the highest-root sl2, and both read one table.
+    # the highest-root sl2: both get one record, and read the one table
+    # that it carries.
     rs = build([("B", 4)])
     lam = Weight((0, 1, 0, 1))
-    character._coset_table.cache_clear()
-    first = full_weight_values(rs, lam, root_embedding(rs, (1, 2, 2, 2)).marks)
-    assert full_weight_values(rs, lam, (2, -1, 0, 0)) == first
-    info = character._coset_table.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    highest = root_embedding(rs, (1, 2, 2, 2)).marks
+    simple = root_embedding(rs, (1, 0, 0, 0)).marks
+    assert simple == (2, -1, 0, 0)
+    assert character._sl2(rs, highest) is character._sl2(rs, simple)
+    first = full_weight_values(rs, lam, highest)
+    assert full_weight_values(rs, lam, simple) == first
+    assert builds == [(0, 1, 0, 0)]
+    assert answered == {"_by_cosets": 2}
 
 
 def test_e7_subregular_coset_sum_matches_orbit_expansion():
@@ -364,11 +369,10 @@ def test_small_weight_past_a_million_cosets_builds_no_table(answered):
     # adjoint is answered by the orbit expansion, and no table is built.
     rs = build([("E", 8)])
     marks = (0, 0, 0, 0, 2, 0, 2, 2)
-    assert character._sl2(rs, marks).cosets == 2903040
-    before = character._coset_table.cache_info()
+    s = character._sl2(rs, marks)
+    assert s.cosets == 2903040
     N = full_weight_values(rs, Weight((0,) * 7 + (1,)), marks)
-    info = character._coset_table.cache_info()
-    assert (info.misses, info.currsize) == (before.misses, before.currsize)
+    assert character._sl2(rs, marks) is s and s.table is None
     assert answered == {"_by_orbits": 1}
     assert all(N[-v] == n for v, n in N.items())
     assert sum(N.values()) == 248
