@@ -25,7 +25,8 @@ and in Python ints past it.  full_weight_values is its dict view.
 * _by_cosets: the Weyl character formula grouped by the cosets of
   W_J, J the zero marks of h, at h (Bourbaki, Lie Groups and Lie Algebras
   VIII 9; Humphreys, Introduction to Lie Algebras and Representation
-  Theory 24), over a table of the Weyl orbit of h, walked once per h.
+  Theory 24), over a table of the Weyl orbit of h, built once per h
+  from a walk of its lower half and the w0 images of that half.
 * _by_orbits: Freudenthal's multiplicities of the dominant weights
   expanded over their Weyl orbits, bounded by WEIGHT_CAP.
 
@@ -226,7 +227,8 @@ def _sl2(rs: RootSystem, marks: tuple) -> _Sl2:
     coordinates of marks m are A^-T m.  |W h| is Macdonald's product of
     (ht alpha + 1) / ht alpha over the alpha(h) > 0.  For xi = lambda + rho
     both formulas' numerators have degree (xi - w0 xi)(h) = c . xi in t (c
-    is the K of w0 in _coset_table), or half that in q = t^2 for the
+    is the largest row of the coset table, that of w0: the w0 image of the
+    identity's row K = 0), or half that in q = t^2 for the
     principal h = h*, and both divide by prod (1 - t^e): for h = 2 rho_vee
     the e = 2 ht(alpha) are the 2 <rho, alpha_vee> = 2 ht(alpha_vee) of the
     product formula, as Phi and its dual have one height partition
@@ -304,36 +306,61 @@ class _CosetTable(NamedTuple):
     den: int            # prod_{alpha in Phi_J+} (rho, alpha)
 
 
-def _coset_table(rs: RootSystem, marks: tuple) -> _CosetTable:
-    """Walk the W-orbit of the dominant h with these marks once.
+def _coset_table(rs: RootSystem, s: _Sl2) -> _CosetTable:
+    """The table of the W-orbit of the dominant h of the record s.
 
     The points h' = w^-1 h are the minimal representatives w of W_J\\W, at
-    level l(w) of _orbit_walk, and the walk's k column holds K; the degree
-    cap keeps every K_j below 2^31.  A positive root beta vanishes on h'
-    when beta(h - h') = sum_j K_j <beta, alpha_j_vee> equals beta(h); that
-    matrix is formed COSET_CHUNK rows at a time, and exactly |Phi_J+| roots
-    vanish on each h' (they are w^-1 Phi_J+ up to sign).
+    level l(w) = #{beta > 0 : beta(h') < 0} of _orbit_walk, and the walk's
+    k column holds K; the degree cap keeps every K_j below 2^31.  A
+    positive root beta vanishes on h' when beta(h - h') = sum_j K_j <beta,
+    alpha_j_vee> equals beta(h); that matrix is formed COSET_CHUNK rows at
+    a time, and exactly |Phi_J+| roots vanish on each h' (they are w^-1
+    Phi_J+ up to sign).
+
+    Only levels 0 to L // 2 are walked, L = s.e_count the level of w0; the
+    rest are the w0 images of levels 0 to L - L // 2 - 1, a prefix of the
+    walked rows.  -w0 permutes Phi+, so w0 h' is at level L - l(w): its
+    sign is (-1)^L times that of h', its vanishing roots are the -w0
+    images of those of h', and its K is c - K[sigma] (h - w0 h' = h + h*
+    - w0 (h - h'), and -w0 alpha_j_vee = alpha_sigma(j)_vee).  The images
+    are written in place after the walked rows; row order is free, as the
+    coset sum is a scatter-add.
 
     An entry takes 4 rank + 1 + |Phi_J+| bytes per coset, for at most
     COSET_CAP cosets.  Among simple types of rank <= 8 the largest is E8
     with J of type A4 + A1 (2903040 cosets, |Phi_J+| = 11): about 128 MB.
     E7's subregular h (1451520 cosets, |Phi_J+| = 1) takes about 44 MB.
     """
-    A, roots = rs._np["A"], rs._np["roots"]
-    levels = _orbit_walk(_orbit_rows(marks), A)
-    K = np.concatenate(levels, dtype=np.int32)
-    signs = np.repeat(np.array([(-1) ** n for n in range(len(levels))],
-                               np.int8), [len(k) for k in levels])
+    roots, L = rs._np["roots"], s.e_count
+    levels = _orbit_walk(_orbit_rows(s.h), rs._coweight_walk, L // 2 + 1)
+    sizes = [len(k) for k in levels]
+    walked, mirrored = sum(sizes), sum(sizes[:L - L // 2])
+    if walked + mirrored != s.cosets:
+        raise CharacterError(f"orbit of marks {s.h} has {walked + mirrored} "
+                             f"points, not {s.cosets}")
+    alpha_h = roots @ s.h
+    K = np.empty((s.cosets, len(s.h)), np.int32)
+    signs = np.empty(s.cosets, np.int8)
+    vanish = np.empty((s.cosets, int((alpha_h == 0).sum())),
+                      rs._neg_w0.dtype)
+    np.concatenate(levels, out=K[:walked])
+    signs[:walked] = np.repeat(np.array([(-1) ** n for n in range(len(sizes))],
+                                        np.int8), sizes)
     del levels
-    alpha_h = roots @ marks
     # in float64 for BLAS, and exact: K >= 0 and K . xi <= PARABOLIC_CAP
     # with xi >= 1, so every partial sum of beta(h - h') is an integer of
     # size at most 3 sum K_j < 2^53
     wc = rs._np["roots_wc"].T.astype(np.float64)
-    cols = [np.flatnonzero(K[s:s + COSET_CHUNK] @ wc == alpha_h) % len(roots)
-            for s in range(0, len(K), COSET_CHUNK)]
-    vanish = np.concatenate(cols).astype(
-        np.min_scalar_type(len(roots))).reshape(len(K), -1)
+    for a in range(0, walked, COSET_CHUNK):
+        b = min(a + COSET_CHUNK, walked)
+        hits = np.flatnonzero(K[a:b] @ wc == alpha_h)
+        vanish[a:b] = (hits % len(roots)).reshape(b - a, -1)
+    # the w0 images; mode="clip" (the indices are in range) writes to out
+    # without a buffered copy
+    np.take(K[:mirrored], rs._np["sigma"], axis=1, out=K[walked:], mode="clip")
+    np.subtract(np.array(s.c, np.int32), K[walked:], out=K[walked:])
+    np.multiply(signs[:mirrored], (-1) ** L, out=signs[walked:])
+    np.take(rs._neg_w0, vanish[:mirrored], out=vanish[walked:], mode="clip")
     den = math.prod(rs._np["roots_d"][alpha_h == 0].sum(axis=1).tolist())
     for a in (K, signs, vanish):
         a.setflags(write=False)
@@ -358,7 +385,7 @@ def _by_cosets(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
     where len(K) times the largest quotient does (every (xi, beta) is > 0).
     """
     if s.table is None:
-        s.table = _coset_table(rs, s.h)
+        s.table = _coset_table(rs, s)
     t = s.table
     xi = [x + 1 for x in lam.coords]
     n = sum(map(mul, s.c, xi)) + 1   # c is the largest row of K (see _sl2)
@@ -398,7 +425,7 @@ def _by_orbits(rs: RootSystem, lam: Weight, marks) -> np.ndarray:
     # holds them, since WEIGHT_CAP bounds lambda and the index
     rows = np.array([(*mu, *k, i) for i, (mu, k, _) in enumerate(doms)],
                     dtype=np.int32)
-    rows = np.concatenate(_orbit_walk(rows, rs._np["A"].T))
+    rows = np.concatenate(_orbit_walk(rows, rs._weight_walk))
     index = rows[:, -1]
     # k is int32 and the marks are dominant, so int64 is exact while
     # sum(marks) < 2^32; past that, Python ints
@@ -438,7 +465,7 @@ def weyl_alternating_character(rs: RootSystem, lam: Weight) -> Character:
     # xi is regular, so the shared orbit walk visits each w(xi) once, at
     # level l(w), and its k (root coords of xi - w xi) is the offset of the
     # numerator term sgn(w) e^{w(xi) - rho}; the k of w0 is the largest.
-    levels = _orbit_walk(_orbit_rows(xi.coords), rs._np["A"].T)
+    levels = _orbit_walk(_orbit_rows(xi.coords), rs._weight_walk)
     shape = np.concatenate(levels).max(axis=0) + 1
     ncells = math.prod(shape.tolist())
     if ncells > DEFAULT_BOX_CAP:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from operator import mul
 from typing import Callable, NamedTuple
@@ -175,6 +176,32 @@ class RootSystem:
     positive_roots: tuple = field(compare=False)  # simple-root coordinates
     # derived arrays, filled in build()
     _np: dict = field(default_factory=dict, repr=False, compare=False)
+
+    # formed on first use, once per root system: one that walks no orbit
+    # and builds no coset table never pays for them
+
+    @cached_property
+    def _weight_walk(self) -> "_Step":
+        """The _Step of _orbit_walk over the orbits of weights (A.T)."""
+        return _walk_step(self._np["A"].T)
+
+    @cached_property
+    def _coweight_walk(self) -> "_Step":
+        """The _Step of _orbit_walk over the orbits of an h, by its marks
+        (A)."""
+        return _walk_step(self._np["A"])
+
+    @cached_property
+    def _neg_w0(self) -> np.ndarray:
+        """-w0 on Phi+, sum c_i alpha_i -> sum c_i alpha_sigma(i), as an
+        involution of root indices in the dtype of a coset table's vanish:
+        row b[n] of the images is row a[n] of the roots, both sorted."""
+        roots = self._np["roots"]
+        a, b = (np.lexsort(m.T)
+                for m in (roots, roots[:, list(self._np["sigma"])]))
+        perm = np.empty(len(roots), np.min_scalar_type(len(roots)))
+        perm[b] = a
+        return perm
 
     @property
     def rho(self) -> Weight:
@@ -381,34 +408,17 @@ def _orbit_size(rs: RootSystem, mu) -> int:
     return num // den
 
 
-def _orbit_walk(rows, simple) -> list:
-    """Walk the Weyl orbits of several dominant vectors at once.
+class _Step(NamedTuple):
+    """The step of _orbit_walk in one basis, and the matrices of its test."""
+    simple: np.ndarray   # simple[j]: the j-th simple root, as in the rows
+    bonds: np.ndarray    # x @ bonds: x_i - x_j simple[j][i], one bond i < j
+    to_j: np.ndarray     # which j each failed test fails
+    move: np.ndarray     # move[j] = (-simple[j], e_j): the change of (x, k)
 
-    rows has columns (x, k, riding columns...) for dominant x, k the
-    coordinates of some lambda - x in the basis of simple, which holds the
-    step as in _reflect_to_dominant: A.T for weights, A for marks of an h.
-    The walk goes down from each x: s_j with x_j > 0 maps x to x - x_j
-    simple[j] and adds x_j to k_j.  A step is kept only if j is the least
-    i with (s_j x)_i < 0, so each vector is reached once, from the vector
-    that reflecting at its first negative coordinate gives back.  A step
-    makes one more positive root negative on x, so w(x) is at level l(w)
-    for the shortest such w, the minimal coset representative.  Returns,
-    per level, a copy of the columns after x.  Callers bound the orbit
-    sizes with _orbit_size first.
 
-    Each level takes the same few numpy calls, over all rows and all j at
-    once, whatever the rank.  The test needs no s_j x: for i < j not
-    bonded to j (simple[j][i] = 0), (s_j x)_i = x_i, so j is kept when
-    x_j > 0, no such x_i is negative, and x_i - x_j simple[j][i] >= 0 on
-    each bond i < j.  The bond values are one integer product x @ bonds,
-    and one 0/1 product with to_j (float32, for BLAS; the counts are
-    small integers) counts the failed tests of each j.
-    Forming every s_j x as an (n, r, r) array instead is faster on small
-    orbits but slower on large ones, and a bit mask of the negative
-    coordinates would not go past 63 of them.  The kept (j, parent) pairs,
-    taken j-major with parents in order, give the same rows in the same
-    order and dtype as reflecting at one j at a time.
-    """
+def _walk_step(simple) -> _Step:
+    """The _Step of _orbit_walk for this basis; each root system keeps one
+    for A and one for A.T, so that no walk forms these matrices again."""
     rank = len(simple)
     bi, bj = np.nonzero(np.triu(simple.T, 1))          # the bonds i < j
     bonds = np.zeros((rank, len(bi)), np.int64)
@@ -418,16 +428,52 @@ def _orbit_walk(rows, simple) -> list:
     # value fails its j
     to_j = np.concatenate([np.triu(simple.T == 0, 1),
                            np.eye(rank, dtype=bool)[bj]]).astype(np.float32)
+    move = np.concatenate([-simple, np.eye(rank, dtype=np.int64)], axis=1)
+    return _Step(simple, bonds, to_j, move)
+
+
+def _orbit_walk(rows, step: _Step, stop=None) -> list:
+    """Walk the Weyl orbits of several dominant vectors at once, level by
+    level, and stop after the first stop >= 1 levels (all for None).
+
+    rows has columns (x, k, riding columns...) for dominant x, k the
+    coordinates of some lambda - x in the basis of step.simple, which holds
+    the step as in _reflect_to_dominant: A.T for weights, A for marks of an
+    h (the root system's _weight_walk and _coweight_walk).  The walk goes
+    down from each x: s_j with x_j > 0 maps x to x - x_j simple[j] and adds
+    x_j to k_j.  A step is kept only if j is the least i with (s_j x)_i <
+    0, so each vector is reached once, from the vector that reflecting at
+    its first negative coordinate gives back.  A step makes one more
+    positive root negative on x, so w(x) is at level l(w) for the shortest
+    such w, the minimal coset representative.  Returns, per level, a copy
+    of the columns after x.  Callers bound the orbit sizes with _orbit_size
+    first.
+
+    Each level takes the same few numpy calls, over all rows and all j at
+    once, whatever the rank.  The test needs no s_j x: for i < j not
+    bonded to j (simple[j][i] = 0), (s_j x)_i = x_i, so j is kept when
+    x_j > 0, no such x_i is negative, and x_i - x_j simple[j][i] >= 0 on
+    each bond i < j.  The bond values are one integer product x @ bonds,
+    and one 0/1 product with to_j (float32, for BLAS; the counts are
+    small integers) counts the failed tests of each j; the kept steps
+    change (x, k) by one add of x_j move[j].
+    Forming every s_j x as an (n, r, r) array instead is faster on small
+    orbits but slower on large ones, and a bit mask of the negative
+    coordinates would not go past 63 of them.  The kept (j, parent) pairs,
+    taken j-major with parents in order, give the same rows in the same
+    order and dtype as reflecting at one j at a time.
+    """
+    rank = len(step.simple)
     levels = []
     while len(rows):
         levels.append(rows[:, rank:].copy())
+        if len(levels) == stop:
+            break
         x = rows[:, :rank]
-        fails = np.concatenate([x < 0, x @ bonds < 0], axis=1) @ to_j
+        fails = np.concatenate([x < 0, x @ step.bonds < 0], axis=1) @ step.to_j
         j, parent = np.nonzero(((x > 0) & (fails == 0)).T)
-        step = x[parent, j]
         rows = rows.take(parent, axis=0)
-        rows[:, :rank] -= step[:, None] * simple.take(j, axis=0)
-        rows[np.arange(len(j)), rank + j] += step
+        rows[:, :2 * rank] += x[parent, j][:, None] * step.move.take(j, axis=0)
     return levels
 
 
@@ -443,7 +489,7 @@ def weyl_orbit(rs: RootSystem, mu: Weight):
     _check_weight(rs, mu, "weyl_orbit")
     if _orbit_size(rs, mu.coords) > DEFAULT_ORBIT_CAP:
         raise RootSystemError(f"Weyl orbit exceeds cap {DEFAULT_ORBIT_CAP}")
-    K = np.concatenate(_orbit_walk(_orbit_rows(mu.coords), rs._np["A"].T))
+    K = np.concatenate(_orbit_walk(_orbit_rows(mu.coords), rs._weight_walk))
     return {Weight(w) for w in (np.array(mu.coords, K.dtype)
                                 - K @ rs._np["A"].T).tolist()}
 

@@ -29,8 +29,8 @@ def answered(monkeypatch):
 @pytest.fixture
 def builds(monkeypatch):
     """The marks h of every coset table built, in order, by a spy on
-    _coset_table."""
+    _coset_table, which takes the per-sl2 record of h."""
     marks, real = [], character._coset_table
-    monkeypatch.setattr(character, "_coset_table", lambda rs, h:
-                        marks.append(h) or real(rs, h))
+    monkeypatch.setattr(character, "_coset_table", lambda rs, s:
+                        marks.append(s.h) or real(rs, s))
     return marks

@@ -388,8 +388,8 @@ def test_e6_subregular_coset_sum_matches_orbit_expansion():
 
 def _corrupt_levi_denominator(monkeypatch):
     real = character._coset_table
-    monkeypatch.setattr(character, "_coset_table", lambda rs, marks:
-                        real(rs, marks)._replace(den=real(rs, marks).den + 1))
+    monkeypatch.setattr(character, "_coset_table", lambda rs, s:
+                        real(rs, s)._replace(den=real(rs, s).den + 1))
 
 
 def _largest_levi_product(rs, lam, marks):
@@ -443,7 +443,7 @@ def test_coset_sum_is_bounded_by_its_largest_product(lam):
     rs = build([("D", 7)])
     lam = Weight(lam)
     s = character._sl2(rs, (0, 0, 0, 2, 0, 0, 0))
-    t = character._coset_table(rs, s.h)
+    t = character._coset_table(rs, s)
     assert t.vanish.shape == (560, 12)
     xi = [x + 1 for x in lam.coords]
     pairs = [sum(map(mul, r, xi)) for r in rs._np["roots_d"].tolist()]
@@ -534,7 +534,7 @@ def test_degree_formula_matches_reflection_of_xi(fam, rank):
             k = _reflect_to_dominant([-x for x in xi], columns)[1]
             assert sum(map(mul, s.c, xi)) == -sum(map(mul, k, s.h)), (m, xi)
         if s.cosets <= 2000:
-            K = character._coset_table(rs, s.h).K.tolist()
+            K = character._coset_table(rs, s).K.tolist()
             assert list(s.c) in K, m
             assert [max(col) for col in zip(*K)] == list(s.c), m
 

@@ -13,11 +13,12 @@ from sl2bounds import (
     RootSystemError, SimpleComponent, Weight, build, dominant_representative,
     inner_product, root_to_weight_coords, weyl_dimension, weyl_orbit,
 )
-from sl2bounds import rootsys
+from sl2bounds import character, rootsys
 from sl2bounds.bounds import _all_simple_types
 from sl2bounds.character import (
     dominant_character, full_weight_values, weyl_alternating_character)
 from sl2bounds.rootsys import _reflect_to_dominant, simple_reflection
+from sl2bounds.sl2branch import root_embedding
 
 ALL_SIMPLE = (
     [("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)] +
@@ -377,7 +378,7 @@ def test_orbit_walk_levels_are_lengths(fam, rank):
     # at level |Phi+|, and sum_w (-1)^l(w) = 0.
     rs = build([(fam, rank)])
     levels = rootsys._orbit_walk(rootsys._orbit_rows(rs.rho.coords),
-                                 rs._np["A"].T)
+                                 rs._weight_walk)
     sizes = [len(k) for k in levels]
     assert len(sizes) == len(rs.positive_roots) + 1
     assert sizes[-1] == 1
@@ -394,7 +395,8 @@ def test_coweight_walk_levels_and_stabilizers(fam, rank):
     rs = build([(fam, rank)])
     A, roots = rs._np["A"], rs._np["roots"]
     for marks in itertools.product(range(3), repeat=rank):
-        levels = rootsys._orbit_walk(rootsys._orbit_rows(marks), A)
+        levels = rootsys._orbit_walk(rootsys._orbit_rows(marks),
+                                     rs._coweight_walk)
         orbit = [np.array(marks) - K @ A for K in levels]
         points = {tuple(h) for h in np.concatenate(orbit).tolist()}
         assert len(points) == sum(map(len, orbit)) == \
@@ -433,13 +435,125 @@ def _reference_walk(rows, simple):
 
 def _assert_walks_agree(rows, simple):
     # identical levels: content, row order and dtype
-    got = rootsys._orbit_walk(rows, simple)
+    got = rootsys._orbit_walk(rows, rootsys._walk_step(simple))
     want = _reference_walk(rows, simple)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert (g == w).all()
     return got
+
+
+def _stacked(starts, rank):
+    """Dominant starts stacked in int32, each with its index as a riding
+    column, as _by_orbits walks them."""
+    return np.array([(*x, *[0] * rank, n) for n, x in enumerate(starts)],
+                    dtype=np.int32)
+
+
+@pytest.mark.parametrize("types", [[("E", 6)], [("F", 4)],
+                                   [("A", 1), ("G", 2)]])
+def test_orbit_walk_stops_after_the_first_levels(types):
+    # With a level limit the walk returns exactly the first levels of the
+    # full reference walk (content, row order and dtype), for int32 rows
+    # with a riding column, for object rows past int64, and for a limit
+    # at or past the last level.
+    rs = build(types)
+    big = rootsys._orbit_rows((2**40,) + (1,) * (rs.rank - 1))
+    assert big.dtype == object
+    for rows in (_stacked(_small_orbit_starts(rs, 3, rs.rank), rs.rank), big,
+                 rootsys._orbit_rows(rs.rho.coords)):
+        for step in (rs._coweight_walk, rs._weight_walk):
+            want = _reference_walk(rows, step.simple)
+            for stop in (1, 2, len(want) // 2 + 1, len(want), len(want) + 3):
+                got = rootsys._orbit_walk(rows, step, stop)
+                assert len(got) == min(stop, len(want))
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.shape == w.shape
+                    assert (g == w).all()
+
+
+def _subregular(fam, n):
+    """The subregular marks of a simple type (Collingwood and McGovern,
+    Nilpotent Orbits in Semisimple Lie Algebras, 5.3 and 8.4): partitions
+    (n, 1), (2n-1, 1, 1), (2n-2, 2), (2n-3, 3) in types A to D."""
+    if fam == "A":
+        side = (2,) * ((n - 1) // 2)
+        return side + ((1, 1) if n % 2 == 0 else (0,)) + side
+    return {"B": (2,) * (n - 1) + (0,), "C": (2,) * (n - 2) + (0, 2),
+            "D": (2,) * (n - 3) + (0, 2, 2), "F": (2, 2, 0, 2), "G": (0, 2),
+            "E": (2, 2, 2, 0) + (2,) * (n - 4)}[fam]
+
+
+def _table_marks(rs, fam):
+    """Dominant marks for coset tables: zero, the highest root's and the
+    highest short root's sl2, and, where W_J\\W has at most 10^5 cosets,
+    the principal and the subregular h."""
+    roots = rs.positive_roots
+    norms = rs._np["roots_norm"].tolist()
+    short = [r for r, n in zip(roots, norms) if n == min(norms)][-1]
+    marks = [(0,) * rs.rank, root_embedding(rs, roots[-1]).marks,
+             root_embedding(rs, short).marks, (2,) * rs.rank,
+             _subregular(fam, rs.rank)]
+    for m in marks:
+        s = character._sl2(rs, tuple(m))
+        if s.cosets <= 10**5:
+            yield s
+
+
+def _assert_mirrored_table(rs, s):
+    # The mirrored table against a full reference walk, as multisets of
+    # (K row, sign, vanishing roots), and each of its rows against its own
+    # h' = h - sum_j K_j alpha_j_vee: sign (-1)^#{beta > 0 : beta(h') < 0}
+    # and vanishing roots {beta > 0 : beta(h') = 0}.
+    A, roots = rs._np["A"], rs._np["roots"]
+    t = character._coset_table(rs, s)
+    assert (t.K.dtype, t.signs.dtype) == (np.int32, np.int8)
+    assert t.vanish.dtype == np.min_scalar_type(len(roots))
+    assert len(t.K) == s.cosets
+    vanish = np.zeros((len(t.K), len(roots)), bool)
+    vanish[np.arange(len(t.K))[:, None], t.vanish] = True
+    assert (vanish.sum(axis=1) == t.vanish.shape[1]).all()
+    values = (np.array(s.h) - t.K.astype(np.int64) @ A) @ roots.T
+    assert (t.signs == (-1) ** (values < 0).sum(axis=1)).all(), s.h
+    assert (vanish == (values == 0)).all(), s.h
+
+    levels = _reference_walk(rootsys._orbit_rows(s.h), A)
+    assert len(levels) == s.e_count + 1
+    K = np.concatenate(levels)
+    signs = np.repeat([(-1) ** n for n in range(len(levels))],
+                      [len(k) for k in levels])
+    ref = np.concatenate([K, signs[:, None],
+                          (np.array(s.h) - K @ A) @ roots.T == 0], axis=1)
+    got = np.concatenate([t.K, t.signs[:, None], vanish], axis=1)
+    ref, got = (a.astype(np.int64) for a in (ref, got))
+    assert (ref[np.lexsort(ref.T)] == got[np.lexsort(got.T)]).all(), s.h
+
+
+@pytest.mark.parametrize("fam,rank", ALL_SIMPLE)
+def test_mirrored_coset_table_matches_full_walk(fam, rank):
+    rs = build([(fam, rank)])
+    for s in _table_marks(rs, fam):
+        _assert_mirrored_table(rs, s)
+
+
+def test_mirrored_coset_table_parities_and_semisimple_types():
+    # Odd and even L = #{beta > 0 : beta(h) > 0}, zero marks (L = 0), and
+    # semisimple types, where -w0 acts on each simple factor.
+    seen = set()
+    d7 = build([("D", 7)])
+    s = character._sl2(d7, (0, 0, 0, 2, 0, 0, 0))
+    assert s.e_count == 30 and s.cosets == 560
+    _assert_mirrored_table(d7, s)
+    for types in ([("A", 1), ("G", 2)], [("G", 2), ("B", 3)],
+                  [("A", 1), ("A", 1), ("A", 2)]):
+        rs = build(types)
+        for m in itertools.product(range(3), repeat=rs.rank):
+            s = character._sl2(rs, m)
+            _assert_mirrored_table(rs, s)
+            seen.add("odd" if s.e_count % 2 else "even" if s.e_count
+                     else "zero")
+    assert seen == {"zero", "odd", "even"}
 
 
 def _small_orbit_starts(rs, count, seed):
@@ -459,8 +573,7 @@ def test_orbit_walk_matches_reference_walk(fam, rank):
     rs = build([(fam, rank)])
     A = rs._np["A"]
     starts = _small_orbit_starts(rs, 3, seed=rank)
-    stacked = np.array([(*x, *[0] * rank, n) for n, x in enumerate(starts)],
-                       dtype=np.int32)
+    stacked = _stacked(starts, rank)
     for simple in (A.T, A):
         for x in starts:
             _assert_walks_agree(rootsys._orbit_rows(x), simple)
