@@ -13,8 +13,9 @@ cross-checking: it walks W by rootsys's shared orbit walk and divides by
 the Weyl denominator with semigroup's partition-function kernel.
 
 _weight_row restricts a character to the sl2 with given marks alpha_i(h),
-and it alone chooses how.  It validates lambda and the marks, conjugates h
-to dominant, solves lambda(h) in integers, and hands lambda and h to one of
+and it alone chooses how.  _request validates lambda and the marks and
+reads the record of their sl2, whose h is the dominant conjugate;
+_weight_row solves lambda(h) in integers and hands lambda and h to one of
 three paths, each returning one dense row: row[k] is the multiplicity of
 mu(h) = lambda(h) - k, in int64 where a written bound proves that exact
 and in Python ints past it.  full_weight_values is its dict view.
@@ -41,7 +42,9 @@ over COSET_CAP cosets (a memory guard), or when h has no coset table yet
 and dim L(lambda) is at most its number of cosets; else the coset sum.
 So a small lambda builds no table, and the lambda of a bound share one.
 The one memo, _sl2, is keyed by the sl2 alone, bounded, and shared across
-builds: conjugate sl2s get one record, which carries its coset table.
+builds: conjugate sl2s get one record, which carries its coset table and
+the last certified decomposition of sl2branch.sl2_decompose, so a lambda
+asked for twice in a row (invariant_dim, then g0) is restricted once.
 """
 
 from __future__ import annotations
@@ -72,6 +75,8 @@ DEFAULT_WEYL_ORDER_CAP = 1200  # covers all rank <= 4 simple factors (F4: 1152)
 
 class _Sl2(namedtuple("_Sl2", "h c cosets groups e_sum e_max e_prod e_count")):
     table = None   # the _CosetTable of h, set by _by_cosets when first needed
+    last = None    # (lambda, Sl2Decomposition), the last decomposition
+    #                that sl2branch.sl2_decompose certified at h
 
 
 class CharacterError(ArithmeticError):
@@ -184,20 +189,26 @@ def dominant_character(rs: RootSystem, lam: Weight) -> Character:
 
 def full_weight_values(rs: RootSystem, lam: Weight, marks) -> dict:
     """Histogram of mu(h) over the weights of L(lambda), h of these marks."""
-    return _histogram(*_weight_row(rs, lam, marks))
+    return _histogram(*_weight_row(rs, lam, _request(rs, lam, marks)))
 
 
 def _histogram(lam_h: int, row) -> dict:
     return {lam_h - k: n for k, n in enumerate(row.tolist()) if n}
 
 
-def _weight_row(rs: RootSystem, lam: Weight, marks) -> tuple:
-    """(lambda(h), row), as the module docstring describes."""
+def _request(rs: RootSystem, lam: Weight, marks) -> _Sl2:
+    """The record of the sl2 with these marks, once lambda and the marks
+    are checked."""
     marks = tuple(int(m) for m in marks)
     if len(marks) != rs.rank:
         raise RootSystemError(f"marks must have length {rs.rank}")
     _check_weight(rs, lam, "full_weight_values")
-    s = _sl2(rs, marks)
+    return _sl2(rs, marks)
+
+
+def _weight_row(rs: RootSystem, lam: Weight, s: _Sl2) -> tuple:
+    """(lambda(h), row) for a request checked by _request, s its record, as
+    the module docstring describes."""
     lam_h = _lambda_of_h(rs, lam, s.h)
     degree = sum(map(mul, s.c, (x + 1 for x in lam.coords)))
     if s.h == (2,) * rs.rank and degree <= 2 * PARABOLIC_CAP:
@@ -214,12 +225,13 @@ def _weight_row(rs: RootSystem, lam: Weight, marks) -> tuple:
 @lru_cache(maxsize=4)
 def _sl2(rs: RootSystem, marks: tuple) -> _Sl2:
     """The record of the sl2 with these marks; marks not dominant get that
-    of their dominant Weyl conjugate h, so conjugate sl2s share one record
-    and the coset table it carries, and at most four tables are alive.  It
-    holds h, c the coroot coordinates of h + h* with h* = -w0 h, cosets =
-    |W_J\\W|, J the zero marks of h, and the denominator prod (1 - t^e)
-    over the e = alpha(h) > 0, alpha in Phi+: their (e, times) groups,
-    ascending, and their sum, max, product and count.
+    of their dominant Weyl conjugate h, so conjugate sl2s share one record,
+    the coset table and the last certified decomposition it carries, and at
+    most four of each are alive.  It holds h, c the coroot coordinates of
+    h + h* with h* = -w0 h, cosets = |W_J\\W|, J the zero marks of h, and
+    the denominator prod (1 - t^e) over the e = alpha(h) > 0, alpha in
+    Phi+: their (e, times) groups, ascending, and their sum, max, product
+    and count.
 
     The weights of L(lambda) are W-stable, so h and its conjugates have the
     same weight-value histogram.  h* has the marks alpha_i(h*) =
@@ -380,9 +392,12 @@ def _by_cosets(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
     K the coroot coordinates of h - h', h' = w^-1 h, from _coset_table,
     (xi - w xi)(h) = K . xi, and w^-1 maps Phi_J+ onto the positive roots
     beta vanishing on h': dim_J(w xi - rho) has numerator prod (xi, beta),
-    one row of a gather.  Products run in int64 only where a bound taken
-    first (max (xi, beta) ** |Phi_J+|) proves that they fit, and their sum
-    where len(K) times the largest quotient does (every (xi, beta) is > 0).
+    one row of a gather.  The sum runs COSET_CHUNK rows of the table at a
+    time, so that no transient grows with the table.  Products run in
+    int64 only where a bound taken first (max (xi, beta) ** |Phi_J+|)
+    proves that they fit, and the sum while a running bound, each chunk's
+    length times its largest quotient (every (xi, beta) is > 0), does;
+    past it, the sum goes on in Python ints.
     """
     if s.table is None:
         s.table = _coset_table(rs, s)
@@ -391,23 +406,28 @@ def _by_cosets(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
     n = sum(map(mul, s.c, xi)) + 1   # c is the largest row of K (see _sl2)
     # xi_j <= K . xi <= PARABOLIC_CAP wherever some row has K_j > 0, so
     # clipping xi there changes no degree, and int32 holds every partial sum
-    degrees = t.K @ np.array([min(x, PARABOLIC_CAP) for x in xi], np.int32)
+    clipped = np.array([min(x, PARABOLIC_CAP) for x in xi], np.int32)
     # the degree cap bounds xi only where some mark is nonzero; past int64
     # headroom, the Levi pairings are formed in Python ints
     xi = np.array(xi, dtype=np.int64 if max(xi) < 2**32 else object)
     pairs = rs._np["roots_d"] @ xi
     fits = max(pairs.tolist()) ** t.vanish.shape[1] < 2**63
-    prods = pairs.astype(np.int64 if fits else object)[t.vanish].prod(axis=1)
-    if t.den != 1:
-        if (prods % t.den).any():
-            raise CharacterError(
-                f"Levi dimension at marks {s.h} is not integral")
-        prods //= t.den
-    if len(prods) * int(prods.max()) >= 2**63:
-        prods = prods.astype(object, copy=False)
+    pairs = pairs.astype(np.int64 if fits else object)
+    poly = np.zeros(n + s.e_max, pairs.dtype)
+    bound = 0
+    for a in range(0, len(t.K), COSET_CHUNK):
+        b = a + COSET_CHUNK
+        prods = pairs[t.vanish[a:b]].prod(axis=1)
+        if t.den != 1:
+            if (prods % t.den).any():
+                raise CharacterError(
+                    f"Levi dimension at marks {s.h} is not integral")
+            prods //= t.den
+        bound += len(prods) * int(prods.max())
+        if bound >= 2**63:
+            poly = poly.astype(object, copy=False)
+        np.add.at(poly, t.K[a:b] @ clipped, t.signs[a:b] * prods)
     dim = math.prod(pairs.tolist()) // rs._np["weyl_den"]
-    poly = np.zeros(n + s.e_max, prods.dtype)
-    np.add.at(poly, degrees, t.signs * prods)
     # the sum's bound set its dtype, and _quotient's sets the division's
     return _quotient(poly.astype(np.int64 if dim << s.e_count < 2**63
                                  else object, copy=False), n, s, lam)

@@ -5,17 +5,20 @@ integers alpha_i(h) for the standard semisimple element h of the triple.
 The restricted character is the histogram N of weight values mu(h), as
 the row[j] = N_{lambda(h) - j} of character._weight_row; mult V(k) =
 N_k - N_{k+2} gives the row of sl2 irreducibles V(k) (dimension k+1).
+sl2_decompose keeps its last certified decomposition on the per-sl2
+record of character._sl2, so the same lambda asked of one sl2 (or of a
+conjugate one) twice in a row is restricted once; a decomposition may
+thus be shared, and nothing a caller is handed can change it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .rootsys import RootSystem, RootSystemError, Weight
-from .character import _histogram, _weight_row
+from .character import _histogram, _request, _weight_row
 
 
 class BranchingError(ArithmeticError):
@@ -39,12 +42,13 @@ class Sl2Embedding:
 class Sl2Decomposition:
     row: np.ndarray  # row[j] = N_{lambda(h) - j}, j = 0 .. 2 lambda(h)
     v_row: np.ndarray  # v_row[j] = mult V(lambda(h) - j), j = 0 .. lambda(h)
+    # both read-only, and each access of a dict view builds a fresh dict
 
-    @cached_property
+    @property
     def mults(self) -> dict:  # k -> multiplicity of V(k), dim V(k) = k+1
         return {k: m for k, m in enumerate(self.v_row[::-1].tolist()) if m}
 
-    @cached_property
+    @property
     def weight_values(self) -> dict:  # the histogram N: mu(h) -> multiplicity
         return _histogram(len(self.v_row) - 1, self.row)
 
@@ -87,8 +91,13 @@ def sl2_decompose(rs: RootSystem, lam: Weight, emb: Sl2Embedding) -> Sl2Decompos
 
     The single restriction routine: asserts the sl2-character certificate,
     N symmetric under negation and every computed multiplicity nonnegative.
+    A decomposition that passes is kept on the record of the sl2 until the
+    next one, and a request for the same lambda returns it.
     """
-    lam_h, row = _weight_row(rs, lam, emb.marks)
+    s = _request(rs, lam, emb.marks)
+    if s.last is not None and s.last[0] == lam:
+        return s.last[1]
+    lam_h, row = _weight_row(rs, lam, s)
     if len(row) != 2 * lam_h + 1 or not (row == row[::-1]).all():
         N = _histogram(lam_h, row)   # its ends are nonzero: some N_j != N_-j
         j = next(j for j, n in N.items() if N.get(-j, 0) != n)
@@ -100,7 +109,10 @@ def sl2_decompose(rs: RootSystem, lam: Weight, emb: Sl2Embedding) -> Sl2Decompos
         j = int(np.flatnonzero(v_row < 0)[-1])
         raise BranchingError(
             f"negative multiplicity for V({lam_h - j}) (marks {emb.marks})")
-    return Sl2Decomposition(row, v_row)
+    row.setflags(write=False)
+    v_row.setflags(write=False)
+    s.last = lam, Sl2Decomposition(row, v_row)
+    return s.last[1]
 
 
 def invariant_dim(rs: RootSystem, lam: Weight, emb: Sl2Embedding) -> int:

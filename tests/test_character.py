@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from sl2bounds import (
-    CharacterError, Weight, build, dominant_character, full_weight_values,
-    root_embedding, sl2_decompose, weyl_dimension, weyl_alternating_character,
-    weyl_orbit,
+    CharacterError, Sl2Embedding, Weight, build, dominant_character,
+    full_weight_values, root_embedding, sl2_decompose, weyl_dimension,
+    weyl_alternating_character, weyl_orbit,
 )
 from sl2bounds import character
 from sl2bounds.bounds import _all_simple_types
@@ -145,9 +145,10 @@ def test_dominant_character_rejects_nondominant():
 
 
 def test_box_memo_is_bounded_and_shared_across_builds():
-    # Every memo is keyed by sl2, never by lambda: the per-sl2 record, which
-    # carries its coset table, is the only one, bounded at four records,
-    # and a second build of the same root system hits it.
+    # Every memo is keyed by sl2: the per-sl2 record, which carries its
+    # coset table and its last certified decomposition (one lambda), is
+    # the only one, bounded at four records, and a second build of the
+    # same root system hits it.
     memos = {name for name, value in vars(character).items()
              if hasattr(value, "cache_info") and not isinstance(value, type)}
     assert memos == {"_sl2"}
@@ -335,6 +336,11 @@ def test_one_solve_and_one_conjugation_per_request(monkeypatch):
     full_weight_values(rs, lam, marks)
     assert calls == [("_sl2", tuple(marks)), ("_sl2", (0, 1, 0)),
                      ("_lambda_of_h", (0, 1, 0))]
+    # sl2_decompose looks the record up once, and on a hit solves nothing
+    for solved in ([("_lambda_of_h", (2, 2, 2))], []):
+        calls.clear()
+        sl2_decompose(rs, lam, Sl2Embedding((2, 2, 2)))
+        assert calls == [("_sl2", (2, 2, 2))] + solved
 
 
 def test_conjugate_sl2s_share_one_coset_table(answered, builds):
@@ -728,6 +734,55 @@ def test_orbit_row_past_int64_stays_exact(monkeypatch):
     assert row.dtype == object
     assert row.tolist() == [n << 62 for n in want.tolist()]
     assert sum(row.tolist()) == weyl_dimension(rs, lam) << 62
+
+
+@pytest.mark.parametrize("fam,rank,lam", _SMALL_WEIGHTS, ids=_weight_id)
+def test_coset_sum_in_chunks_matches_orbit_expansion(monkeypatch, fam, rank,
+                                                     lam):
+    # Chunks of 7 rows: the coset sum over every root sl2 of the small
+    # weights, table and sum both built in chunks, is the orbit
+    # expansion's; from rank 3 on, some table is split with a short last
+    # chunk.
+    monkeypatch.setattr(character, "COSET_CHUNK", 7)
+    rs, lam = build([(fam, rank)]), Weight(lam)
+    sizes = set()
+    for beta in rs.positive_roots:
+        marks = root_embedding(rs, beta).marks
+        assert _by_cosets(rs, lam, marks) == _by_orbits(rs, lam, marks), beta
+        sizes.add(character._sl2(rs, marks).cosets)
+    assert any(n > 7 and n % 7 for n in sizes) or rank <= 2, sizes
+
+
+def test_coset_sum_past_int64_in_a_middle_chunk(monkeypatch):
+    # L(omega_4) at F4's subregular h (|Phi_J+| = 1, 576 cosets, chunks of
+    # 7): pairings scaled by f keep every product, and every chunk's own
+    # bound, in int64, but the running bound passes 2^63 in the third
+    # chunk, and so does a numerator coefficient: a sum that stayed in
+    # int64 would wrap.  J has one root, so the row scales by f.
+    monkeypatch.setattr(character, "COSET_CHUNK", 7)
+    rs, lam = build([("F", 4)]), Weight((0, 0, 0, 1))
+    s = character._sl2(rs, (2, 2, 0, 2))
+    want = character._by_cosets(rs, lam, s)   # builds the table
+    assert want.tolist() == character._by_orbits(rs, lam, s.h).tolist()
+    t = s.table
+    xi = [x + 1 for x in lam.coords]
+    pairs = (rs._np["roots_d"] @ xi).tolist()
+    quotients = [pairs[v] // t.den for v in t.vanish[:, 0].tolist()]
+    numerator = Counter()
+    for k, sign, q in zip((t.K @ xi).tolist(), t.signs.tolist(), quotients):
+        numerator[k] += sign * q
+    f = -(-2**63 // max(map(abs, numerator.values())))
+    chunks = [len(quotients[a:a + 7]) * max(quotients[a:a + 7])
+              for a in range(0, len(quotients), 7)]
+    bounds = list(itertools.accumulate(chunks))
+    assert t.vanish.shape[1] == 1 and len(chunks) == 83
+    assert f * max(pairs) < 2**63 and f * max(chunks) < 2**63
+    assert f * bounds[1] < 2**63 <= f * bounds[2]
+    monkeypatch.setitem(rs._np, "roots_d",
+                        rs._np["roots_d"].astype(object) * f)
+    row = character._by_cosets(rs, lam, s)
+    assert row.dtype == object
+    assert row.tolist() == [f * n for n in want.tolist()]
 
 
 def test_orbit_row_refuses_a_span_past_the_weight_cap():

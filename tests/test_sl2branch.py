@@ -10,6 +10,7 @@ from sl2bounds import (
     invariant_dim, principal_embedding, root_embedding, sl2_decompose,
     weyl_dimension,
 )
+from sl2bounds.rootsys import RootSystemError
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +171,101 @@ def test_invariant_dim_runs_the_full_certificate(a2):
     emb = Sl2Embedding(marks=(2, 3))
     with pytest.raises(BranchingError, match="V\\(1\\)"):
         invariant_dim(a2, Weight((2, 2)), emb)
+
+
+@pytest.fixture
+def restricted(monkeypatch):
+    """The lambdas that sl2_decompose restricts, in order, by a spy on the
+    _weight_row it calls."""
+    from sl2bounds import sl2branch
+    lams, real = [], sl2branch._weight_row
+    monkeypatch.setattr(sl2branch, "_weight_row", lambda rs, lam, s:
+                        lams.append(lam.coords) or real(rs, lam, s))
+    return lams
+
+
+def test_invariant_dim_then_g0_restricts_once(g2, restricted):
+    # The per-sl2 record keeps the last certified decomposition: g0 after
+    # invariant_dim of one lambda reads it, and another lambda in between
+    # replaces it, so the first is restricted again.
+    emb = principal_embedding(g2)
+    lam, other = Weight((2, 2)), Weight((1, 0))
+    # Tables 1 and 2 at (2, 2)
+    assert (invariant_dim(g2, lam, emb), g0(g2, lam, emb)) == (1, 1)
+    assert restricted == [(2, 2)]
+    assert sl2_decompose(g2, lam, emb) is sl2_decompose(g2, lam, emb)
+    assert restricted == [(2, 2)]
+    invariant_dim(g2, other, emb)
+    assert g0(g2, lam, emb) == 1
+    assert restricted == [(2, 2), (1, 0), (2, 2)]
+    # a second build of the same root system shares the record
+    assert sl2_decompose(build([("G", 2)]), lam, emb) is \
+        sl2_decompose(g2, lam, emb)
+    assert restricted == [(2, 2), (1, 0), (2, 2)]
+
+
+def test_conjugate_sl2_reuses_the_decomposition(answered):
+    # alpha_1 is a long root of B4: its sl2 is conjugate to the highest
+    # root's, shares its record, and reads the decomposition held there.
+    rs = build([("B", 4)])
+    lam = Weight((0, 1, 0, 1))
+    highest = root_embedding(rs, (1, 2, 2, 2))
+    simple = root_embedding(rs, (1, 0, 0, 0))
+    assert simple.marks == (2, -1, 0, 0) != highest.marks
+    dec = sl2_decompose(rs, lam, highest)
+    assert sl2_decompose(rs, lam, simple) is dec
+    assert answered == {"_by_cosets": 1}
+    assert dec.weight_values == full_weight_values(rs, lam, simple.marks)
+
+
+def test_failed_certificate_is_not_kept(a2, restricted):
+    # The case of test_invariant_dim_runs_the_full_certificate raises on
+    # every request, each one restricting and certifying anew, and a
+    # valid lambda after it is answered as usual.
+    from sl2bounds import character
+    emb = Sl2Embedding(marks=(2, 3))
+    for _ in range(2):
+        with pytest.raises(BranchingError, match="V\\(1\\)"):
+            invariant_dim(a2, Weight((2, 2)), emb)
+    assert restricted == [(2, 2), (2, 2)]
+    assert character._sl2(a2, (2, 3)).last is None
+    assert invariant_dim(a2, Weight((0, 0)), emb) == 1
+    with pytest.raises(BranchingError, match="V\\(1\\)"):
+        g0(a2, Weight((2, 2)), emb)
+    assert restricted == [(2, 2), (2, 2), (0, 0), (2, 2)]
+
+
+def test_bad_requests_raise_on_a_warm_record(g2, restricted):
+    emb = principal_embedding(g2)
+    lam = Weight((2, 1))
+    sl2_decompose(g2, lam, emb)
+    with pytest.raises(RootSystemError, match="length 2"):
+        sl2_decompose(g2, Weight((2, 1, 0)), emb)
+    with pytest.raises(RootSystemError, match="dominant"):
+        sl2_decompose(g2, Weight((2, -1)), emb)
+    with pytest.raises(RootSystemError, match="marks must have length 2"):
+        sl2_decompose(g2, lam, Sl2Embedding((2, 2, 2)))
+    with pytest.raises(RootSystemError, match="marks must have length 2"):
+        g0(g2, lam, Sl2Embedding((2,)))
+    assert restricted == [(2, 1)]
+
+
+def test_a_shared_decomposition_cannot_be_changed(g2):
+    emb = principal_embedding(g2)
+    lam = Weight((2, 1))
+    dec = sl2_decompose(g2, lam, emb)
+    want = (dec.row.tolist(), dec.v_row.tolist(), dec.mults,
+            dec.weight_values)
+    for a in (dec.row, dec.v_row):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 7
+    dec.mults[0] = 99
+    dec.weight_values.clear()
+    again = sl2_decompose(g2, lam, emb)
+    assert again is dec
+    assert (again.row.tolist(), again.v_row.tolist(), again.mults,
+            again.weight_values) == want
 
 
 @pytest.mark.parametrize("lam_h,row,value", [
