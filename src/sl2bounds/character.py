@@ -27,7 +27,9 @@ and in Python ints past it.  full_weight_values is its dict view.
   W_J, J the zero marks of h, at h (Bourbaki, Lie Groups and Lie Algebras
   VIII 9; Humphreys, Introduction to Lie Algebras and Representation
   Theory 24), over a table of the Weyl orbit of h, built once per h
-  from a walk of its lower half and the w0 images of that half.
+  from a walk of its lower half, written level by level as it is walked,
+  and the w0 images of that half; its products run in int64 per chunk of
+  the table where a bound proves them exact.
 * _by_orbits: Freudenthal's multiplicities of the dominant weights
   expanded over their Weyl orbits, bounded by WEIGHT_CAP.
 
@@ -336,7 +338,10 @@ def _coset_table(rs: RootSystem, s: _Sl2) -> _CosetTable:
     images of those of h', and its K is c - K[sigma] (h - w0 h' = h + h*
     - w0 (h - h'), and -w0 alpha_j_vee = alpha_sigma(j)_vee).  The images
     are written in place after the walked rows; row order is free, as the
-    coset sum is a scatter-add.
+    coset sum is a scatter-add.  The table is allocated first, s.cosets
+    rows, and each level is written into it as the walk yields it, so the
+    build holds the table and one level; a walk that yields more rows than
+    that is refused before it writes past them.
 
     An entry takes 4 rank + 1 + |Phi_J+| bytes per coset, for at most
     COSET_CAP cosets.  Among simple types of rank <= 8 the largest is E8
@@ -344,35 +349,46 @@ def _coset_table(rs: RootSystem, s: _Sl2) -> _CosetTable:
     E7's subregular h (1451520 cosets, |Phi_J+| = 1) takes about 44 MB.
     """
     roots, L = rs._np["roots"], s.e_count
-    levels = _orbit_walk(_orbit_rows(s.h), rs._coweight_walk, L // 2 + 1)
-    sizes = [len(k) for k in levels]
-    walked, mirrored = sum(sizes), sum(sizes[:L - L // 2])
-    if walked + mirrored != s.cosets:
-        raise CharacterError(f"orbit of marks {s.h} has {walked + mirrored} "
-                             f"points, not {s.cosets}")
     alpha_h = roots @ s.h
     K = np.empty((s.cosets, len(s.h)), np.int32)
     signs = np.empty(s.cosets, np.int8)
     vanish = np.empty((s.cosets, int((alpha_h == 0).sum())),
                       rs._neg_w0.dtype)
-    np.concatenate(levels, out=K[:walked])
-    signs[:walked] = np.repeat(np.array([(-1) ** n for n in range(len(sizes))],
-                                        np.int8), sizes)
-    del levels
+    sizes, walked = [], 0
+    # walked in int32, which holds h' and K under the degree cap and
+    # halves the transients of each level
+    rows = _orbit_rows(s.h).astype(np.int32)
+    for k in _orbit_walk(rows, rs._coweight_walk, L // 2 + 1):
+        end = walked + len(k)
+        if end > s.cosets:
+            raise CharacterError(f"orbit of marks {s.h} has more than "
+                                 f"{s.cosets} points")
+        K[walked:end] = k
+        signs[walked:end] = (-1) ** len(sizes)
+        walked = end
+        sizes.append(len(k))
+    mirrored = sum(sizes[:L - L // 2])
+    if walked + mirrored != s.cosets:
+        raise CharacterError(f"orbit of marks {s.h} has {walked + mirrored} "
+                             f"points, not {s.cosets}")
     # in float64 for BLAS, and exact: K >= 0 and K . xi <= PARABOLIC_CAP
     # with xi >= 1, so every partial sum of beta(h - h') is an integer of
     # size at most 3 sum K_j < 2^53
     wc = rs._np["roots_wc"].T.astype(np.float64)
+    # the w0 images; mode="clip" (the indices are in range) writes to out
+    # without a buffered copy, and the vanishing roots of the images are
+    # taken a chunk at a time, as np.take widens its indices to intp
     for a in range(0, walked, COSET_CHUNK):
         b = min(a + COSET_CHUNK, walked)
         hits = np.flatnonzero(K[a:b] @ wc == alpha_h)
         vanish[a:b] = (hits % len(roots)).reshape(b - a, -1)
-    # the w0 images; mode="clip" (the indices are in range) writes to out
-    # without a buffered copy
+        if a < mirrored:
+            c = min(b, mirrored)
+            np.take(rs._neg_w0, vanish[a:c], out=vanish[walked + a:walked + c],
+                    mode="clip")
     np.take(K[:mirrored], rs._np["sigma"], axis=1, out=K[walked:], mode="clip")
     np.subtract(np.array(s.c, np.int32), K[walked:], out=K[walked:])
     np.multiply(signs[:mirrored], (-1) ** L, out=signs[walked:])
-    np.take(rs._neg_w0, vanish[:mirrored], out=vanish[walked:], mode="clip")
     den = math.prod(rs._np["roots_d"][alpha_h == 0].sum(axis=1).tolist())
     for a in (K, signs, vanish):
         a.setflags(write=False)
@@ -394,10 +410,15 @@ def _by_cosets(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
     beta vanishing on h': dim_J(w xi - rho) has numerator prod (xi, beta),
     one row of a gather.  The sum runs COSET_CHUNK rows of the table at a
     time, so that no transient grows with the table.  Products run in
-    int64 only where a bound taken first (max (xi, beta) ** |Phi_J+|)
-    proves that they fit, and the sum while a running bound, each chunk's
-    length times its largest quotient (every (xi, beta) is > 0), does;
-    past it, the sum goes on in Python ints.
+    int64 only where a bound proves that they fit: for every chunk at once
+    while max (xi, beta) ** |Phi_J+| < 2^63, and else, for pairings below
+    2^53, per chunk while the largest float64 product of the chunk is
+    below 2^62.  A float64 product of |Phi_J+| exact factors is within a
+    factor (1 + 2^-53) ** |Phi_J+| of the exact one, so that proves each
+    int64 product of the chunk below 2^63; a chunk without a proof forms
+    its products in Python ints.  The sum runs in int64 while a running
+    bound, each chunk's length times its largest quotient (every
+    (xi, beta) is > 0), stays below 2^63; past it, in Python ints.
     """
     if s.table is None:
         s.table = _coset_table(rs, s)
@@ -411,13 +432,24 @@ def _by_cosets(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
     # headroom, the Levi pairings are formed in Python ints
     xi = np.array(xi, dtype=np.int64 if max(xi) < 2**32 else object)
     pairs = rs._np["roots_d"] @ xi
-    fits = max(pairs.tolist()) ** t.vanish.shape[1] < 2**63
-    pairs = pairs.astype(np.int64 if fits else object)
+    top = max(pairs.tolist())
+    floats = wide = None   # a chunk proof's pairings, and their Python ints
+    if top ** t.vanish.shape[1] < 2**63:
+        pairs = pairs.astype(np.int64)
+    elif top < 2**53:
+        floats, wide = pairs.astype(np.float64), pairs.astype(object)
+        pairs = pairs.astype(np.int64)
+    else:
+        pairs = pairs.astype(object)
     poly = np.zeros(n + s.e_max, pairs.dtype)
     bound = 0
     for a in range(0, len(t.K), COSET_CHUNK):
         b = a + COSET_CHUNK
-        prods = pairs[t.vanish[a:b]].prod(axis=1)
+        v = t.vanish[a:b]
+        if floats is None or floats[v].prod(axis=1).max() < 2**62:
+            prods = pairs[v].prod(axis=1)
+        else:
+            prods = wide[v].prod(axis=1)
         if t.den != 1:
             if (prods % t.den).any():
                 raise CharacterError(
@@ -445,7 +477,7 @@ def _by_orbits(rs: RootSystem, lam: Weight, marks) -> np.ndarray:
     # holds them, since WEIGHT_CAP bounds lambda and the index
     rows = np.array([(*mu, *k, i) for i, (mu, k, _) in enumerate(doms)],
                     dtype=np.int32)
-    rows = np.concatenate(_orbit_walk(rows, rs._weight_walk))
+    rows = np.concatenate(list(_orbit_walk(rows, rs._weight_walk)))
     index = rows[:, -1]
     # k is int32 and the marks are dominant, so int64 is exact while
     # sum(marks) < 2^32; past that, Python ints
@@ -485,7 +517,7 @@ def weyl_alternating_character(rs: RootSystem, lam: Weight) -> Character:
     # xi is regular, so the shared orbit walk visits each w(xi) once, at
     # level l(w), and its k (root coords of xi - w xi) is the offset of the
     # numerator term sgn(w) e^{w(xi) - rho}; the k of w0 is the largest.
-    levels = _orbit_walk(_orbit_rows(xi.coords), rs._weight_walk)
+    levels = list(_orbit_walk(_orbit_rows(xi.coords), rs._weight_walk))
     shape = np.concatenate(levels).max(axis=0) + 1
     ncells = math.prod(shape.tolist())
     if ncells > DEFAULT_BOX_CAP:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -409,7 +409,9 @@ def _orbit_size(rs: RootSystem, mu) -> int:
 
 
 class _Step(NamedTuple):
-    """The step of _orbit_walk in one basis, and the matrices of its test."""
+    """The step of _orbit_walk in one basis, and the matrices of its test,
+    formed once per root system by _walk_step.  The walk yields its levels
+    one at a time, and a coset table is written from them as they come."""
     simple: np.ndarray   # simple[j]: the j-th simple root, as in the rows
     bonds: np.ndarray    # x @ bonds: x_i - x_j simple[j][i], one bond i < j
     to_j: np.ndarray     # which j each failed test fails
@@ -418,21 +420,28 @@ class _Step(NamedTuple):
 
 def _walk_step(simple) -> _Step:
     """The _Step of _orbit_walk for this basis; each root system keeps one
-    for A and one for A.T, so that no walk forms these matrices again."""
-    rank = len(simple)
-    bi, bj = np.nonzero(np.triu(simple.T, 1))          # the bonds i < j
-    bonds = np.zeros((rank, len(bi)), np.int64)
-    bonds[bi, np.arange(len(bi))] = 1
-    bonds[bj, np.arange(len(bi))] = -simple[bj, bi]
+    for A and one for A.T, so that no walk forms these matrices again.
+    They are formed in Python lists, a few dozen entries, and sent to
+    numpy once each: in a fresh process that is cheaper than the numpy
+    calls that would form them, which the first coset table or orbit of a
+    root system would pay."""
+    s = simple.tolist()
+    rank = len(s)
+    pairs = [(i, j) for i in range(rank) for j in range(i + 1, rank)
+             if s[j][i]]                                # the bonds i < j
+    bonds = [[1 if i == b else -s[j][b] if i == j else 0 for b, j in pairs]
+             for i in range(rank)]
     # a negative x_i fails each j > i not bonded to i; a negative bond
     # value fails its j
-    to_j = np.concatenate([np.triu(simple.T == 0, 1),
-                           np.eye(rank, dtype=bool)[bj]]).astype(np.float32)
-    move = np.concatenate([-simple, np.eye(rank, dtype=np.int64)], axis=1)
-    return _Step(simple, bonds, to_j, move)
+    to_j = [[j > i and not s[j][i] for j in range(rank)] for i in range(rank)]
+    to_j += [[j == jb for j in range(rank)] for _, jb in pairs]
+    move = [[-x for x in row] + [int(i == j) for i in range(rank)]
+            for j, row in enumerate(s)]
+    return _Step(simple, np.array(bonds, np.int64), np.array(to_j, np.float32),
+                 np.array(move, np.int64))
 
 
-def _orbit_walk(rows, step: _Step, stop=None) -> list:
+def _orbit_walk(rows, step: _Step, stop=None) -> Iterator[np.ndarray]:
     """Walk the Weyl orbits of several dominant vectors at once, level by
     level, and stop after the first stop >= 1 levels (all for None).
 
@@ -445,9 +454,11 @@ def _orbit_walk(rows, step: _Step, stop=None) -> list:
     0, so each vector is reached once, from the vector that reflecting at
     its first negative coordinate gives back.  A step makes one more
     positive root negative on x, so w(x) is at level l(w) for the shortest
-    such w, the minimal coset representative.  Returns, per level, a copy
-    of the columns after x.  Callers bound the orbit sizes with _orbit_size
-    first.
+    such w, the minimal coset representative.  Yields, per level, a copy
+    of the columns after x, and walks the next level only when asked for
+    it, so a caller that writes each level away holds one at a time;
+    callers that need every level take list(...).  Callers bound the orbit
+    sizes with _orbit_size first.
 
     Each level takes the same few numpy calls, over all rows and all j at
     once, whatever the rank.  The test needs no s_j x: for i < j not
@@ -456,7 +467,8 @@ def _orbit_walk(rows, step: _Step, stop=None) -> list:
     each bond i < j.  The bond values are one integer product x @ bonds,
     and one 0/1 product with to_j (float32, for BLAS; the counts are
     small integers) counts the failed tests of each j; the kept steps
-    change (x, k) by one add of x_j move[j].
+    change (x, k) by one add of x_j move[j], formed in the dtype of rows
+    (int32 rows are a caller's bound on x, k and 3 x_j).
     Forming every s_j x as an (n, r, r) array instead is faster on small
     orbits but slower on large ones, and a bit mask of the negative
     coordinates would not go past 63 of them.  The kept (j, parent) pairs,
@@ -464,17 +476,27 @@ def _orbit_walk(rows, step: _Step, stop=None) -> list:
     order and dtype as reflecting at one j at a time.
     """
     rank = len(step.simple)
-    levels = []
+    level = 0
     while len(rows):
-        levels.append(rows[:, rank:].copy())
-        if len(levels) == stop:
-            break
-        x = rows[:, :rank]
-        fails = np.concatenate([x < 0, x @ step.bonds < 0], axis=1) @ step.to_j
-        j, parent = np.nonzero(((x > 0) & (fails == 0)).T)
-        rows = rows.take(parent, axis=0)
-        rows[:, :2 * rank] += x[parent, j][:, None] * step.move.take(j, axis=0)
-    return levels
+        yield rows[:, rank:].copy()
+        level += 1
+        if level == stop:
+            return
+        rows = _next_level(rows, step)
+
+
+def _next_level(rows, step: _Step) -> np.ndarray:
+    """The rows of the next level of _orbit_walk; its transients end with
+    the call, so that the walk holds only the rows between levels."""
+    rank = len(step.simple)
+    x = rows[:, :rank]
+    fails = np.concatenate([x < 0, x @ step.bonds < 0], axis=1) @ step.to_j
+    j, parent = np.nonzero(((x > 0) & (fails == 0)).T)
+    change = step.move.astype(rows.dtype, copy=False).take(j, axis=0)
+    change *= x[parent, j][:, None]
+    rows = rows.take(parent, axis=0)
+    rows[:, :2 * rank] += change
+    return rows
 
 
 def _orbit_rows(mu) -> np.ndarray:
@@ -489,7 +511,8 @@ def weyl_orbit(rs: RootSystem, mu: Weight):
     _check_weight(rs, mu, "weyl_orbit")
     if _orbit_size(rs, mu.coords) > DEFAULT_ORBIT_CAP:
         raise RootSystemError(f"Weyl orbit exceeds cap {DEFAULT_ORBIT_CAP}")
-    K = np.concatenate(_orbit_walk(_orbit_rows(mu.coords), rs._weight_walk))
+    K = np.concatenate(list(_orbit_walk(_orbit_rows(mu.coords),
+                                         rs._weight_walk)))
     return {Weight(w) for w in (np.array(mu.coords, K.dtype)
                                 - K @ rs._np["A"].T).tolist()}
 

@@ -785,6 +785,93 @@ def test_coset_sum_past_int64_in_a_middle_chunk(monkeypatch):
     assert row.tolist() == [f * n for n in want.tolist()]
 
 
+def _coset_row_in_python_ints(rs, lam, s):
+    """The coset sum over the table of s, every product and sum in Python
+    ints: the object-dtype path, against which the int64 proofs of
+    _by_cosets are checked."""
+    t = s.table
+    xi = [x + 1 for x in lam.coords]
+    pairs = (rs._np["roots_d"] @ xi).tolist()
+    n = sum(map(mul, s.c, xi)) + 1
+    poly = np.zeros(n + s.e_max, object)
+    for k, sign, v in zip((t.K @ xi).tolist(), t.signs.tolist(),
+                          t.vanish.tolist()):
+        prod, rem = divmod(math.prod(pairs[i] for i in v), t.den)
+        assert rem == 0
+        poly[k] += sign * prod
+    return character._quotient(poly, n, s, lam)
+
+
+@pytest.fixture
+def scatter_dtypes(monkeypatch):
+    """The dtype of the values each np.add.at of the character module adds,
+    in order: one per chunk of a coset sum."""
+    dtypes = []
+
+    class Add:
+        def at(self, a, index, values):
+            dtypes.append(values.dtype)
+            np.add.at(a, index, values)
+
+        def __getattr__(self, name):
+            return getattr(np.add, name)
+
+    class Numpy:
+        add = Add()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(character, "np", Numpy())
+    return dtypes
+
+
+# A5 at h = (0, 1, 0, 0, 0): J of type A1 + A3, |Phi_J+| = 7, 15 cosets.
+_A5_H = (0, 1, 0, 0, 0)
+
+
+def _chunk_products(rs, lam, s, size):
+    """Per chunk of the table of s, the largest exact product of the
+    Levi pairings, and the guard max (xi, beta) ** |Phi_J+|."""
+    xi = [x + 1 for x in lam.coords]
+    pairs = (rs._np["roots_d"] @ xi).tolist()
+    prods = [math.prod(pairs[i] for i in v) for v in s.table.vanish.tolist()]
+    return ([max(prods[a:a + size]) for a in range(0, len(prods), size)],
+            max(pairs) ** s.table.vanish.shape[1])
+
+
+def test_coset_products_in_int64_where_only_the_guard_fails(scatter_dtypes):
+    # lambda = 600 omega_4: max (xi, beta) ** 7 is past 2^63, but every
+    # product is below 2^40, so the one chunk runs in int64.
+    rs, lam = build([("A", 5)]), Weight((0, 0, 0, 600, 0))
+    s = character._sl2(rs, _A5_H)
+    s.table = character._coset_table(rs, s)
+    tops, guard = _chunk_products(rs, lam, s, character.COSET_CHUNK)
+    assert guard >= 2**63 and max(tops) < 2**40
+    row = character._by_cosets(rs, lam, s)
+    assert scatter_dtypes == [np.int64]
+    assert row.tolist() == _coset_row_in_python_ints(rs, lam, s).tolist()
+    assert sum(row.tolist()) == weyl_dimension(rs, lam)
+
+
+def test_coset_products_in_python_ints_in_a_middle_chunk(monkeypatch,
+                                                         scatter_dtypes):
+    # Chunks of 7 rows: for lambda = (64, 256, 0, 1024, 0) only the middle
+    # chunk holds a product past 2^62, and one past 2^63 that int64 would
+    # wrap; that chunk alone forms its products in Python ints.
+    monkeypatch.setattr(character, "COSET_CHUNK", 7)
+    rs, lam = build([("A", 5)]), Weight((64, 256, 0, 1024, 0))
+    s = character._sl2(rs, _A5_H)
+    s.table = character._coset_table(rs, s)
+    tops, guard = _chunk_products(rs, lam, s, 7)
+    assert guard >= 2**63 and len(tops) == 3
+    assert tops[0] < 2**61 and tops[1] >= 2**63 and tops[2] < 2**61
+    row = character._by_cosets(rs, lam, s)
+    assert scatter_dtypes == [np.int64, object, np.int64]
+    assert row.tolist() == _coset_row_in_python_ints(rs, lam, s).tolist()
+    assert sum(row.tolist()) == weyl_dimension(rs, lam)
+
+
 def test_orbit_row_refuses_a_span_past_the_weight_cap():
     # Marks that are no sl2 can spread few weights over a huge span of
     # values, and the dense row is as long as the span, so a span past

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from operator import mul
 
@@ -377,8 +378,8 @@ def test_orbit_walk_levels_are_lengths(fam, rank):
     # rho is regular, so the level of w(rho) is l(w): one longest element
     # at level |Phi+|, and sum_w (-1)^l(w) = 0.
     rs = build([(fam, rank)])
-    levels = rootsys._orbit_walk(rootsys._orbit_rows(rs.rho.coords),
-                                 rs._weight_walk)
+    levels = list(rootsys._orbit_walk(rootsys._orbit_rows(rs.rho.coords),
+                                      rs._weight_walk))
     sizes = [len(k) for k in levels]
     assert len(sizes) == len(rs.positive_roots) + 1
     assert sizes[-1] == 1
@@ -395,8 +396,8 @@ def test_coweight_walk_levels_and_stabilizers(fam, rank):
     rs = build([(fam, rank)])
     A, roots = rs._np["A"], rs._np["roots"]
     for marks in itertools.product(range(3), repeat=rank):
-        levels = rootsys._orbit_walk(rootsys._orbit_rows(marks),
-                                     rs._coweight_walk)
+        levels = list(rootsys._orbit_walk(rootsys._orbit_rows(marks),
+                                          rs._coweight_walk))
         orbit = [np.array(marks) - K @ A for K in levels]
         points = {tuple(h) for h in np.concatenate(orbit).tolist()}
         assert len(points) == sum(map(len, orbit)) == \
@@ -433,9 +434,46 @@ def _reference_walk(rows, simple):
     return levels
 
 
+def _reference_step(simple):
+    """The matrices of rootsys._walk_step formed by numpy calls alone: the
+    oracle for its plain-Python construction."""
+    rank = len(simple)
+    bi, bj = np.nonzero(np.triu(simple.T, 1))          # the bonds i < j
+    bonds = np.zeros((rank, len(bi)), np.int64)
+    bonds[bi, np.arange(len(bi))] = 1
+    bonds[bj, np.arange(len(bi))] = -simple[bj, bi]
+    to_j = np.concatenate([np.triu(simple.T == 0, 1),
+                           np.eye(rank, dtype=bool)[bj]]).astype(np.float32)
+    move = np.concatenate([-simple, np.eye(rank, dtype=np.int64)], axis=1)
+    return simple, bonds, to_j, move
+
+
+def _assert_steps_agree(rs):
+    A = rs._np["A"]
+    for simple in (A.T, A):
+        got, want = rootsys._walk_step(simple), _reference_step(simple)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert (g == w).all()
+
+
+@pytest.mark.parametrize("fam,rank", ALL_SIMPLE)
+def test_walk_step_matches_numpy_reference(fam, rank):
+    _assert_steps_agree(build([(fam, rank)]))
+
+
+@pytest.mark.parametrize("types", [[("A", 1), ("G", 2)], [("G", 2), ("B", 3)],
+                                   [("A", 1), ("A", 1), ("A", 2)],
+                                   [("A", 1)] * 70])
+def test_walk_step_matches_numpy_reference_semisimple(types):
+    # A1^70 has no bond at all: an empty bond matrix of 70 rows.
+    _assert_steps_agree(build(types))
+
+
 def _assert_walks_agree(rows, simple):
     # identical levels: content, row order and dtype
-    got = rootsys._orbit_walk(rows, rootsys._walk_step(simple))
+    got = list(rootsys._orbit_walk(rows, rootsys._walk_step(simple)))
     want = _reference_walk(rows, simple)
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -466,7 +504,7 @@ def test_orbit_walk_stops_after_the_first_levels(types):
         for step in (rs._coweight_walk, rs._weight_walk):
             want = _reference_walk(rows, step.simple)
             for stop in (1, 2, len(want) // 2 + 1, len(want), len(want) + 3):
-                got = rootsys._orbit_walk(rows, step, stop)
+                got = list(rootsys._orbit_walk(rows, step, stop))
                 assert len(got) == min(stop, len(want))
                 for g, w in zip(got, want):
                     assert g.dtype == w.dtype and g.shape == w.shape
@@ -554,6 +592,56 @@ def test_mirrored_coset_table_parities_and_semisimple_types():
             seen.add("odd" if s.e_count % 2 else "even" if s.e_count
                      else "zero")
     assert seen == {"zero", "odd", "even"}
+
+
+def test_streamed_table_refuses_a_walk_past_its_cosets(monkeypatch):
+    # A walk that yields one row per level and never ends: the build is
+    # refused at the first row past the record's 560 cosets, before it
+    # writes past them or asks the walk for more.
+    d7 = build([("D", 7)])
+    s = character._sl2(d7, (0, 0, 0, 2, 0, 0, 0))
+    yielded = []
+
+    def walk(rows, step, stop=None):
+        while True:
+            yielded.append(1)
+            yield np.zeros((1, d7.rank), np.int32)
+
+    monkeypatch.setattr(character, "_orbit_walk", walk)
+    with pytest.raises(character.CharacterError,
+                       match="has more than 560 points"):
+        character._coset_table(d7, s)
+    assert len(yielded) == 561
+
+
+@pytest.mark.parametrize("types,marks,chunk", [
+    # 1451520 cosets, |Phi_J+| = 1, in 43.5 MB
+    ([("E", 7)], (2, 2, 2, 0, 2, 2, 2), character.COSET_CHUNK),
+    # 215040 cosets, |Phi_J+| = 6, in 8.4 MB: smaller chunks, as a full
+    # chunk's own transient (7.3 MB here) does not grow with the table
+    ([("D", 8)], (0, 0, 0, 2, 2, 2, 2, 2), 1024),
+])
+def test_streamed_table_build_peaks_near_the_table(monkeypatch, types, marks,
+                                                   chunk):
+    # The levels are written into the table as they are walked, and the -w0
+    # images of the vanishing roots are formed a chunk at a time, so the
+    # build holds the table and the transients of one level or chunk: not
+    # every walked level beside the table, nor the mirrored rows' vanishing
+    # roots widened to 8-byte indices, each of which takes these builds past
+    # 1.5 times their tables.
+    monkeypatch.setattr(character, "COSET_CHUNK", chunk)
+    rs = build(types)
+    s = character._sl2(rs, marks)
+    rs._coweight_walk, rs._neg_w0   # formed first, as the walk's constants
+    tracemalloc.start()
+    try:
+        t = character._coset_table(rs, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = t.K.nbytes + t.signs.nbytes + t.vanish.nbytes
+    assert len(t.K) == s.cosets
+    assert peak < 1.5 * table, (peak, table)
 
 
 def _small_orbit_starts(rs, count, seed):
