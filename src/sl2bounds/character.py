@@ -28,14 +28,16 @@ and in Python ints past it.  full_weight_values is its dict view.
   VIII 9; Humphreys, Introduction to Lie Algebras and Representation
   Theory 24), over a table of the Weyl orbit of h, built once per h
   from a walk of its lower half, written level by level as it is walked,
-  and the w0 images of that half; its products run in int64 per chunk of
-  the table where a bound proves them exact.
+  and the w0 images of that half; its Levi products run in int64 per
+  chunk of the table where their float64 products prove them exact.
 * _by_orbits: Freudenthal's multiplicities of the dominant weights
   expanded over their Weyl orbits, bounded by WEIGHT_CAP.
 
-Both formulas write their numerator into one zero-padded buffer and divide
-it there in place by prod_{alpha(h)>0} (1 - t^alpha(h)), which the per-sl2
-record _sl2 holds (its docstring says why the product formula shares it).
+Both formulas read the pairings <lambda + rho, alpha_vee> of Weyl's
+dimension formula (rootsys._pairings, _dimension), write their numerator
+into one zero-padded buffer and divide it there in place by
+prod_{alpha(h)>0} (1 - t^alpha(h)), which the per-sl2 record _sl2 holds
+(its docstring says why the product formula shares it).
 The choice reads sizes the request already has (c . (lambda + rho), the
 degree of either numerator, comes from _sl2): the product formula for a
 principal h while its degree in t^2 is at most PARABOLIC_CAP; else the
@@ -63,8 +65,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .rootsys import (RootSystem, RootSystemError, Weight, _check_weight,
-                      _orbit_rows, _orbit_size, _orbit_walk,
-                      _reflect_to_dominant, weyl_dimension)
+                      _dimension, _orbit_rows, _orbit_size, _orbit_walk,
+                      _pairings, _reflect_to_dominant, weyl_dimension)
 from .semigroup import DEFAULT_BOX_CAP, _partition_fill
 
 WEIGHT_CAP = 10**7  # weights of L(lambda): sum over dominant mu of |W mu|
@@ -75,7 +77,7 @@ COSET_CHUNK = 2**14  # rows of K paired with all roots at once
 DEFAULT_WEYL_ORDER_CAP = 1200  # covers all rank <= 4 simple factors (F4: 1152)
 
 
-class _Sl2(namedtuple("_Sl2", "h c cosets groups e_sum e_max e_prod e_count")):
+class _Sl2(namedtuple("_Sl2", "h c cosets groups e_sum e_max e_count")):
     table = None   # the _CosetTable of h, set by _by_cosets when first needed
     last = None    # (lambda, Sl2Decomposition), the last decomposition
     #                that sl2branch.sl2_decompose certified at h
@@ -215,11 +217,8 @@ def _weight_row(rs: RootSystem, lam: Weight, s: _Sl2) -> tuple:
     degree = sum(map(mul, s.c, (x + 1 for x in lam.coords)))
     if s.h == (2,) * rs.rank and degree <= 2 * PARABOLIC_CAP:
         return lam_h, _by_product(rs, lam, s)
-    # dim L(lambda) >= prod (lambda_i + 1), Weyl's factors at simple roots
     if degree > PARABOLIC_CAP or s.cosets > COSET_CAP or (
-            s.table is None
-            and math.prod(x + 1 for x in lam.coords) <= s.cosets
-            and weyl_dimension(rs, lam) <= s.cosets):
+            s.table is None and weyl_dimension(rs, lam) <= s.cosets):
         return lam_h, _by_orbits(rs, lam, s.h)
     return lam_h, _by_cosets(rs, lam, s)
 
@@ -232,21 +231,20 @@ def _sl2(rs: RootSystem, marks: tuple) -> _Sl2:
     most four of each are alive.  It holds h, c the coroot coordinates of
     h + h* with h* = -w0 h, cosets = |W_J\\W|, J the zero marks of h, and
     the denominator prod (1 - t^e) over the e = alpha(h) > 0, alpha in
-    Phi+: their (e, times) groups, ascending, and their sum, max, product
-    and count.
+    Phi+: their (e, times) groups, ascending, and their sum, max and
+    count.
 
     The weights of L(lambda) are W-stable, so h and its conjugates have the
     same weight-value histogram.  h* has the marks alpha_i(h*) =
     alpha_sigma(i)(h), sigma the node permutation of -w0, and the coroot
-    coordinates of marks m are A^-T m.  |W h| is Macdonald's product of
-    (ht alpha + 1) / ht alpha over the alpha(h) > 0.  For xi = lambda + rho
-    both formulas' numerators have degree (xi - w0 xi)(h) = c . xi in t (c
-    is the largest row of the coset table, that of w0: the w0 image of the
-    identity's row K = 0), or half that in q = t^2 for the
-    principal h = h*, and both divide by prod (1 - t^e): for h = 2 rho_vee
-    the e = 2 ht(alpha) are the 2 <rho, alpha_vee> = 2 ht(alpha_vee) of the
-    product formula, as Phi and its dual have one height partition
-    (Kostant 1959).
+    coordinates of marks m are A^-T m.  |W h| is rootsys._orbit_size, the
+    one Macdonald product.  For xi = lambda + rho both formulas' numerators
+    have degree (xi - w0 xi)(h) = c . xi in t (c is the largest row of the
+    coset table, that of w0: the w0 image of the identity's row K = 0), or
+    half that in q = t^2 for the principal h = h*, and both divide by
+    prod (1 - t^e): for h = 2 rho_vee the e = 2 ht(alpha) are the
+    2 <rho, alpha_vee> = 2 ht(alpha_vee) of the product formula, as Phi
+    and its dual have one height partition (Kostant 1959).
     """
     h = tuple(_reflect_to_dominant(marks, rs.cartan)[0])
     if h != marks:
@@ -258,12 +256,10 @@ def _sl2(rs: RootSystem, marks: tuple) -> _Sl2:
         raise CharacterError(f"h + h* is not integral at marks {h}")
     alpha_h = rs._np["roots"] @ np.array(   # exact in int64 below 2^32
         h, np.int64 if max(h) < 2**32 else object)
-    up = alpha_h > 0
-    exps, heights = alpha_h[up].tolist(), rs._np["heights"][up].tolist()
-    return _Sl2(h, tuple(x // den for x in c),
-                math.prod(x + 1 for x in heights) // math.prod(heights),
+    exps = alpha_h[alpha_h > 0].tolist()
+    return _Sl2(h, tuple(x // den for x in c), _orbit_size(rs, h),
                 tuple(sorted(Counter(exps).items())), sum(exps),
-                max(exps, default=0), math.prod(exps), len(exps))
+                max(exps, default=0), len(exps))
 
 
 def _lambda_of_h(rs: RootSystem, lam: Weight, marks) -> int:
@@ -297,13 +293,14 @@ def _quotient(buf: np.ndarray, n: int, s: _Sl2, lam: Weight) -> np.ndarray:
 def _by_product(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
     """The row for the principal h = 2 rho_vee, from prod_{alpha>0} (1 -
     t^a_alpha) / (1 - t^alpha(h)) = sum_mu mult(mu) t^{2 ht(lambda - mu)},
-    a_alpha = 2 <lambda + rho, alpha_vee>; the buffer takes _quotient's
-    dtype, which holds the numerator, whose terms are at most 2^|Phi+|."""
-    a = (rs._np["coroots"] @ np.array([2 * x + 2 for x in lam.coords],
-                                      np.int64)).tolist()
+    a_alpha = 2 <lambda + rho, alpha_vee>, twice the pairings of Weyl's
+    formula; the buffer takes _quotient's dtype, which holds the
+    numerator, whose terms are at most 2^|Phi+|."""
+    pairs = _pairings(rs, lam)
+    a = [2 * x for x in pairs.tolist()]
     n = sum(a) + 1
-    dim = math.prod(a) // s.e_prod   # Weyl's formula, the value at t = 1
-    num = np.zeros(n + s.e_max, object if dim << s.e_count >= 2**63
+    num = np.zeros(n + s.e_max, object
+                   if _dimension(rs, pairs) << s.e_count >= 2**63
                    else np.int64)
     num[0] = 1
     for deg, e in zip(accumulate(a), a):   # times (1 - t^e), in place
@@ -317,7 +314,7 @@ class _CosetTable(NamedTuple):
     signs: np.ndarray   # int8, (-1)^l(w)
     vanish: np.ndarray  # uint8 (past 255 roots, wider): the |Phi_J+| positive
     #                     roots vanishing on h', one row per coset
-    den: int            # prod_{alpha in Phi_J+} (rho, alpha)
+    den: int            # prod_{beta in Phi_J+} <rho, beta_vee> = ht beta_vee
 
 
 def _coset_table(rs: RootSystem, s: _Sl2) -> _CosetTable:
@@ -389,7 +386,7 @@ def _coset_table(rs: RootSystem, s: _Sl2) -> _CosetTable:
     np.take(K[:mirrored], rs._np["sigma"], axis=1, out=K[walked:], mode="clip")
     np.subtract(np.array(s.c, np.int32), K[walked:], out=K[walked:])
     np.multiply(signs[:mirrored], (-1) ** L, out=signs[walked:])
-    den = math.prod(rs._np["roots_d"][alpha_h == 0].sum(axis=1).tolist())
+    den = math.prod(rs._np["coroots"][alpha_h == 0].sum(axis=1).tolist())
     for a in (K, signs, vanish):
         a.setflags(write=False)
     return _CosetTable(K, signs, vanish, den)
@@ -402,23 +399,25 @@ def _by_cosets(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
     t^{(xi - w xi)(h)} / prod_{alpha>0, alpha(h)>0} (1 - t^{alpha(h)}),
 
     with xi = lambda + rho, w over the minimal representatives of W_J\\W,
-    and dim_J(x - rho) = prod_{alpha in Phi_J+} (x, alpha) / (rho, alpha)
-    the Levi factor's Weyl dimension (roots of Phi_J vanish on h, so each
-    coset's Levi character collapses to dim_J times one power of t).  With
-    K the coroot coordinates of h - h', h' = w^-1 h, from _coset_table,
-    (xi - w xi)(h) = K . xi, and w^-1 maps Phi_J+ onto the positive roots
-    beta vanishing on h': dim_J(w xi - rho) has numerator prod (xi, beta),
-    one row of a gather.  The sum runs COSET_CHUNK rows of the table at a
-    time, so that no transient grows with the table.  Products run in
-    int64 only where a bound proves that they fit: for every chunk at once
-    while max (xi, beta) ** |Phi_J+| < 2^63, and else, for pairings below
-    2^53, per chunk while the largest float64 product of the chunk is
-    below 2^62.  A float64 product of |Phi_J+| exact factors is within a
-    factor (1 + 2^-53) ** |Phi_J+| of the exact one, so that proves each
-    int64 product of the chunk below 2^63; a chunk without a proof forms
-    its products in Python ints.  The sum runs in int64 while a running
-    bound, each chunk's length times its largest quotient (every
-    (xi, beta) is > 0), stays below 2^63; past it, in Python ints.
+    and dim_J(x - rho) = prod_{beta in Phi_J+} <x, beta_vee> / <rho,
+    beta_vee> the Levi factor's Weyl dimension (roots of Phi_J vanish on
+    h, so each coset's Levi character collapses to dim_J times one power
+    of t); its denominator is the table's den.  With K the coroot
+    coordinates of h - h', h' = w^-1 h, from _coset_table, (xi - w xi)(h)
+    = K . xi, and w^-1 maps Phi_J+ onto the positive roots beta vanishing
+    on h', keeping root lengths: dim_J(w xi - rho) has numerator prod
+    <xi, beta_vee>, one row of a gather of the pairings of Weyl's formula.
+    The sum runs COSET_CHUNK rows of the table at a time, so that no
+    transient grows with the table.  Products run in int64 only where a
+    bound proves that they fit: for pairings below 2^53, a chunk's float64
+    products are exact below 2^53 (the factors are integers >= 1, so a
+    rounded partial product leaves the product at 2^53 or above), and are
+    then its products; below 2^62 they prove each int64 product of the
+    chunk below 2^63, as a float64 product of |Phi_J+| exact factors is
+    within a factor (1 + 2^-53) ** |Phi_J+| of the exact one.  Every
+    other chunk forms its products in Python ints.  The sum runs in int64
+    while a running bound, each chunk's length times its largest quotient
+    (every pairing is > 0), stays below 2^63; past it, in Python ints.
     """
     if s.table is None:
         s.table = _coset_table(rs, s)
@@ -428,28 +427,23 @@ def _by_cosets(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
     # xi_j <= K . xi <= PARABOLIC_CAP wherever some row has K_j > 0, so
     # clipping xi there changes no degree, and int32 holds every partial sum
     clipped = np.array([min(x, PARABOLIC_CAP) for x in xi], np.int32)
-    # the degree cap bounds xi only where some mark is nonzero; past int64
-    # headroom, the Levi pairings are formed in Python ints
-    xi = np.array(xi, dtype=np.int64 if max(xi) < 2**32 else object)
-    pairs = rs._np["roots_d"] @ xi
-    top = max(pairs.tolist())
-    floats = wide = None   # a chunk proof's pairings, and their Python ints
-    if top ** t.vanish.shape[1] < 2**63:
-        pairs = pairs.astype(np.int64)
-    elif top < 2**53:
-        floats, wide = pairs.astype(np.float64), pairs.astype(object)
-        pairs = pairs.astype(np.int64)
-    else:
-        pairs = pairs.astype(object)
-    poly = np.zeros(n + s.e_max, pairs.dtype)
+    # the degree cap bounds xi only where some mark is nonzero, so the
+    # pairings may be Python ints; below 2^53 they are exact in float64
+    pairs = _pairings(rs, lam)
+    floats = pairs.astype(np.float64) if max(pairs.tolist()) < 2**53 else None
+    poly = np.zeros(n + s.e_max, np.int64)
     bound = 0
     for a in range(0, len(t.K), COSET_CHUNK):
         b = a + COSET_CHUNK
         v = t.vanish[a:b]
-        if floats is None or floats[v].prod(axis=1).max() < 2**62:
-            prods = pairs[v].prod(axis=1)
+        prods = None if floats is None else _products(floats, v)
+        top = math.inf if prods is None else prods.max()
+        if top >= 2**62:
+            prods = _products(pairs.astype(object), v)
+        elif top >= 2**53:
+            prods = _products(pairs.astype(np.int64), v)
         else:
-            prods = wide[v].prod(axis=1)
+            prods = prods.astype(np.int64)
         if t.den != 1:
             if (prods % t.den).any():
                 raise CharacterError(
@@ -459,10 +453,22 @@ def _by_cosets(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
         if bound >= 2**63:
             poly = poly.astype(object, copy=False)
         np.add.at(poly, t.K[a:b] @ clipped, t.signs[a:b] * prods)
-    dim = math.prod(pairs.tolist()) // rs._np["weyl_den"]
     # the sum's bound set its dtype, and _quotient's sets the division's
-    return _quotient(poly.astype(np.int64 if dim << s.e_count < 2**63
-                                 else object, copy=False), n, s, lam)
+    return _quotient(poly.astype(
+        np.int64 if _dimension(rs, pairs) << s.e_count < 2**63 else object,
+        copy=False), n, s, lam)
+
+
+def _products(values: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """values[v].prod(axis=1): a column of v at a time on a full chunk, in
+    a third of the time of the gather and product over the short last
+    axis, which the few rows of a small table take, as it costs less."""
+    if len(v) < COSET_CHUNK:
+        return values[v].prod(axis=1)
+    out = np.ones(len(v), values.dtype)
+    for col in v.T:
+        out *= values.take(col)
+    return out
 
 
 def _by_orbits(rs: RootSystem, lam: Weight, marks) -> np.ndarray:

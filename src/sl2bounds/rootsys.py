@@ -123,17 +123,6 @@ def _cartan(d, bonds):
     return cartan
 
 
-def _simple_block(comp: SimpleComponent):
-    """Return (cartan, d) for one simple component, Bourbaki numbering.
-
-    cartan is oriented so cartan[j][i] = <alpha_i, alpha_j_vee>; d are the
-    half squared lengths (short root length^2 = 2).
-    """
-    fam = _DYNKIN[comp.family]
-    d = fam.d(comp.rank)
-    return _cartan(d, fam.bonds(comp.rank)), d
-
-
 @dataclass(frozen=True)
 class Weight:
     """Integral weight in fundamental-weight coordinates."""
@@ -304,27 +293,18 @@ def build(components) -> RootSystem:
     rs._np["heights"] = rootmat.sum(axis=1)
     rs._np["roots_wc"] = rootmat @ A.T                  # weight coords per root
     # (alpha, mu) = roots_d[alpha] . mu for mu in weight coords, as
-    # (alpha_i, omega_j) = d_i delta_ij; the Weyl denominator is the
-    # product of the (alpha, rho)
-    rs._np["roots_d"] = rootmat * rs._np["d"]
-    rs._np["weyl_den"] = math.prod(rs._np["roots_d"].sum(axis=1).tolist())
-    rs._np["roots_norm"] = (rs._np["roots_d"] * rs._np["roots_wc"]).sum(axis=1)
+    # (alpha_i, omega_j) = d_i delta_ij
+    roots_d = rootmat * rs._np["d"]
+    rs._np["roots_norm"] = (roots_d * rs._np["roots_wc"]).sum(axis=1)
     # simple-coroot coordinates of alpha_vee = 2 alpha / (alpha, alpha)
-    rs._np["coroots"] = 2 * rs._np["roots_d"] // rs._np["roots_norm"][:, None]
+    rs._np["coroots"] = 2 * roots_d // rs._np["roots_norm"][:, None]
+    # the Weyl denominator: the product of the <rho, alpha_vee> = ht alpha_vee
+    rs._np["weyl_den"] = math.prod(rs._np["coroots"].sum(axis=1).tolist())
     # -w0 permutes the nodes, alpha_i -> alpha_sigma(i): the marks -(1, 2,
     # ..., r) reflect to the dominant -w0 (1, 2, ..., r), whose i-th mark
     # is sigma(i) + 1
     rs._np["sigma"] = tuple(x - 1 for x in _reflect_to_dominant(
         range(-1, -rank - 1, -1), cartan)[0])
-
-    # fix of orientation required by the G2 labeling: dim L(omega_1) = 7
-    off = 0
-    for comp in comps:
-        if comp.family == "G":
-            lam = Weight(tuple(1 if i == off else 0 for i in range(rank)))
-            if weyl_dimension(rs, lam) != 7:
-                raise RootSystemError("G2 orientation check failed")
-        off += comp.rank
     return rs
 
 
@@ -399,13 +379,13 @@ def dominant_representative(rs: RootSystem, mu: Weight) -> Weight:
 
 def _orbit_size(rs: RootSystem, mu) -> int:
     """|W mu| for dominant mu: prod over positive alpha with (mu, alpha) > 0
-    of (ht alpha + 1) / ht alpha (Macdonald's product for |W| / |W_mu|)."""
-    num = den = 1
-    for c in rs.positive_roots:
-        if any(ci and mi for ci, mi in zip(c, mu)):
-            num *= sum(c) + 1
-            den *= sum(c)
-    return num // den
+    of (ht alpha + 1) / ht alpha (Macdonald's product for |W| / |W_mu|).
+    For dominant mu, (mu, alpha) > 0 iff some mu_i > 0 has alpha_i in the
+    support of alpha; that test reads only the signs of mu, so no mu
+    overflows it."""
+    up = rs._np["roots"] @ np.array([m > 0 for m in mu], np.int64) > 0
+    heights = rs._np["heights"][up].tolist()
+    return math.prod(x + 1 for x in heights) // math.prod(heights)
 
 
 class _Step(NamedTuple):
@@ -467,8 +447,8 @@ def _orbit_walk(rows, step: _Step, stop=None) -> Iterator[np.ndarray]:
     each bond i < j.  The bond values are one integer product x @ bonds,
     and one 0/1 product with to_j (float32, for BLAS; the counts are
     small integers) counts the failed tests of each j; the kept steps
-    change (x, k) by one add of x_j move[j], formed in the dtype of rows
-    (int32 rows are a caller's bound on x, k and 3 x_j).
+    change (x, k) by one add of x_j move[j]; both integer products are in
+    the dtype of rows (int32 rows bound x, k, the bonds and 3 x_j).
     Forming every s_j x as an (n, r, r) array instead is faster on small
     orbits but slower on large ones, and a bit mask of the negative
     coordinates would not go past 63 of them.  The kept (j, parent) pairs,
@@ -490,7 +470,8 @@ def _next_level(rows, step: _Step) -> np.ndarray:
     the call, so that the walk holds only the rows between levels."""
     rank = len(step.simple)
     x = rows[:, :rank]
-    fails = np.concatenate([x < 0, x @ step.bonds < 0], axis=1) @ step.to_j
+    bonds = step.bonds.astype(rows.dtype, copy=False)
+    fails = np.concatenate([x < 0, x @ bonds < 0], axis=1) @ step.to_j
     j, parent = np.nonzero(((x > 0) & (fails == 0)).T)
     change = step.move.astype(rows.dtype, copy=False).take(j, axis=0)
     change *= x[parent, j][:, None]
@@ -517,13 +498,24 @@ def weyl_orbit(rs: RootSystem, mu: Weight):
                                 - K @ rs._np["A"].T).tolist()}
 
 
+def _pairings(rs: RootSystem, lam) -> np.ndarray:
+    """<lambda + rho, alpha_vee> for every alpha > 0, in the order of
+    rs.positive_roots: in int64 while lambda + rho is below 2^32 (the
+    coordinates of a coroot sum to its height, far below 2^31), and in
+    Python ints past it."""
+    xi = [x + 1 for x in lam]
+    return rs._np["coroots"] @ np.array(
+        xi, np.int64 if max(xi) < 2**32 else object)
+
+
+def _dimension(rs: RootSystem, pairs: np.ndarray) -> int:
+    """dim L(lambda) from its _pairings by Weyl's dimension formula, prod
+    <lambda + rho, alpha_vee> / <rho, alpha_vee> over alpha > 0."""
+    return math.prod(pairs.tolist()) // rs._np["weyl_den"]
+
+
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
-    """dim L(lambda) by the Weyl dimension formula, exact."""
+    """dim L(lambda) by the Weyl dimension formula: _dimension of its
+    _pairings <lambda + rho, alpha_vee>, exact."""
     _check_weight(rs, lam, "weyl_dimension")
-    d = rs.symmetrizers
-    xi = [di * (x + 1) for di, x in zip(d, lam.coords)]
-    num = math.prod(sum(map(mul, root, xi)) for root in rs.positive_roots)
-    dim, r = divmod(num, rs._np["weyl_den"])
-    if r:
-        raise RootSystemError("Weyl dimension product not integral")
-    return dim
+    return _dimension(rs, _pairings(rs, lam))

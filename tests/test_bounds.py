@@ -196,8 +196,15 @@ def test_e_exceeds_rank(comp):
 
 # The Dynkin walk: an independent reference for the closed forms of
 # levi_ss_components, parabolic_table and e_value.  It splits the diagram of
-# _simple_block with node k deleted into connected pieces and names each by
-# its shape.
+# _block with node k deleted into connected pieces and names each by its
+# shape.
+
+def _block(comp):
+    """(cartan, d) of one simple type from its Dynkin data alone."""
+    fam = rootsys._DYNKIN[comp.family]
+    d = fam.d(comp.rank)
+    return rootsys._cartan(d, fam.bonds(comp.rank)), d
+
 
 def _neighbours(cartan):
     """Per node i of a Cartan block, its neighbours in the Dynkin diagram."""
@@ -232,7 +239,7 @@ def _identify(d, nbrs, nodes):
 
 def _walked_levi(comp, k):
     """The Levi type of node k by the walk, sorted by (family, rank)."""
-    cartan, d = rootsys._simple_block(comp)
+    cartan, d = _block(comp)
     nbrs = _neighbours(cartan)
     rest = set(range(comp.rank)) - {k - 1}
     out = []
@@ -334,7 +341,7 @@ def test_all_simple_types_order():
 
 def test_dynkin_shapes_identify_every_simple_type(monkeypatch):
     # Every simple type of rank <= 11 is named from the shape of its
-    # _simple_block alone, also with its nodes numbered in reverse; the
+    # _block alone, also with its nodes numbered in reverse; the
     # isomorphic pairs name as B2 = C2 and A3 = D3.
     def forbidden(*args, **kwargs):
         raise AssertionError("root system built for a type identification")
@@ -343,7 +350,7 @@ def test_dynkin_shapes_identify_every_simple_type(monkeypatch):
     monkeypatch.setattr(rootsys, "_inverse_int", forbidden)
     renamed = {"C2": "B2", "D3": "A3"}
     for s in bounds._all_simple_types(11):
-        cartan, d = rootsys._simple_block(s)
+        cartan, d = _block(s)
         nodes = range(s.rank)
         want = renamed.get(str(s), str(s))
         assert str(_identify(d, _neighbours(cartan), nodes)) == want
@@ -354,15 +361,16 @@ def test_dynkin_shapes_identify_every_simple_type(monkeypatch):
 
 def test_levi_types_read_no_cartan_block(monkeypatch):
     # The Levi types come from closed forms, so a spy that refuses every
-    # reading of a Cartan block changes no answer.
+    # Cartan matrix and every root system changes no answer.
     types = [SimpleComponent("D", 12), SimpleComponent("E", 8)]
     want = {s: _walked_table(s) for s in types}
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a Cartan block was read for a Levi type")
+        raise AssertionError("a Cartan matrix was formed for a Levi type")
 
-    monkeypatch.setattr(rootsys, "_simple_block", forbidden)
-    monkeypatch.setattr(bounds, "_simple_block", forbidden, raising=False)
+    for name in ("_cartan", "build"):
+        monkeypatch.setattr(rootsys, name, forbidden)
+        monkeypatch.setattr(bounds, name, forbidden, raising=False)
     for s in types:
         assert [(r.node, r.levi_ss_components, r.dim_g_mod_lss, r.dim_X)
                 for r in parabolic_table(s)] == want[s]

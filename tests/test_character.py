@@ -121,9 +121,12 @@ def test_full_weight_values_zero_marks():
 
 def test_full_weight_values_zero_marks_past_int64():
     # The degree cap bounds nothing on a component whose marks are all 0,
-    # so xi there may be near 2^63; the Levi factor is its Weyl dimension,
-    # computed exactly, and an A1 factor with nonzero marks still walks.
+    # so xi there may be near 2^63, or past the range of float64; the Levi
+    # factor is its Weyl dimension, computed exactly, and an A1 factor with
+    # nonzero marks still walks.
     a2 = build([("A", 2)])
+    assert full_weight_values(a2, Weight((10**400, 0)), (0, 0)) == \
+        {0: weyl_dimension(a2, Weight((10**400, 0)))}
     lam = Weight((6917529027641081856, 4611686018427387904))
     dim = weyl_dimension(a2, lam)
     assert full_weight_values(a2, lam, (0, 0)) == {0: dim}
@@ -398,13 +401,18 @@ def _corrupt_levi_denominator(monkeypatch):
                         real(rs, s)._replace(den=real(rs, s).den + 1))
 
 
+def _levi_pairings(rs, lam):
+    """<xi, beta_vee> for every beta > 0, xi = lambda + rho, in Python ints
+    from the coroots: the reference for the pairings of _by_cosets."""
+    xi = [x + 1 for x in lam.coords]
+    return [sum(map(mul, c, xi)) for c in rs._np["coroots"].tolist()]
+
+
 def _largest_levi_product(rs, lam, marks):
     """An upper bound on every coset's product of Levi pairings: the
-    largest (xi, beta) to the power |Phi_J+|."""
-    xi = [x + 1 for x in lam.coords]
-    pairs = (rs._np["roots"] * rs._np["d"]) @ xi
+    largest <xi, beta_vee> to the power |Phi_J+|."""
     vanishing = int((rs._np["roots"] @ marks == 0).sum())
-    return max(pairs.tolist()) ** vanishing
+    return max(_levi_pairings(rs, lam)) ** vanishing
 
 
 @pytest.mark.parametrize("lam,int64", [((0,) * 6, True), ((100,) * 6, False)])
@@ -442,7 +450,7 @@ def test_levi_products_past_int64_stay_exact():
                                  (0, 0, 0, 12, 0, 0, 0)], ids=_weight_id)
 def test_coset_sum_is_bounded_by_its_largest_product(lam):
     # D7 at marks (0,0,0,2,0,0,0): 560 cosets, |Phi_J+| = 12.  560 times
-    # max (xi, beta)^12 / den is about 2^64, but 560 times the largest
+    # max <xi, beta_vee>^12 / den is about 2^64, but 560 times the largest
     # quotient is 2^38 at 24 omega_1 and 2^48 at 12 omega_4, so the sum
     # runs in int64.  It must match the sum in Python ints over the same
     # table, divided by prod (1 - t^e) term by term.
@@ -452,7 +460,7 @@ def test_coset_sum_is_bounded_by_its_largest_product(lam):
     t = character._coset_table(rs, s)
     assert t.vanish.shape == (560, 12)
     xi = [x + 1 for x in lam.coords]
-    pairs = [sum(map(mul, r, xi)) for r in rs._np["roots_d"].tolist()]
+    pairs = _levi_pairings(rs, lam)
     prods = [math.prod(pairs[b] for b in row) // t.den
              for row in t.vanish.tolist()]
     assert 560 * max(prods) < 2**63 <= 560 * (max(pairs) ** 12 // t.den)
@@ -565,11 +573,11 @@ def test_conjugates_of_the_principal_marks_take_the_product_formula(
 
 def _record_exponents(s):
     """The exponents e of the record's denominator prod (1 - t^e), listed
-    from its groups, after checking its sum, max, product and count."""
+    from its groups, after checking its sum, max and count."""
     exps = [e for e, times in s.groups for _ in range(times)]
     assert [e for e, _ in s.groups] == sorted({e for e in exps})
-    assert (s.e_sum, s.e_max, s.e_prod, s.e_count) == (
-        sum(exps), max(exps, default=0), math.prod(exps), len(exps))
+    assert (s.e_sum, s.e_max, s.e_count) == (
+        sum(exps), max(exps, default=0), len(exps))
     return exps
 
 
@@ -616,7 +624,7 @@ def _reflected_record(rs, marks):
     exps = alpha_h[alpha_h > 0].tolist()
     return character._Sl2(h, tuple(-x for x in k), _orbit_size(rs, h),
                           tuple(sorted(Counter(exps).items())), sum(exps),
-                          max(exps, default=0), math.prod(exps), len(exps))
+                          max(exps, default=0), len(exps))
 
 
 # every simple type of rank <= 4, C2 and D3 included, then D5, E6 and two
@@ -701,8 +709,7 @@ def test_product_row_dtype_boundary(fam, rank, lam, int64):
 def _with_denominator(s, exps):
     """The per-sl2 record s with prod_e (1 - t^e) as its denominator."""
     return s._replace(groups=tuple(sorted(Counter(exps).items())),
-                      e_sum=sum(exps), e_max=max(exps),
-                      e_prod=math.prod(exps), e_count=len(exps))
+                      e_sum=sum(exps), e_max=max(exps), e_count=len(exps))
 
 
 def test_product_numerator_past_int64_stays_exact(monkeypatch):
@@ -755,10 +762,11 @@ def test_coset_sum_in_chunks_matches_orbit_expansion(monkeypatch, fam, rank,
 
 def test_coset_sum_past_int64_in_a_middle_chunk(monkeypatch):
     # L(omega_4) at F4's subregular h (|Phi_J+| = 1, 576 cosets, chunks of
-    # 7): pairings scaled by f keep every product, and every chunk's own
-    # bound, in int64, but the running bound passes 2^63 in the third
-    # chunk, and so does a numerator coefficient: a sum that stayed in
-    # int64 would wrap.  J has one root, so the row scales by f.
+    # 7): pairings scaled by f, through _pairings, keep every product, and
+    # every chunk's own bound, in int64, but the running bound passes 2^63
+    # in the third chunk, and so does a numerator coefficient: a sum that
+    # stayed in int64 would wrap.  The table's den is not scaled, and J
+    # has one root, so the row scales by f.
     monkeypatch.setattr(character, "COSET_CHUNK", 7)
     rs, lam = build([("F", 4)]), Weight((0, 0, 0, 1))
     s = character._sl2(rs, (2, 2, 0, 2))
@@ -766,7 +774,7 @@ def test_coset_sum_past_int64_in_a_middle_chunk(monkeypatch):
     assert want.tolist() == character._by_orbits(rs, lam, s.h).tolist()
     t = s.table
     xi = [x + 1 for x in lam.coords]
-    pairs = (rs._np["roots_d"] @ xi).tolist()
+    pairs = _levi_pairings(rs, lam)
     quotients = [pairs[v] // t.den for v in t.vanish[:, 0].tolist()]
     numerator = Counter()
     for k, sign, q in zip((t.K @ xi).tolist(), t.signs.tolist(), quotients):
@@ -778,8 +786,9 @@ def test_coset_sum_past_int64_in_a_middle_chunk(monkeypatch):
     assert t.vanish.shape[1] == 1 and len(chunks) == 83
     assert f * max(pairs) < 2**63 and f * max(chunks) < 2**63
     assert f * bounds[1] < 2**63 <= f * bounds[2]
-    monkeypatch.setitem(rs._np, "roots_d",
-                        rs._np["roots_d"].astype(object) * f)
+    real = character._pairings
+    monkeypatch.setattr(character, "_pairings", lambda rs, lam:
+                        real(rs, lam).astype(object) * f)
     row = character._by_cosets(rs, lam, s)
     assert row.dtype == object
     assert row.tolist() == [f * n for n in want.tolist()]
@@ -791,7 +800,7 @@ def _coset_row_in_python_ints(rs, lam, s):
     _by_cosets are checked."""
     t = s.table
     xi = [x + 1 for x in lam.coords]
-    pairs = (rs._np["roots_d"] @ xi).tolist()
+    pairs = _levi_pairings(rs, lam)
     n = sum(map(mul, s.c, xi)) + 1
     poly = np.zeros(n + s.e_max, object)
     for k, sign, v in zip((t.K @ xi).tolist(), t.signs.tolist(),
@@ -832,16 +841,16 @@ _A5_H = (0, 1, 0, 0, 0)
 
 def _chunk_products(rs, lam, s, size):
     """Per chunk of the table of s, the largest exact product of the
-    Levi pairings, and the guard max (xi, beta) ** |Phi_J+|."""
-    xi = [x + 1 for x in lam.coords]
-    pairs = (rs._np["roots_d"] @ xi).tolist()
+    Levi pairings, and max <xi, beta_vee> ** |Phi_J+|, a bound on them
+    all."""
+    pairs = _levi_pairings(rs, lam)
     prods = [math.prod(pairs[i] for i in v) for v in s.table.vanish.tolist()]
     return ([max(prods[a:a + size]) for a in range(0, len(prods), size)],
             max(pairs) ** s.table.vanish.shape[1])
 
 
 def test_coset_products_in_int64_where_only_the_guard_fails(scatter_dtypes):
-    # lambda = 600 omega_4: max (xi, beta) ** 7 is past 2^63, but every
+    # lambda = 600 omega_4: max <xi, beta_vee> ** 7 is past 2^63, but every
     # product is below 2^40, so the one chunk runs in int64.
     rs, lam = build([("A", 5)]), Weight((0, 0, 0, 600, 0))
     s = character._sl2(rs, _A5_H)

@@ -131,7 +131,8 @@ BOURBAKI_BLOCKS = {
 
 @pytest.mark.parametrize("fam,rank", BOURBAKI_BLOCKS)
 def test_simple_block_matches_bourbaki_plates(fam, rank):
-    assert rootsys._simple_block(SimpleComponent(fam, rank)) == \
+    rs = build([SimpleComponent(fam, rank)])
+    assert ([list(row) for row in rs.cartan], list(rs.symmetrizers)) == \
         BOURBAKI_BLOCKS[(fam, rank)]
 
 
@@ -706,6 +707,67 @@ def test_weyl_dimension_examples():
     assert weyl_dimension(a2, Weight((1, 1))) == 8
     e8 = build([("E", 8)])
     assert weyl_dimension(e8, Weight((0, 0, 0, 0, 0, 0, 0, 1))) == 248
+
+
+_REFERENCE_TYPES = ([[t] for t in ALL_SIMPLE]
+                    + [[("A", 1), ("G", 2)], [("G", 2), ("B", 3)]])
+_REFERENCE_IDS = ["+".join(f"{f}{r}" for f, r in c) for c in _REFERENCE_TYPES]
+
+
+def _weyl_dimension_by_roots(rs, lam):
+    """Weyl's formula over root pairings, prod (lambda + rho, alpha) /
+    (rho, alpha), with (alpha_i, omega_j) = d_i delta_ij, in Python ints:
+    the reference for weyl_dimension, which pairs with coroots."""
+    d = rs.symmetrizers
+    xi = [di * (x + 1) for di, x in zip(d, lam)]
+    num = math.prod(sum(map(mul, c, xi)) for c in rs.positive_roots)
+    den = math.prod(sum(map(mul, c, d)) for c in rs.positive_roots)
+    dim, rem = divmod(num, den)
+    assert rem == 0
+    return dim
+
+
+@pytest.mark.parametrize("comps", _REFERENCE_TYPES, ids=_REFERENCE_IDS)
+def test_weyl_dimension_matches_root_pairings(comps):
+    # Coroot pairings over prod ht alpha_vee against root pairings over
+    # prod (rho, alpha), a ratio that is the same root by root, on small
+    # lambda and on lambda + rho on both sides of 2^32, where the
+    # pairings leave int64, and past 2^64.
+    rs = build(comps)
+    rng = random.Random(rs.rank)
+    big = (0, 3, 2**32 - 2, 2**32 - 1, 2**40 + 1, 2**64 + 7)
+    weights = [(0,) * rs.rank, (1,) * rs.rank]
+    weights += [tuple(rng.randint(0, 5) for _ in range(rs.rank))
+                for _ in range(4)]
+    weights += [tuple(rng.choice(big) for _ in range(rs.rank))
+                for _ in range(6)]
+    for lam in weights:
+        assert weyl_dimension(rs, Weight(lam)) == \
+            _weyl_dimension_by_roots(rs, lam), lam
+
+
+def _orbit_size_by_roots(rs, mu):
+    """Macdonald's product a positive root at a time, in Python ints: the
+    reference for rootsys._orbit_size."""
+    num = den = 1
+    for c in rs.positive_roots:
+        if any(ci and mi for ci, mi in zip(c, mu)):
+            num *= sum(c) + 1
+            den *= sum(c)
+    return num // den
+
+
+@pytest.mark.parametrize("comps", _REFERENCE_TYPES, ids=_REFERENCE_IDS)
+def test_orbit_size_matches_a_loop_over_roots(comps):
+    # Every support of a dominant mu, with entries 1, 2^32, 2^63 or past
+    # 2^64: the size reads only which mu_i are positive, so no entry
+    # overflows it.
+    rs = build(comps)
+    rng = random.Random(rs.rank)
+    for support in itertools.product((0, 1), repeat=rs.rank):
+        mu = tuple(x * rng.choice((1, 2**32, 2**63, 2**64 + 5))
+                   for x in support)
+        assert rootsys._orbit_size(rs, mu) == _orbit_size_by_roots(rs, mu), mu
 
 
 def test_root_systems_equal_and_hash_by_components():
