@@ -508,14 +508,20 @@ def _pairings(rs: RootSystem, lam) -> np.ndarray:
         xi, np.int64 if max(xi) < 2**32 else object)
 
 
-def _dimension(rs: RootSystem, pairs: np.ndarray) -> int:
+def _dimension(rs: RootSystem, pairs: np.ndarray) -> tuple[int, int]:
     """dim L(lambda) from its _pairings by Weyl's dimension formula, prod
-    <lambda + rho, alpha_vee> / <rho, alpha_vee> over alpha > 0."""
-    return math.prod(pairs.tolist()) // rs._np["weyl_den"]
+    <lambda + rho, alpha_vee> / <rho, alpha_vee> over alpha > 0, with the
+    division's remainder, which is 0 for consistent coroot and denominator
+    tables."""
+    return divmod(math.prod(pairs.tolist()), rs._np["weyl_den"])
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     """dim L(lambda) by the Weyl dimension formula: _dimension of its
-    _pairings <lambda + rho, alpha_vee>, exact."""
+    _pairings <lambda + rho, alpha_vee>, exact, or RootSystemError where
+    the product does not divide."""
     _check_weight(rs, lam, "weyl_dimension")
-    return _dimension(rs, _pairings(rs, lam))
+    dim, r = _dimension(rs, _pairings(rs, lam))
+    if r:
+        raise RootSystemError("Weyl dimension product not integral")
+    return dim

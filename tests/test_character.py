@@ -760,38 +760,38 @@ def test_coset_sum_in_chunks_matches_orbit_expansion(monkeypatch, fam, rank,
     assert any(n > 7 and n % 7 for n in sizes) or rank <= 2, sizes
 
 
-def test_coset_sum_past_int64_in_a_middle_chunk(monkeypatch):
-    # L(omega_4) at F4's subregular h (|Phi_J+| = 1, 576 cosets, chunks of
-    # 7): pairings scaled by f, through _pairings, keep every product, and
-    # every chunk's own bound, in int64, but the running bound passes 2^63
-    # in the third chunk, and so does a numerator coefficient: a sum that
-    # stayed in int64 would wrap.  The table's den is not scaled, and J
-    # has one root, so the row scales by f.
-    monkeypatch.setattr(character, "COSET_CHUNK", 7)
-    rs, lam = build([("F", 4)]), Weight((0, 0, 0, 1))
-    s = character._sl2(rs, (2, 2, 0, 2))
-    want = character._by_cosets(rs, lam, s)   # builds the table
-    assert want.tolist() == character._by_orbits(rs, lam, s.h).tolist()
-    t = s.table
+def test_coset_sum_past_int64_in_a_middle_chunk(monkeypatch, scatter_dtypes):
+    # L(omega_2) at D4's highest-root h (J = 3 A1, |Phi_J+| = 3, 24 cosets,
+    # den = 1, chunks of 3): pairings scaled by f, through _pairings, stay
+    # below 2^53 and every product below 2^62, so each chunk's float64
+    # products prove its int64 products; but the running bound passes 2^63
+    # in the second chunk, and so does a numerator coefficient: a sum that
+    # stayed in int64 would wrap.  The table's den is not scaled, so the
+    # row scales by f^3.
+    monkeypatch.setattr(character, "COSET_CHUNK", 3)
+    rs, lam = build([("D", 4)]), Weight((0, 1, 0, 0))
+    s = character._sl2(rs, (0, 1, 0, 0))
+    s.table = t = character._coset_table(rs, s)
     xi = [x + 1 for x in lam.coords]
     pairs = _levi_pairings(rs, lam)
-    quotients = [pairs[v] // t.den for v in t.vanish[:, 0].tolist()]
+    prods = [math.prod(pairs[i] for i in v) for v in t.vanish.tolist()]
     numerator = Counter()
-    for k, sign, q in zip((t.K @ xi).tolist(), t.signs.tolist(), quotients):
-        numerator[k] += sign * q
-    f = -(-2**63 // max(map(abs, numerator.values())))
-    chunks = [len(quotients[a:a + 7]) * max(quotients[a:a + 7])
-              for a in range(0, len(quotients), 7)]
-    bounds = list(itertools.accumulate(chunks))
-    assert t.vanish.shape[1] == 1 and len(chunks) == 83
-    assert f * max(pairs) < 2**63 and f * max(chunks) < 2**63
-    assert f * bounds[1] < 2**63 <= f * bounds[2]
+    for k, sign, p in zip((t.K @ xi).tolist(), t.signs.tolist(), prods):
+        numerator[k] += sign * p
+    f = 408808
+    bounds = list(itertools.accumulate(
+        3 * max(prods[a:a + 3]) for a in range(0, len(prods), 3)))
+    assert t.vanish.shape == (24, 3) and t.den == 1
+    assert f * max(pairs) < 2**53 and f**3 * max(prods) < 2**62
+    assert f**3 * bounds[0] < 2**63 <= f**3 * bounds[1]
+    assert f**3 * max(map(abs, numerator.values())) >= 2**63
     real = character._pairings
-    monkeypatch.setattr(character, "_pairings", lambda rs, lam:
-                        real(rs, lam).astype(object) * f)
+    monkeypatch.setattr(character, "_pairings",
+                        lambda rs, lam: real(rs, lam) * f)
     row = character._by_cosets(rs, lam, s)
-    assert row.dtype == object
-    assert row.tolist() == [f * n for n in want.tolist()]
+    assert scatter_dtypes == [np.int64] * 8
+    assert row.tolist() == [
+        f**3 * n for n in _coset_row_in_python_ints(rs, lam, s).tolist()]
 
 
 def _coset_row_in_python_ints(rs, lam, s):

@@ -709,6 +709,16 @@ def test_weyl_dimension_examples():
     assert weyl_dimension(e8, Weight((0, 0, 0, 0, 0, 0, 0, 1))) == 248
 
 
+
+def test_weyl_dimension_rejects_a_product_that_does_not_divide(monkeypatch):
+    # Coroots that do not match the Weyl denominator (G2 without its
+    # highest coroot) leave a remainder, which must be an error rather
+    # than a floored dimension.
+    rs = build([("G", 2)])
+    monkeypatch.setitem(rs._np, "coroots", rs._np["coroots"][:-1])
+    with pytest.raises(RootSystemError, match="not integral"):
+        weyl_dimension(rs, Weight((1, 0)))
+
 _REFERENCE_TYPES = ([[t] for t in ALL_SIMPLE]
                     + [[("A", 1), ("G", 2)], [("G", 2), ("B", 3)]])
 _REFERENCE_IDS = ["+".join(f"{f}{r}" for f, r in c) for c in _REFERENCE_TYPES]
