@@ -8,9 +8,9 @@ Dynkin diagram is walked and no root system is built for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from typing import NamedTuple
 
 from .rootsys import FAMILIES, RootSystem, SimpleComponent, Weight, _ranks
 from .sl2branch import Sl2Embedding, g0, invariant_dim
@@ -23,22 +23,19 @@ class BoundsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MValues:
+class MValues(NamedTuple):
     values: tuple  # per node; 0 means not found within cap
     cap: int
 
 
-@dataclass(frozen=True)
-class ParabolicRow:
+class ParabolicRow(NamedTuple):
     node: int  # 1-based Bourbaki node
     levi_ss_components: tuple
     dim_g_mod_lss: int
     dim_X: int
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     b: int
     m_values: MValues
     box_max_weight: Weight  # lambda in C0 achieving the max g0

@@ -55,9 +55,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 from typing import NamedTuple
@@ -67,7 +65,6 @@ import numpy as np
 from .rootsys import (RootSystem, RootSystemError, Weight, _check_weight,
                       _dimension, _orbit_rows, _orbit_size, _orbit_walk,
                       _pairings, _reflect_to_dominant, weyl_dimension)
-from .semigroup import DEFAULT_BOX_CAP, _partition_fill
 
 WEIGHT_CAP = 10**7  # weights of L(lambda): sum over dominant mu of |W mu|
 DOMINANT_CAP = 5 * 10**4  # dominant weights of L(lambda)
@@ -88,8 +85,7 @@ class CharacterError(ArithmeticError):
     or a character past WEIGHT_CAP or DOMINANT_CAP."""
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(NamedTuple):
     highest_weight: Weight
     mults: dict  # dominant Weight -> positive int
 
@@ -268,6 +264,7 @@ def _lambda_of_h(rs: RootSystem, lam: Weight, marks) -> int:
     den, N = rs._np["Ainv_int"]
     val = sum(m * sum(map(mul, row, lam.coords)) for m, row in zip(marks, N))
     if val % den:
+        from fractions import Fraction
         raise CharacterError(
             f"lambda(h) is not integral: {Fraction(val, den)}")
     return val // den
@@ -500,6 +497,7 @@ def weyl_alternating_character(rs: RootSystem, lam: Weight) -> Character:
 
     Small-rank oracle for dominant_character; enumerates W explicitly.
     """
+    from .semigroup import DEFAULT_BOX_CAP, _partition_fill
     _check_weight(rs, lam, "weyl_alternating_character")
     xi = lam + rs.rho
     if 0 in xi.coords:

@@ -3,12 +3,17 @@
 Exit codes: 0 success, 1 usage error, 2 golden mismatch, 3 numeric
 overflow, cap or certification failure.  Only ``main`` maps an exception
 to exit 1 or 3, and each prints one line on stderr.
+
+Each command is defined once, in COMMANDS, and the first ``main`` call
+builds one parser per command.  argv[1:] is parsed in one pass by the
+parser that argv[0] names.  The full subcommand tree, built from the same
+specs, parses only an argv that names no command or leaves arguments over,
+so help and usage errors are the tree's own.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -113,6 +118,7 @@ def _emit_table(args, rows, header):
     if args.format == "json":
         print(json.dumps({"header": header, "rows": rows}))
     elif args.format == "csv":
+        import csv
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
@@ -297,6 +303,60 @@ def cmd_exclusion_set(args):
 
 
 # ---------------------------------------------------------------------------
+# (function, help, formats, arguments) per command; csv only for a table
+
+_TEXT, _TABLE = ("text", "json"), ("text", "csv", "json")
+_TYPE = ("type", {}), ("rank", dict(type=int))
+_COORDS = "coords", dict(type=int, nargs="+")
+_EMBEDDING = "--embedding", dict(default="principal")
+_BOX = "--box-bound", dict(type=int, default=64)
+_GRID = (("--max-i", dict(type=int, default=19)),
+         ("--max-j", dict(type=int, default=19)),
+         ("--golden", dict(action="store_true",
+                           help="diff against the embedded table")))
+COMMANDS = {
+    "describe": (cmd_describe, "root-system summary", _TEXT, _TYPE),
+    "character": (cmd_character, "dominant character and dimension", _TEXT,
+                  (*_TYPE, _COORDS)),
+    "branch": (cmd_branch, "restrict to an sl2-subalgebra", _TEXT,
+               (*_TYPE, _COORDS, _EMBEDDING)),
+    "table1": (cmd_table1, "G2 principal invariant dimensions", _TABLE, _GRID),
+    "table2": (cmd_table2, "G2 principal g0 values", _TABLE, _GRID),
+    "exceptions": (cmd_exceptions, "dominant G2 weights with no principal "
+                   "invariant", _TEXT, (_BOX,)),
+    "complement": (cmd_complement, "certified semigroup complement", _TEXT, (
+        ("--gen", dict(action="append", default=[], help="generator as "
+                       "comma-separated integers (repeatable)")),
+        ("--generators-file", dict(help="JSON file with a list of generators")),
+        _BOX)),
+    "bound": (cmd_bound, "uniform bound b and m-values", _TEXT, (
+        *_TYPE, _EMBEDDING,
+        ("--cap", dict(type=int, default=bounds.DEFAULT_M_CAP)))),
+    "parabolic-table": (cmd_parabolic_table,
+                        "dim g/l_ss and dim X per Dynkin node", _TABLE, _TYPE),
+    "e-table": (cmd_e_table, "e-values of simple types", _TABLE, (
+        ("types", dict(nargs="*", help="types like G2 B4 (default: all up "
+                       "to --rank-cap)")),
+        ("--rank-cap", dict(type=int, default=8)))),
+    "exclusion-set": (cmd_exclusion_set, "simple types with e-value at most "
+                      "dim_k", _TEXT, (("dim_k", dict(type=int)),)),
+}
+
+
+def _command(parser, name):
+    fn, _, formats, arguments = COMMANDS[name]
+    parser.add_argument("--format", default="text", choices=formats)
+    for arg, kwargs in arguments:
+        parser.add_argument(arg, **kwargs)
+    parser.set_defaults(fn=fn)
+    return parser
+
+
+@functools.cache
+def _command_parsers():
+    """A parser per command, all built together on first use."""
+    return {name: _command(argparse.ArgumentParser(prog=f"sl2bounds {name}"),
+                           name) for name in COMMANDS}
 
 
 def _format_first(value):
@@ -307,76 +367,31 @@ def _format_first(value):
 
 @functools.cache
 def _build_parser():
-    """The argparse tree, built on the first ``main`` call of a process."""
-    typed = argparse.ArgumentParser(add_help=False)
-    typed.add_argument("type")
-    typed.add_argument("rank", type=int)
+    """The full argparse tree, built only when it parses an argv."""
     p = argparse.ArgumentParser(
         prog="sl2bounds",
         description="sl2-branching tables, invariant dimensions and "
                     "uniform branching bounds for semisimple Lie algebras")
     p.add_argument("--format", type=_format_first, help=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, hlp, *parents, table=False):
-        """A command; only one that prints a table can print it as csv."""
-        q = sub.add_parser(name, help=hlp, parents=parents)
-        q.add_argument("--format", default="text", choices=(
-            ("text", "csv", "json") if table else ("text", "json")))
-        q.set_defaults(fn=fn)
-        return q
-
-    add("describe", cmd_describe, "root-system summary", typed)
-    q = add("character", cmd_character, "dominant character and dimension",
-            typed)
-    q.add_argument("coords", type=int, nargs="+")
-    q = add("branch", cmd_branch, "restrict to an sl2-subalgebra", typed)
-    q.add_argument("coords", type=int, nargs="+")
-    q.add_argument("--embedding", default="principal")
-
-    for name, fn, hlp in (
-            ("table1", cmd_table1, "G2 principal invariant dimensions"),
-            ("table2", cmd_table2, "G2 principal g0 values")):
-        q = add(name, fn, hlp, table=True)
-        q.add_argument("--max-i", type=int, default=19)
-        q.add_argument("--max-j", type=int, default=19)
-        q.add_argument("--golden", action="store_true",
-                       help="diff against the embedded table")
-
-    q = add("exceptions", cmd_exceptions,
-            "dominant G2 weights with no principal invariant")
-    q.add_argument("--box-bound", type=int, default=64)
-
-    q = add("complement", cmd_complement, "certified semigroup complement")
-    q.add_argument("--gen", action="append", default=[],
-                   help="generator as comma-separated integers (repeatable)")
-    q.add_argument("--generators-file", default=None,
-                   help="JSON file with a list of generators")
-    q.add_argument("--box-bound", type=int, default=64)
-
-    q = add("bound", cmd_bound, "uniform bound b and m-values", typed)
-    q.add_argument("--embedding", default="principal")
-    q.add_argument("--cap", type=int, default=bounds.DEFAULT_M_CAP)
-
-    add("parabolic-table", cmd_parabolic_table,
-        "dim g/l_ss and dim X per Dynkin node", typed, table=True)
-
-    q = add("e-table", cmd_e_table, "e-values of simple types", table=True)
-    q.add_argument("types", nargs="*",
-                   help="types like G2 B4 (default: all up to --rank-cap)")
-    q.add_argument("--rank-cap", type=int, default=8)
-
-    q = add("exclusion-set", cmd_exclusion_set,
-            "simple types with e-value at most dim_k")
-    q.add_argument("dim_k", type=int)
-
+    for name, (_, hlp, _, _) in COMMANDS.items():
+        _command(sub.add_parser(name, help=hlp), name)
     return p
 
 
+def _parse(argv):
+    """One pass by the parser argv[0] names, else the full tree."""
+    parser = _command_parsers().get(argv[0]) if argv else None
+    if parser:
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterator, NamedTuple
 
@@ -327,13 +326,14 @@ def root_to_weight_coords(rs: RootSystem, root) -> Weight:
 
 def weight_to_root_coords(rs: RootSystem, mu: Weight):
     """Simple-root coordinates of a weight, as exact Fractions."""
+    from fractions import Fraction
     _check_weight(rs, mu)
     den, N = rs._np["Ainv_int"]
     return [Fraction(sum(map(mul, row, mu.coords)), den) for row in N]
 
 
-def inner_product(rs: RootSystem, mu: Weight, nu: Weight) -> Fraction:
-    """Invariant form on weights, exact rational.
+def inner_product(rs: RootSystem, mu: Weight, nu: Weight):
+    """Invariant form on weights, as an exact Fraction.
 
     (mu, nu) = sum_j c_j d_j mu_j where c = simple-root coordinates of nu.
     """

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +44,7 @@ class GeneratorSet:
                 raise SemigroupError("zero vector is not a valid generator")
 
 
-@dataclass(frozen=True)
-class ComplementResult:
+class ComplementResult(NamedTuple):
     points: tuple      # sorted non-members in the box
     certified: bool    # True iff no non-member exists outside points
     box_bound: int

@@ -849,14 +849,15 @@ def _chunk_products(rs, lam, s, size):
             max(pairs) ** s.table.vanish.shape[1])
 
 
-def test_coset_products_in_int64_where_only_the_guard_fails(scatter_dtypes):
-    # lambda = 600 omega_4: max <xi, beta_vee> ** 7 is past 2^63, but every
-    # product is below 2^40, so the one chunk runs in int64.
+def test_one_int64_chunk_for_products_below_2_40_past_the_power_bound(
+        scatter_dtypes):
+    # lambda = 600 omega_4: the power bound max <xi, beta_vee> ** 7 is past
+    # 2^63, but every product is below 2^40, so the one chunk runs in int64.
     rs, lam = build([("A", 5)]), Weight((0, 0, 0, 600, 0))
     s = character._sl2(rs, _A5_H)
     s.table = character._coset_table(rs, s)
-    tops, guard = _chunk_products(rs, lam, s, character.COSET_CHUNK)
-    assert guard >= 2**63 and max(tops) < 2**40
+    tops, power = _chunk_products(rs, lam, s, character.COSET_CHUNK)
+    assert power >= 2**63 and max(tops) < 2**40
     row = character._by_cosets(rs, lam, s)
     assert scatter_dtypes == [np.int64]
     assert row.tolist() == _coset_row_in_python_ints(rs, lam, s).tolist()

@@ -58,7 +58,9 @@ def test_parser_is_built_once_and_keeps_no_state(monkeypatch):
         init(*args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    cli._build_parser.cache_clear()
+    caches = (cli._command_parsers, cli._build_parser)
+    for cache in caches:
+        cache.cache_clear()
     commands = [("complement", "--gen", "2", "--gen", "3"),
                 ("complement", "--gen", "5"),
                 ("complement", "--gen", "2", "--gen", "3")]
@@ -68,10 +70,41 @@ def test_parser_is_built_once_and_keeps_no_state(monkeypatch):
             outputs.append(run(*argv))
             counts.append(len(built))
     finally:
-        cli._build_parser.cache_clear()
-    assert counts[0] > 1 and counts == [counts[0]] * len(commands)
+        for cache in caches:
+            cache.cache_clear()
+    # one parser per command on the first call, and no subcommand tree
+    assert counts == [len(cli.COMMANDS)] * len(commands)
     # no --gen default leaks from one call into the next
     assert outputs == [fresh(*argv) for argv in commands]
+
+
+_PARITY_ARGS = {
+    "describe": ["G", "2"], "character": ["G", "2", "1", "0"],
+    "branch": ["G", "2", "1", "1"], "table1": ["--max-i", "3"],
+    "table2": ["--max-j", "2"], "exceptions": [],
+    "complement": ["--gen", "2", "--gen", "3"], "bound": ["G", "2"],
+    "parabolic-table": ["E", "8"], "e-table": ["G2", "B4"],
+    "exclusion-set": ["8"]}
+_PARITY = [
+    *([cmd, *args, *fmt] for cmd, args in _PARITY_ARGS.items()
+      for fmt in ([], ["--format", "json"])),
+    *([cmd, "-h"] for cmd in _PARITY_ARGS),
+    ["-h"], [], ["nope"], ["--format", "json", "describe", "G", "2"],
+    ["describe", "G"], ["bound", "G", "2", "--format", "csv"],
+    ["bound", "G", "2", "--bogus"]]
+
+
+def test_parity_covers_every_command():
+    assert set(_PARITY_ARGS) == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("argv", _PARITY,
+                         ids=lambda argv: " ".join(argv) or "no arguments")
+def test_one_pass_prints_what_the_subcommand_tree_prints(monkeypatch, argv):
+    one_pass = run(*argv)
+    monkeypatch.setattr(cli, "_parse",
+                        lambda argv: cli._build_parser().parse_args(argv))
+    assert run(*argv) == one_pass
 
 
 def test_format_before_the_command_is_a_usage_error():
