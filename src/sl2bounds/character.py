@@ -57,16 +57,16 @@ import math
 from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import accumulate
-from operator import mul
+from operator import index, mul
 from typing import NamedTuple
 
 import numpy as np
 
-from .rootsys import (RootSystem, RootSystemError, Weight, _check_weight,
-                      _dimension, _orbit_rows, _orbit_size, _orbit_walk,
-                      _pairings, _reflect_to_dominant, weyl_dimension)
+from .rootsys import (WEIGHT_CAP, RootSystem, RootSystemError, Weight,
+                      _check_weight, _dimension, _orbit_rows, _orbit_size,
+                      _orbit_walk, _pairings, _reflect_to_dominant,
+                      weyl_dimension)
 
-WEIGHT_CAP = 10**7  # weights of L(lambda): sum over dominant mu of |W mu|
 DOMINANT_CAP = 5 * 10**4  # dominant weights of L(lambda)
 PARABOLIC_CAP = 10**5  # degree of either formula
 COSET_CAP = 3 * 10**6  # cosets W_J\W in a coset table; |W(E7)| = 2903040
@@ -199,7 +199,7 @@ def _histogram(lam_h: int, row) -> dict:
 def _request(rs: RootSystem, lam: Weight, marks) -> _Sl2:
     """The record of the sl2 with these marks, once lambda and the marks
     are checked."""
-    marks = tuple(int(m) for m in marks)
+    marks = tuple(map(index, marks))
     if len(marks) != rs.rank:
         raise RootSystemError(f"marks must have length {rs.rank}")
     _check_weight(rs, lam, "full_weight_values")
@@ -500,8 +500,6 @@ def weyl_alternating_character(rs: RootSystem, lam: Weight) -> Character:
     from .semigroup import DEFAULT_BOX_CAP, _partition_fill
     _check_weight(rs, lam, "weyl_alternating_character")
     xi = lam + rs.rho
-    if 0 in xi.coords:
-        raise CharacterError("weight is not regular")
     if _orbit_size(rs, xi.coords) > DEFAULT_WEYL_ORDER_CAP:
         raise RootSystemError(
             f"Weyl orbit exceeds cap {DEFAULT_WEYL_ORDER_CAP}")

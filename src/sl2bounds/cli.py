@@ -5,10 +5,10 @@ overflow, cap or certification failure.  Only ``main`` maps an exception
 to exit 1 or 3, and each prints one line on stderr.
 
 Each command is defined once, in COMMANDS, and the first ``main`` call
-builds one parser per command.  argv[1:] is parsed in one pass by the
-parser that argv[0] names.  The full subcommand tree, built from the same
-specs, parses only an argv that names no command or leaves arguments over,
-so help and usage errors are the tree's own.
+builds the subcommand tree from it, once per process.  argv[1:] is parsed
+in one pass by the subparser that argv[0] names; the whole tree parses
+only an argv that names no command or leaves arguments over, so help and
+usage errors are the tree's own.
 """
 
 from __future__ import annotations
@@ -343,22 +343,6 @@ COMMANDS = {
 }
 
 
-def _command(parser, name):
-    fn, _, formats, arguments = COMMANDS[name]
-    parser.add_argument("--format", default="text", choices=formats)
-    for arg, kwargs in arguments:
-        parser.add_argument(arg, **kwargs)
-    parser.set_defaults(fn=fn)
-    return parser
-
-
-@functools.cache
-def _command_parsers():
-    """A parser per command, all built together on first use."""
-    return {name: _command(argparse.ArgumentParser(prog=f"sl2bounds {name}"),
-                           name) for name in COMMANDS}
-
-
 def _format_first(value):
     """Refuse --format before the command, whose value would read as one."""
     raise argparse.ArgumentTypeError(
@@ -367,26 +351,31 @@ def _format_first(value):
 
 @functools.cache
 def _build_parser():
-    """The full argparse tree, built only when it parses an argv."""
+    """The argparse tree, and its subparser per command name."""
     p = argparse.ArgumentParser(
         prog="sl2bounds",
         description="sl2-branching tables, invariant dimensions and "
                     "uniform branching bounds for semisimple Lie algebras")
     p.add_argument("--format", type=_format_first, help=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (_, hlp, _, _) in COMMANDS.items():
-        _command(sub.add_parser(name, help=hlp), name)
-    return p
+    for name, (fn, hlp, formats, arguments) in COMMANDS.items():
+        cmd = sub.add_parser(name, help=hlp)
+        cmd.add_argument("--format", default="text", choices=formats)
+        for arg, kwargs in arguments:
+            cmd.add_argument(arg, **kwargs)
+        cmd.set_defaults(fn=fn)
+    return p, sub.choices
 
 
 def _parse(argv):
-    """One pass by the parser argv[0] names, else the full tree."""
-    parser = _command_parsers().get(argv[0]) if argv else None
+    """One pass by the subparser argv[0] names, else the whole tree."""
+    tree, commands = _build_parser()
+    parser = commands.get(argv[0]) if argv else None
     if parser:
         args, rest = parser.parse_known_args(argv[1:])
         if not rest:
             return args
-    return _build_parser().parse_args(argv)
+    return tree.parse_args(argv)
 
 
 def main(argv=None) -> int:

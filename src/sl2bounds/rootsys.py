@@ -27,12 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul
+from operator import index, mul
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-DEFAULT_ORBIT_CAP = 10**7
+WEIGHT_CAP = 10**7  # weights of a Weyl orbit, or of L(lambda) over its orbits
 
 
 def _chain(n):
@@ -124,11 +124,12 @@ def _cartan(d, bonds):
 
 @dataclass(frozen=True)
 class Weight:
-    """Integral weight in fundamental-weight coordinates."""
+    """Integral weight in fundamental-weight coordinates; a coordinate that
+    is not an integer by operator.index raises TypeError, not truncated."""
     coords: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(index, self.coords)))
 
     @property
     def is_dominant(self) -> bool:
@@ -318,10 +319,10 @@ def _check_weight(rs: RootSystem, mu: Weight, caller: str = "") -> None:
 def root_to_weight_coords(rs: RootSystem, root) -> Weight:
     """Fundamental-weight coordinates of a vector given in simple-root
     coordinates (transpose-Cartan change of basis)."""
-    c = np.asarray(root, dtype=np.int64)
-    if c.shape != (rs.rank,):
+    c = tuple(map(index, root))
+    if len(c) != rs.rank:
         raise RootSystemError(f"expected vector of length {rs.rank}")
-    return Weight(tuple(int(v) for v in rs._np["A"] @ c))
+    return Weight(tuple(sum(map(mul, row, c)) for row in rs.cartan))
 
 
 def weight_to_root_coords(rs: RootSystem, mu: Weight):
@@ -490,8 +491,8 @@ def _orbit_rows(mu) -> np.ndarray:
 def weyl_orbit(rs: RootSystem, mu: Weight):
     """Full Weyl orbit of a dominant weight, as a set of Weight."""
     _check_weight(rs, mu, "weyl_orbit")
-    if _orbit_size(rs, mu.coords) > DEFAULT_ORBIT_CAP:
-        raise RootSystemError(f"Weyl orbit exceeds cap {DEFAULT_ORBIT_CAP}")
+    if _orbit_size(rs, mu.coords) > WEIGHT_CAP:
+        raise RootSystemError(f"Weyl orbit exceeds cap {WEIGHT_CAP}")
     K = np.concatenate(list(_orbit_walk(_orbit_rows(mu.coords),
                                          rs._weight_walk)))
     return {Weight(w) for w in (np.array(mu.coords, K.dtype)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +32,7 @@ class GeneratorSet:
     gens: tuple  # tuples in N^r, nonzero
 
     def __post_init__(self):
-        gens = tuple(tuple(int(x) for x in g) for g in self.gens)
+        gens = tuple(tuple(map(index, g)) for g in self.gens)
         object.__setattr__(self, "gens", gens)
         if not gens:
             raise SemigroupError("generator set must be nonempty")
@@ -86,7 +87,7 @@ def _reach_grid(gs: GeneratorSet, shape):
 
 def member(gs: GeneratorSet, v) -> bool:
     """True iff v is a nonnegative integer combination of the generators."""
-    v = tuple(int(x) for x in v)
+    v = tuple(map(index, v))
     if len(v) != gs.r:
         raise SemigroupError(f"vector {v} has wrong dimension")
     if any(x < 0 for x in v):

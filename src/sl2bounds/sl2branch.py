@@ -14,6 +14,7 @@ thus be shared, and nothing a caller is handed can change it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -32,7 +33,7 @@ class Sl2Embedding:
     kind: str = "custom"
 
     def __post_init__(self):
-        object.__setattr__(self, "marks", tuple(int(m) for m in self.marks))
+        object.__setattr__(self, "marks", tuple(map(index, self.marks)))
 
     def __str__(self):
         return f"{self.kind}{list(self.marks)}"
@@ -78,7 +79,7 @@ def root_embedding(rs: RootSystem, beta) -> Sl2Embedding:
     """Root sl2 for a positive root beta (simple-root coordinates):
     marks_i = <alpha_i, beta_vee> = sum_j c_j cartan[j][i] for beta_vee =
     sum_j c_j alpha_j_vee."""
-    beta = tuple(int(b) for b in beta)
+    beta = tuple(map(index, beta))
     if beta not in rs.positive_roots:
         raise RootSystemError(f"{beta} is not a positive root")
     coroot = rs._np["coroots"][rs.positive_roots.index(beta)]

@@ -2,12 +2,14 @@ import json
 import re
 import time
 from importlib import resources
+from itertools import product
 
 import pytest
 
 from sl2bounds import (
-    E_set, SimpleComponent, b_bound, build, e_value, levi_ss_components,
-    m_value, m_values, parabolic_table, principal_embedding, root_embedding,
+    E_set, SimpleComponent, Weight, b_bound, build, e_value, g0,
+    levi_ss_components, m_value, m_values, parabolic_table,
+    principal_embedding, root_embedding,
 )
 from sl2bounds import bounds, character, rootsys
 from sl2bounds.bounds import BoundsError, _canonical
@@ -90,10 +92,66 @@ def test_b_bound_e6_subregular_budget():
     assert time.monotonic() - start < 2.0
 
 
+def _named_sl2s():
+    """(root system, embedding) for the principal, highest-root and
+    highest-short-root sl2s of every simple type of rank 2-4, each set of
+    marks once."""
+    for f, n in (("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+                 ("C", 3), ("C", 4), ("D", 4), ("F", 4), ("G", 2)):
+        rs = build([(f, n)])
+        norms = rs._np["roots_norm"]
+        short = [r for r, x in zip(rs.positive_roots, norms)
+                 if x == norms.min()]
+        embs = (principal_embedding(rs),
+                root_embedding(rs, rs.positive_roots[-1]),
+                root_embedding(rs, short[-1]))
+        yield from ((rs, emb) for emb in {e.marks: e for e in embs}.values())
+
+
+_NAMED_SL2S = list(_named_sl2s())
+
+
+def test_named_sl2s_are_29_marks():
+    assert len(_NAMED_SL2S) == 29
+
+
+@pytest.mark.parametrize("rs,emb", _NAMED_SL2S,
+                         ids=[f"{rs.fingerprint}-{e}" for rs, e in _NAMED_SL2S])
+def test_g0_past_c0_stays_below_b(rs, emb):
+    # The paper's theorem: every lambda is some lambda_0 in C0 plus a sum
+    # of m_j omega_j, and g0 does not grow along it, so max g0 over the
+    # box 2 C0 = {a_i < 2 m_i} is b - 1, as over C0, which it contains.
+    res = b_bound(rs, emb)
+    box = product(*(range(2 * m) for m in res.m_values.values))
+    assert max(g0(rs, Weight(lam), emb) for lam in box) == res.b - 1
+
+
+def test_principal_b_of_rank_2_to_4():
+    b = {rs.fingerprint: b_bound(rs, emb).b
+         for rs, emb in _NAMED_SL2S if emb.kind == "principal"}
+    assert b == {"A2": 4, "A3": 5, "A4": 6, "B2": 6, "B3": 8, "B4": 10,
+                 "C3": 7, "C4": 9, "D4": 4, "F4": 10, "G2": 8}
+
+
 def test_b_bound_errors_when_m_missing():
     rs = build([("G", 2)])
     with pytest.raises(BoundsError):
         b_bound(rs, principal_embedding(rs), cap=1)
+
+
+@pytest.mark.parametrize("node,cap,reason", [(0, 4, "out of range"),
+                                             (3, 4, "out of range"),
+                                             (1, 0, "cap must be >= 1")])
+def test_m_value_refuses_a_bad_node_or_cap(node, cap, reason):
+    rs = build([("G", 2)])
+    with pytest.raises(BoundsError, match=reason):
+        m_value(rs, principal_embedding(rs), node, cap)
+
+
+@pytest.mark.parametrize("node", [0, 3])
+def test_levi_components_refuse_a_node_out_of_range(node):
+    with pytest.raises(BoundsError, match=f"node {node} out of range for G2"):
+        levi_ss_components(SimpleComponent("G", 2), node)
 
 
 def test_levi_components_examples():

@@ -993,3 +993,9 @@ def test_large_root_histograms_match_frozen_box(entry):
     assert list(marks) == entry["marks"]
     N = full_weight_values(rs, Weight(entry["lambda"]), marks)
     assert sorted([v, n] for v, n in N.items()) == entry["weight_values"]
+
+
+def test_oracle_refuses_past_its_weyl_order_cap():
+    # |W(B5)| = 3840 > DEFAULT_WEYL_ORDER_CAP
+    with pytest.raises(RootSystemError, match="exceeds cap 1200"):
+        weyl_alternating_character(build([("B", 5)]), Weight((0,) * 5))

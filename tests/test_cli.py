@@ -50,7 +50,9 @@ def test_import_builds_no_parser():
     assert proc.stdout == "0\n"
 
 
-def test_parser_is_built_once_and_keeps_no_state(monkeypatch):
+@pytest.fixture
+def built(monkeypatch):
+    """The parsers built from here on, counted from an empty parser cache."""
     built, init = [], argparse.ArgumentParser.__init__
 
     def counting(*args, **kwargs):
@@ -58,24 +60,34 @@ def test_parser_is_built_once_and_keeps_no_state(monkeypatch):
         init(*args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    caches = (cli._command_parsers, cli._build_parser)
-    for cache in caches:
-        cache.cache_clear()
+    cli._build_parser.cache_clear()
+    yield built
+    cli._build_parser.cache_clear()
+
+
+def test_parser_is_built_once_and_keeps_no_state(built):
     commands = [("complement", "--gen", "2", "--gen", "3"),
                 ("complement", "--gen", "5"),
                 ("complement", "--gen", "2", "--gen", "3")]
-    try:
-        outputs, counts = [], []
-        for argv in commands:
-            outputs.append(run(*argv))
-            counts.append(len(built))
-    finally:
-        for cache in caches:
-            cache.cache_clear()
-    # one parser per command on the first call, and no subcommand tree
-    assert counts == [len(cli.COMMANDS)] * len(commands)
+    outputs, counts = [], []
+    for argv in commands:
+        outputs.append(run(*argv))
+        counts.append(len(built))
+    # the tree and one subparser per command on the first call, then none
+    assert counts == [len(cli.COMMANDS) + 1] * len(commands)
     # no --gen default leaks from one call into the next
     assert outputs == [fresh(*argv) for argv in commands]
+
+
+@pytest.mark.parametrize("argv", [["bound", "G", "2", "--bogus"],
+                                  ["bound", "-h"], ["-h"], ["nope"]])
+def test_help_and_usage_errors_build_no_parser_after_a_call(built, argv):
+    assert run("describe", "G", "2")[0] == EXIT_OK
+    before = len(built)
+    code, out, err = run(*argv)
+    assert code == (EXIT_OK if "-h" in argv else EXIT_USAGE)
+    assert (out if code == EXIT_OK else err).startswith("usage: sl2bounds")
+    assert len(built) == before == len(cli.COMMANDS) + 1
 
 
 _PARITY_ARGS = {
@@ -103,7 +115,7 @@ def test_parity_covers_every_command():
 def test_one_pass_prints_what_the_subcommand_tree_prints(monkeypatch, argv):
     one_pass = run(*argv)
     monkeypatch.setattr(cli, "_parse",
-                        lambda argv: cli._build_parser().parse_args(argv))
+                        lambda argv: cli._build_parser()[0].parse_args(argv))
     assert run(*argv) == one_pass
 
 
@@ -405,6 +417,42 @@ def test_custom_marks_print_one_warning(command):
     assert (code, out) == principal[:2] and principal[2] == ""
     assert err.startswith("warning: marks [2, 2] are not certified")
     assert err.count("\n") == 1
+
+
+def test_marks_with_a_half_integral_lambda_of_h_exit_3():
+    code, out, err = run("branch", "A", "1", "1", "--embedding", "marks=1")
+    assert (code, out) == (EXIT_NUMERIC, "")
+    warning, error = err.splitlines()
+    assert warning.startswith("warning: marks [1] are not certified")
+    assert error == "numeric error: lambda(h) is not integral: 1/2"
+
+
+def _alter_fixture(monkeypatch, key, edit):
+    """Make cli._load_fixture hand out fixtures with key changed by edit."""
+    load = cli._load_fixture
+
+    def altered(name):
+        data = load(name)
+        if key in data:
+            edit(data[key])
+        return data
+
+    monkeypatch.setattr(cli, "_load_fixture", altered)
+
+
+def test_table_golden_mismatch_exits_2(monkeypatch):
+    _alter_fixture(monkeypatch, "table", lambda t: t[1].__setitem__(0, 5))
+    code, out, err = run("table1", "--max-i", "1", "--max-j", "1",
+                         "--golden")
+    assert code == EXIT_GOLDEN_MISMATCH and out.startswith("i\\j")
+    assert err == "dim^K[1][0]: got 0, expected 5\n"
+
+
+def test_exceptions_mismatch_exits_2(monkeypatch):
+    _alter_fixture(monkeypatch, "weights", list.pop)
+    code, out, err = run("exceptions")
+    assert code == EXIT_GOLDEN_MISMATCH and out.count("\n") == 26
+    assert err == "exception list differs from the embedded 26-pair list\n"
 
 
 def test_determinism():

@@ -786,3 +786,23 @@ def test_root_systems_equal_and_hash_by_components():
     assert build([("A", 1), ("A", 1)]) == build([("A", 1), ("A", 1)])
     assert build([("A", 2)]) != build([("G", 2)])
     assert build([("B", 3)]) != build([("C", 3)])
+
+
+def test_build_refuses_an_empty_component_list():
+    with pytest.raises(RootSystemError, match="nonempty"):
+        build([])
+
+
+def test_root_to_weight_coords_refuses_a_wrong_length():
+    with pytest.raises(RootSystemError, match="length 2"):
+        root_to_weight_coords(build([("G", 2)]), (1, 0, 0))
+
+
+def test_integral_input_is_refused_not_truncated():
+    # ints, numpy ints and bools are integers, and become ints
+    w = Weight((np.int64(1), True))
+    assert w.coords == (1, 1) and all(type(c) is int for c in w.coords)
+    with pytest.raises(TypeError):
+        Weight((1.9, 0))
+    with pytest.raises(TypeError):
+        root_to_weight_coords(build([("G", 2)]), (1.5, 0))

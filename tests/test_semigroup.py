@@ -187,3 +187,17 @@ def test_blocked_fill_matches_row_by_row(dtype):
         _fill_row_by_row(want, gens)
         _partition_fill(grid, gens)
         assert np.array_equal(grid, want), (shape, gens)
+
+
+@pytest.mark.parametrize("v,reason", [((1, 2, 3), "wrong dimension"),
+                                      ((-1, 2), "not in N")])
+def test_member_refuses_a_vector_outside_n_r(v, reason):
+    with pytest.raises(SemigroupError, match=reason):
+        member(GeneratorSet(2, GENS9), v)
+
+
+def test_non_integral_vectors_are_refused_not_truncated():
+    with pytest.raises(TypeError):
+        GeneratorSet(1, [(2.5,)])
+    with pytest.raises(TypeError):
+        member(GeneratorSet(1, [(2,)]), (2.5,))

@@ -302,3 +302,12 @@ def test_principal_restriction_past_the_box_cap():
         dominant_character(e8, lam)
     dec = sl2_decompose(e8, lam, principal_embedding(e8))
     assert dec.dimension() == weyl_dimension(e8, lam)
+
+
+def test_non_integral_marks_and_roots_are_refused_not_truncated(g2):
+    with pytest.raises(TypeError):
+        Sl2Embedding(marks=(2.5, 2))
+    with pytest.raises(TypeError):
+        root_embedding(g2, (1.5, 0))
+    with pytest.raises(TypeError):
+        full_weight_values(g2, Weight((1, 0)), (2.5, 2))
