@@ -16,7 +16,7 @@ from .rootsys import FAMILIES, RootSystem, SimpleComponent, Weight, _ranks
 from .sl2branch import Sl2Embedding, g0, invariant_dim
 
 DEFAULT_M_CAP = 64
-E_SET_CAP = 64  # dim_k; a higher cap would print more types, not take long
+E_SET_CAP = 64  # dim_k; guards outside input: the listing grows with dim_k
 
 
 class BoundsError(ValueError):

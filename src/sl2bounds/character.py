@@ -33,18 +33,19 @@ and in Python ints past it.  full_weight_values is its dict view.
 * _by_orbits: Freudenthal's multiplicities of the dominant weights
   expanded over their Weyl orbits, bounded by WEIGHT_CAP.
 
-Both formulas read the pairings <lambda + rho, alpha_vee> of Weyl's
-dimension formula (rootsys._pairings, _dimension), write their numerator
-into one zero-padded buffer and divide it there in place by
-prod_{alpha(h)>0} (1 - t^alpha(h)), which the per-sl2 record _sl2 holds
-(its docstring says why the product formula shares it).
-The choice reads sizes the request already has (c . (lambda + rho), the
-degree of either numerator, comes from _sl2): the product formula for a
-principal h while its degree in t^2 is at most PARABOLIC_CAP; else the
-orbit expansion when the degree passes PARABOLIC_CAP, when W_J\\W has
-over COSET_CAP cosets (a memory guard), or when h has no coset table yet
-and dim L(lambda) is at most its number of cosets; else the coset sum.
-So a small lambda builds no table, and the lambda of a bound share one.
+_weight_row forms a request's numbers once: the pairings <lambda + rho,
+alpha_vee> (rootsys._pairings), dim L(lambda) (rootsys._dimension), which
+sets the row dtype, and n = c . (lambda + rho) + 1, c from _sl2, the
+length of either formula's numerator.  Both formulas take them, write
+their numerator into one zero-padded buffer and divide it there in place
+by prod_{alpha(h)>0} (1 - t^alpha(h)), which _sl2 holds (its docstring
+says why the product formula shares it).  The choice reads them too: the
+product formula for a principal h while its degree in t^2 is at most
+PARABOLIC_CAP; else the orbit expansion when the degree passes
+PARABOLIC_CAP, when W_J\\W has over COSET_CAP cosets (a memory guard),
+or when h has no coset table yet and dim L(lambda) is at most its number
+of cosets; else the coset sum.  So a small lambda builds no table, and
+the lambda of a bound share one.
 The one memo, _sl2, is keyed by the sl2 alone, bounded, and shared across
 builds: conjugate sl2s get one record, which carries its coset table and
 the last certified decomposition of sl2branch.sl2_decompose, so a lambda
@@ -64,8 +65,7 @@ import numpy as np
 
 from .rootsys import (WEIGHT_CAP, RootSystem, RootSystemError, Weight,
                       _check_weight, _dimension, _orbit_rows, _orbit_size,
-                      _orbit_walk, _pairings, _reflect_to_dominant,
-                      weyl_dimension)
+                      _orbit_walk, _pairings, _reflect_to_dominant)
 
 DOMINANT_CAP = 5 * 10**4  # dominant weights of L(lambda)
 PARABOLIC_CAP = 10**5  # degree of either formula
@@ -110,7 +110,6 @@ def _dominant_weights(rs: RootSystem, lam: Weight) -> tuple:
     m(nu) = m(dom(nu)); each root string stops at its first non-weight,
     and its partial sums are kept for the weights below.
     """
-    _check_weight(rs, lam, "dominant_character")
     rank = rs.rank
     roots_wc = [tuple(int(x) for x in r) for r in rs._np["roots_wc"]]
     found = {lam.coords: (0,) * rank}   # dominant mu -> k
@@ -183,6 +182,7 @@ def _dominant_weights(rs: RootSystem, lam: Weight) -> tuple:
 
 def dominant_character(rs: RootSystem, lam: Weight) -> Character:
     """Multiplicities of all dominant weights of L(lambda) (Freudenthal)."""
+    _check_weight(rs, lam, "dominant_character")
     return Character(highest_weight=lam, mults={
         Weight(mu): m for mu, _, m in _dominant_weights(rs, lam)})
 
@@ -208,15 +208,20 @@ def _request(rs: RootSystem, lam: Weight, marks) -> _Sl2:
 
 def _weight_row(rs: RootSystem, lam: Weight, s: _Sl2) -> tuple:
     """(lambda(h), row) for a request checked by _request, s its record, as
-    the module docstring describes."""
+    the module docstring describes: its numbers are formed here, once."""
     lam_h = _lambda_of_h(rs, lam, s.h)
-    degree = sum(map(mul, s.c, (x + 1 for x in lam.coords)))
-    if s.h == (2,) * rs.rank and degree <= 2 * PARABOLIC_CAP:
-        return lam_h, _by_product(rs, lam, s)
-    if degree > PARABOLIC_CAP or s.cosets > COSET_CAP or (
-            s.table is None and weyl_dimension(rs, lam) <= s.cosets):
+    pairs = _pairings(rs, lam.coords)
+    dim, rem = _dimension(rs, pairs)
+    if rem:
+        raise CharacterError(f"Weyl dimension of {lam} is not integral")
+    n = sum(map(mul, s.c, (x + 1 for x in lam.coords))) + 1
+    dtype = np.int64 if dim << s.e_count < 2**63 else object
+    if s.h == (2,) * rs.rank and n <= 2 * PARABOLIC_CAP + 1:
+        return lam_h, _by_product(lam, s, pairs, n, dtype)
+    if n > PARABOLIC_CAP + 1 or s.cosets > COSET_CAP or (
+            s.table is None and dim <= s.cosets):
         return lam_h, _by_orbits(rs, lam, s.h)
-    return lam_h, _by_cosets(rs, lam, s)
+    return lam_h, _by_cosets(rs, lam, s, pairs, n, dtype)
 
 
 @lru_cache(maxsize=4)
@@ -275,7 +280,7 @@ def _quotient(buf: np.ndarray, n: int, s: _Sl2, lam: Weight) -> np.ndarray:
     first n terms of buf, then s.e_max zeros: in place, one running sum down
     the rows of e terms per factor.  Each partial quotient is the quotient
     (its terms sum to dim L(lambda)) times some (1 - t^e), so its terms are
-    at most dim 2^count: callers pass int64 below 2^63, else Python ints."""
+    at most dim 2^count: buf has the dtype _weight_row sets by that bound."""
     for e, times in s.groups:
         rows = buf[:-(-n // e) * e].reshape(-1, e)
         for _ in range(times):
@@ -287,18 +292,14 @@ def _quotient(buf: np.ndarray, n: int, s: _Sl2, lam: Weight) -> np.ndarray:
     return buf[:top + 1]
 
 
-def _by_product(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
+def _by_product(lam: Weight, s: _Sl2, pairs, n: int, dtype) -> np.ndarray:
     """The row for the principal h = 2 rho_vee, from prod_{alpha>0} (1 -
     t^a_alpha) / (1 - t^alpha(h)) = sum_mu mult(mu) t^{2 ht(lambda - mu)},
-    a_alpha = 2 <lambda + rho, alpha_vee>, twice the pairings of Weyl's
-    formula; the buffer takes _quotient's dtype, which holds the
-    numerator, whose terms are at most 2^|Phi+|."""
-    pairs = _pairings(rs, lam)
+    a_alpha = 2 <lambda + rho, alpha_vee>, twice the pairings, of sum
+    n - 1 = c . xi (c = 2 sum alpha_vee); the buffer takes the row dtype,
+    which holds the numerator, whose terms are at most 2^|Phi+|."""
     a = [2 * x for x in pairs.tolist()]
-    n = sum(a) + 1
-    num = np.zeros(n + s.e_max, object
-                   if _dimension(rs, pairs)[0] << s.e_count >= 2**63
-                   else np.int64)
+    num = np.zeros(n + s.e_max, dtype)
     num[0] = 1
     for deg, e in zip(accumulate(a), a):   # times (1 - t^e), in place
         num[e:deg + 1] -= num[:deg + 1 - e].copy()
@@ -389,7 +390,8 @@ def _coset_table(rs: RootSystem, s: _Sl2) -> _CosetTable:
     return _CosetTable(K, signs, vanish, den)
 
 
-def _by_cosets(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
+def _by_cosets(rs: RootSystem, lam: Weight, s: _Sl2, pairs, n: int,
+               dtype) -> np.ndarray:
     """The row by the coset sum over W_J\\W, J = {i : alpha_i(h) = 0}:
 
     sum_mu mult(mu) t^{(lambda-mu)(h)} = sum_w sgn(w) dim_J(w xi - rho)
@@ -403,7 +405,8 @@ def _by_cosets(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
     coordinates of h - h', h' = w^-1 h, from _coset_table, (xi - w xi)(h)
     = K . xi, and w^-1 maps Phi_J+ onto the positive roots beta vanishing
     on h', keeping root lengths: dim_J(w xi - rho) has numerator prod
-    <xi, beta_vee>, one row of a gather of the pairings of Weyl's formula.
+    <xi, beta_vee>, one row of a gather of the pairings _weight_row hands
+    in with n, the numerator's length, and the row dtype, the quotient's.
     The sum runs COSET_CHUNK rows of the table at a time, so that no
     transient grows with the table.  Products run in int64 only where a
     bound proves that they fit: for pairings below 2^53, a chunk's float64
@@ -419,14 +422,12 @@ def _by_cosets(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
     if s.table is None:
         s.table = _coset_table(rs, s)
     t = s.table
-    xi = [x + 1 for x in lam.coords]
-    n = sum(map(mul, s.c, xi)) + 1   # c is the largest row of K (see _sl2)
     # xi_j <= K . xi <= PARABOLIC_CAP wherever some row has K_j > 0, so
     # clipping xi there changes no degree, and int32 holds every partial sum
-    clipped = np.array([min(x, PARABOLIC_CAP) for x in xi], np.int32)
+    clipped = np.array([min(x + 1, PARABOLIC_CAP) for x in lam.coords],
+                       np.int32)
     # the degree cap bounds xi only where some mark is nonzero, so the
     # pairings may be Python ints; below 2^53 they are exact in float64
-    pairs = _pairings(rs, lam)
     floats = pairs.astype(np.float64) if max(pairs.tolist()) < 2**53 else None
     poly = np.zeros(n + s.e_max, np.int64)
     bound = 0
@@ -451,10 +452,8 @@ def _by_cosets(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
         if bound >= 2**63:
             poly = poly.astype(object, copy=False)
         np.add.at(poly, t.K[a:b] @ clipped, t.signs[a:b] * prods)
-    # the sum's bound set its dtype, and _quotient's sets the division's
-    return _quotient(poly.astype(
-        np.int64 if _dimension(rs, pairs)[0] << s.e_count < 2**63 else object,
-        copy=False), n, s, lam)
+    # the sum's bound set its dtype, and the row dtype sets the division's
+    return _quotient(poly.astype(dtype, copy=False), n, s, lam)
 
 
 def _by_orbits(rs: RootSystem, lam: Weight, marks) -> np.ndarray:

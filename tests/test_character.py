@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from sl2bounds import (
-    CharacterError, Sl2Embedding, Weight, build, dominant_character,
-    full_weight_values, root_embedding, sl2_decompose, weyl_dimension,
+    BranchingError, CharacterError, Sl2Embedding, Weight, build,
+    dominant_character, full_weight_values, principal_embedding,
+    root_embedding, sl2_decompose, weyl_dimension,
     weyl_alternating_character, weyl_orbit,
 )
-from sl2bounds import character
+from sl2bounds import character, rootsys
 from sl2bounds.bounds import _all_simple_types
 from sl2bounds.rootsys import (RootSystemError, _inverse_int, _orbit_size,
                                 _reflect_to_dominant, weight_to_root_coords)
@@ -147,7 +148,7 @@ def test_dominant_character_rejects_nondominant():
         dominant_character(rs, Weight((-1, 0)))
 
 
-def test_box_memo_is_bounded_and_shared_across_builds():
+def test_only_memo_is_the_sl2_record_of_four_shared_across_builds():
     # Every memo is keyed by sl2: the per-sl2 record, which carries its
     # coset table and its last certified decomposition (one lambda), is
     # the only one, bounded at four records, and a second build of the
@@ -199,12 +200,29 @@ def _answer(path, rs, lam, marks):
     return {lam_h - k: n for k, n in enumerate(path(rs, lam, s).tolist()) if n}
 
 
+def _handed(rs, lam, s):
+    """What _weight_row hands a formula path after lambda and s: the
+    pairings, the numerator's length n = c . xi + 1 and the row dtype."""
+    pairs = character._pairings(rs, lam.coords)
+    dim = character._dimension(rs, pairs)[0]
+    n = sum(map(mul, s.c, (x + 1 for x in lam.coords))) + 1
+    return pairs, n, np.int64 if dim << s.e_count < 2**63 else object
+
+
+def _product_row(rs, lam, s):
+    return character._by_product(lam, s, *_handed(rs, lam, s))
+
+
+def _coset_row(rs, lam, s):
+    return character._by_cosets(rs, lam, s, *_handed(rs, lam, s))
+
+
 def _by_product(rs, lam, marks):
-    return _answer(character._by_product, rs, lam, marks)
+    return _answer(_product_row, rs, lam, marks)
 
 
 def _by_cosets(rs, lam, marks):
-    return _answer(character._by_cosets, rs, lam, marks)
+    return _answer(_coset_row, rs, lam, marks)
 
 
 def _by_orbits(rs, lam, marks):
@@ -471,7 +489,7 @@ def test_coset_sum_is_bounded_by_its_largest_product(lam):
         for _ in range(times):
             for i in range(e, len(poly)):
                 poly[i] += poly[i - e]
-    row = character._by_cosets(rs, lam, s).tolist()
+    row = _coset_row(rs, lam, s).tolist()
     assert row == poly[:len(row)] and not any(poly[len(row):])
     assert sum(row) == weyl_dimension(rs, lam)
 
@@ -486,6 +504,46 @@ def test_coset_sum_past_int64_stays_exact():
     assert xi**2 < 2**63 <= 2 * xi**2
     lam = Weight((xi - 1, xi - 1, 0, 0))
     assert _by_cosets(rs, lam, (0, 0, 2, 2)) == {0: xi**2}
+
+
+def test_each_request_forms_its_numbers_once(monkeypatch, answered):
+    # The dispatch forms the pairings and dim L(lambda) once per request
+    # and hands them to the path that answers, and lambda is checked once,
+    # in _request: no path and no second dimension call forms them again.
+    # A cold and a warm coset sum at marks (2, 3), where h* != h, the
+    # principal sl2 of G2, and E8's adjoint at marks that the orbit
+    # expansion answers.  No sl2 has the marks of the first two or of the
+    # last, so their restrictions are formed and then refused.
+    calls = Counter()
+    for module in (rootsys, character):
+        for name in ("_pairings", "_dimension", "_check_weight",
+                     "weyl_dimension"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *a, _name=name,
+                                    _real=getattr(module, name):
+                                    calls.update([_name]) or _real(*a))
+    a2, g2, e8 = build([("A", 2)]), build([("G", 2)]), build([("E", 8)])
+    adjoint = Weight((0,) * 7 + (1,))
+    requests = [
+        (a2, Weight((3, 0)), Sl2Embedding((2, 3)), "_by_cosets",
+         "not symmetric at 7"),
+        (a2, Weight((3, 0)), Sl2Embedding((2, 3)), "_by_cosets",
+         "not symmetric at 7"),
+        (g2, Weight((4, 3)), principal_embedding(g2), "_by_product", None),
+        (e8, adjoint, Sl2Embedding((0, 0, 0, 0, 2, 0, 2, 2)), "_by_orbits",
+         "negative multiplicity for V(4)"),
+    ]
+    for rs, lam, emb, path, refused in requests:
+        calls.clear()
+        answered.clear()
+        try:
+            sl2_decompose(rs, lam, emb)
+            assert refused is None, emb
+        except BranchingError as exc:
+            assert refused is not None and refused in str(exc), emb
+        assert answered == {path: 1}, emb
+        assert calls == {"_pairings": 1, "_dimension": 1,
+                         "_check_weight": 1}, emb
 
 
 def test_principal_degree_cap_boundary(answered):
@@ -672,7 +730,7 @@ def test_product_rows_match_orbit_rows_on_a_seeded_box(fam, rank):
     box = list(itertools.product(range(3), repeat=rank))
     for lam in random.Random(rank).sample(box, min(6, len(box))):
         lam = Weight(lam)
-        assert np.array_equal(character._by_product(rs, lam, s),
+        assert np.array_equal(_product_row(rs, lam, s),
                               character._by_orbits(rs, lam, h)), lam
 
 
@@ -693,14 +751,16 @@ def test_principal_values_e6_against_freudenthal():
     ("E", 6, (1, 1, 1, 1, 0, 0), True),     # dim 115287744 < 2^27
     ("E", 6, (0, 0, 0, 2, 0, 2), False),    # dim 136547775 >= 2^27
 ], ids=["E7-1000000", "E7-0000001", "E6-below", "E6-above"])
-def test_product_row_dtype_boundary(fam, rank, lam, int64):
+def test_product_row_dtype_boundary(answered, fam, rank, lam, int64):
     # The product formula runs in int64 iff dim L(lambda) 2^|Phi+| < 2^63:
     # never in E7 (|Phi+| = 63), and in E6 (|Phi+| = 36) iff dim < 2^27.
-    # On either side its row is the orbit expansion's.
+    # On either side its row is the orbit expansion's.  The dispatch sets
+    # the dtype, so the row is taken through it.
     rs, lam, h = build([(fam, rank)]), Weight(lam), (2,) * rank
     dim = weyl_dimension(rs, lam)
     assert (dim << len(rs.positive_roots) < 2**63) == int64
-    product = character._by_product(rs, lam, character._sl2(rs, h))
+    product = character._weight_row(rs, lam, character._sl2(rs, h))[1]
+    assert answered == {"_by_product": 1}
     assert (product.dtype == np.int64) == int64
     assert np.array_equal(product, character._by_orbits(rs, lam, h))
     assert sum(product.tolist()) == dim
@@ -715,14 +775,15 @@ def _with_denominator(s, exps):
 def test_product_numerator_past_int64_stays_exact(monkeypatch):
     # 70 copies of A1's positive coroot make the numerator (1 - t^4)^70,
     # whose middle terms pass 2^63, and with 70 copies of its denominator
-    # (1 - t^2) the row that of (1 + t^2)^70: the bound dim 2^|Phi+| must
-    # put the numerator in Python ints too.
+    # (1 - t^2) the row that of (1 + t^2)^70: the dispatch's bound dim
+    # 2^|Phi+| must put the numerator in Python ints too.  c is scaled with
+    # the coroots, so that c . xi is the numerator's degree, 280.
     rs = build([("A", 1)])
     monkeypatch.setitem(rs._np, "coroots",
                         np.repeat(rs._np["coroots"], 70, axis=0))
     assert math.comb(70, 35) > 2**63
     s = _with_denominator(character._sl2(rs, (2,)), [2] * 70)
-    row = character._by_product(rs, Weight((1,)), s)
+    row = character._weight_row(rs, Weight((1,)), s._replace(c=(140,)))[1]
     assert row[::2].tolist() == [math.comb(70, k) for k in range(71)]
     assert not row[1::2].any()
 
@@ -788,7 +849,7 @@ def test_coset_sum_past_int64_in_a_middle_chunk(monkeypatch, scatter_dtypes):
     real = character._pairings
     monkeypatch.setattr(character, "_pairings",
                         lambda rs, lam: real(rs, lam) * f)
-    row = character._by_cosets(rs, lam, s)
+    row = _coset_row(rs, lam, s)
     assert scatter_dtypes == [np.int64] * 8
     assert row.tolist() == [
         f**3 * n for n in _coset_row_in_python_ints(rs, lam, s).tolist()]
@@ -858,7 +919,7 @@ def test_one_int64_chunk_for_products_below_2_40_past_the_power_bound(
     s.table = character._coset_table(rs, s)
     tops, power = _chunk_products(rs, lam, s, character.COSET_CHUNK)
     assert power >= 2**63 and max(tops) < 2**40
-    row = character._by_cosets(rs, lam, s)
+    row = _coset_row(rs, lam, s)
     assert scatter_dtypes == [np.int64]
     assert row.tolist() == _coset_row_in_python_ints(rs, lam, s).tolist()
     assert sum(row.tolist()) == weyl_dimension(rs, lam)
@@ -876,7 +937,7 @@ def test_coset_products_in_python_ints_in_a_middle_chunk(monkeypatch,
     tops, guard = _chunk_products(rs, lam, s, 7)
     assert guard >= 2**63 and len(tops) == 3
     assert tops[0] < 2**61 and tops[1] >= 2**63 and tops[2] < 2**61
-    row = character._by_cosets(rs, lam, s)
+    row = _coset_row(rs, lam, s)
     assert scatter_dtypes == [np.int64, object, np.int64]
     assert row.tolist() == _coset_row_in_python_ints(rs, lam, s).tolist()
     assert sum(row.tolist()) == weyl_dimension(rs, lam)
@@ -897,19 +958,20 @@ def test_every_path_row_sums_to_the_weyl_dimension(fam, rank, lam):
     # expansion at the principal h and at the highest root's.
     rs, lam, principal = build([(fam, rank)]), Weight(lam), (2,) * rank
     theta = root_embedding(rs, rs.positive_roots[-1]).marks
-    rows = [character._by_product(rs, lam, character._sl2(rs, principal))]
+    rows = [_product_row(rs, lam, character._sl2(rs, principal))]
     for s in (character._sl2(rs, principal), character._sl2(rs, theta)):
-        rows += [character._by_cosets(rs, lam, s),
+        rows += [_coset_row(rs, lam, s),
                  character._by_orbits(rs, lam, s.h)]
     assert [sum(row.tolist()) for row in rows] == [weyl_dimension(rs, lam)] * 5
 
 
 def test_principal_values_reject_inexact_quotient(monkeypatch):
     # Without the highest root the product over the remaining positive
-    # roots is not a polynomial, and the exactness check must say so.
+    # roots is not a polynomial, nor does it divide by Weyl's denominator;
+    # the dispatch's exactness check, the first to see it, must say so.
     rs = build([("G", 2)])
     monkeypatch.setitem(rs._np, "coroots", rs._np["coroots"][:-1])
-    with pytest.raises(CharacterError, match="not a polynomial"):
+    with pytest.raises(CharacterError, match="Weyl dimension .* not integral"):
         full_weight_values(rs, Weight((1, 0)), (2, 2))
 
 
