@@ -8,9 +8,10 @@ lambda by subtracting positive roots and keeping the dominant results
 the multiplicity of its dominant Weyl conjugate.  L(lambda) may have at
 most WEIGHT_CAP weights, counted over the orbits of its dominant weights,
 and at most DOMINANT_CAP dominant weights, both checked while they are
-enumerated.  A small-rank alternating-sum oracle is kept alongside for
-cross-checking: it walks W by rootsys's shared orbit walk and divides by
-the Weyl denominator with semigroup's partition-function kernel.
+enumerated.  An alternating-sum oracle is kept alongside for
+cross-checking: it walks W by rootsys's shared orbit walk into a box of
+at most DEFAULT_BOX_CAP cells, sized before the walk, and divides by the
+Weyl denominator with semigroup's partition-function kernel.
 
 _weight_row restricts a character to the sl2 with given marks alpha_i(h),
 and it alone chooses how.  _request validates lambda and the marks and
@@ -71,7 +72,6 @@ DOMINANT_CAP = 5 * 10**4  # dominant weights of L(lambda)
 PARABOLIC_CAP = 10**5  # degree of either formula
 COSET_CAP = 3 * 10**6  # cosets W_J\W in a coset table; |W(E7)| = 2903040
 COSET_CHUNK = 2**14  # rows of K paired with all roots at once
-DEFAULT_WEYL_ORDER_CAP = 1200  # covers all rank <= 4 simple factors (F4: 1152)
 
 
 class _Sl2(namedtuple("_Sl2", "h c cosets groups e_sum e_max e_count")):
@@ -220,7 +220,7 @@ def _weight_row(rs: RootSystem, lam: Weight, s: _Sl2) -> tuple:
         return lam_h, _by_product(lam, s, pairs, n, dtype)
     if n > PARABOLIC_CAP + 1 or s.cosets > COSET_CAP or (
             s.table is None and dim <= s.cosets):
-        return lam_h, _by_orbits(rs, lam, s.h)
+        return lam_h, _by_orbits(rs, lam, s)
     return lam_h, _by_cosets(rs, lam, s, pairs, n, dtype)
 
 
@@ -456,13 +456,18 @@ def _by_cosets(rs: RootSystem, lam: Weight, s: _Sl2, pairs, n: int,
     return _quotient(poly.astype(dtype, copy=False), n, s, lam)
 
 
-def _by_orbits(rs: RootSystem, lam: Weight, marks) -> np.ndarray:
-    """The row by the orbit expansion, for dominant marks: row[k] counts
-    the weights mu of L(lambda), with multiplicity, at k = (lambda - mu)(h).
-    The orbits of all dominant weights are walked at once by _orbit_walk,
-    with the index of each row's dominant weight riding along, and one
-    scatter-add puts each weight's multiplicity at its degree, in int64
-    while dim L(lambda), which bounds every entry, is below 2^63."""
+def _by_orbits(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
+    """The row by the orbit expansion at the dominant h of the record s:
+    row[k] counts the weights mu of L(lambda), with multiplicity, at k =
+    (lambda - mu)(h) <= (lambda - w0 lambda)(h) = c . lambda, refused past
+    twice WEIGHT_CAP before any weight is found.  The orbits of all
+    dominant weights are walked at once by _orbit_walk, with the index of
+    each row's dominant weight riding along, and one scatter-add puts each
+    weight's multiplicity at its degree, in int64 while dim L(lambda),
+    which bounds every entry, is below 2^63."""
+    if sum(map(mul, s.c, lam.coords)) > 2 * WEIGHT_CAP:
+        raise CharacterError(f"weight values of {lam} at marks {s.h} "
+                             f"span past twice the weight cap")
     doms = _dominant_weights(rs, lam)
     # columns: weight coords mu, root coords k, index into doms; int32
     # holds them, since WEIGHT_CAP bounds lambda and the index
@@ -470,18 +475,14 @@ def _by_orbits(rs: RootSystem, lam: Weight, marks) -> np.ndarray:
                     dtype=np.int32)
     rows = np.concatenate(list(_orbit_walk(rows, rs._weight_walk)))
     index = rows[:, -1]
-    # k is int32 and the marks are dominant, so int64 is exact while
-    # sum(marks) < 2^32; past that, Python ints
+    # no degree passes the checked span, so k_j = 0 wherever mark_j does:
+    # marks clipped past it give the same degrees, all exact in int64
     degrees = rows[:, :-1] @ np.array(
-        marks, np.int64 if sum(marks) < 2**32 else object)
-    top = int(degrees.max())   # 2 lambda(h) < 2 WEIGHT_CAP for an sl2
-    if top > 2 * WEIGHT_CAP:
-        raise CharacterError(f"weight values of {lam} at marks {marks} "
-                             f"span past twice the weight cap")
+        [min(m, 2 * WEIGHT_CAP + 1) for m in s.h], np.int64)
     mults = [m for _, _, m in doms]
     dim = sum(map(mul, np.bincount(index).tolist(), mults))
     mults = np.array(mults, np.int64 if dim < 2**63 else object)
-    row = np.zeros(top + 1, mults.dtype)
+    row = np.zeros(int(degrees.max()) + 1, mults.dtype)
     np.add.at(row, degrees.astype(np.int64), mults[index])
     return row
 
@@ -494,26 +495,25 @@ def weyl_alternating_character(rs: RootSystem, lam: Weight) -> Character:
     """Character of L(lambda) by the alternating sum over the Weyl group,
     divided by the Weyl denominator (exact polynomial division).
 
-    Small-rank oracle for dominant_character; enumerates W explicitly.
+    Oracle for dominant_character; walks W explicitly, bounded by its box.
     """
     from .semigroup import DEFAULT_BOX_CAP, _partition_fill
     _check_weight(rs, lam, "weyl_alternating_character")
     xi = lam + rs.rho
-    if _orbit_size(rs, xi.coords) > DEFAULT_WEYL_ORDER_CAP:
-        raise RootSystemError(
-            f"Weyl orbit exceeds cap {DEFAULT_WEYL_ORDER_CAP}")
-
     # Exponents are stored as k with e^nu at k = root coords of lambda - nu.
     # xi is regular, so the shared orbit walk visits each w(xi) once, at
     # level l(w), and its k (root coords of xi - w xi) is the offset of the
-    # numerator term sgn(w) e^{w(xi) - rho}; the k of w0 is the largest.
-    levels = list(_orbit_walk(_orbit_rows(xi.coords), rs._weight_walk))
-    shape = np.concatenate(levels).max(axis=0) + 1
-    ncells = math.prod(shape.tolist())
+    # numerator term sgn(w) e^{w(xi) - rho}.  The k of w0, xi - w0 xi = xi +
+    # xi*, is the largest, and distinct w(xi) take distinct cells of its box.
+    den, N = rs._np["Ainv_int"]
+    both = [x + xi.coords[j] for x, j in zip(xi.coords, rs._np["sigma"])]
+    shape = [sum(map(mul, row, both)) // den + 1 for row in N]
+    ncells = math.prod(shape)
     if ncells > DEFAULT_BOX_CAP:
         raise CharacterError(
             f"character box has {ncells} cells, exceeds cap {DEFAULT_BOX_CAP}")
-    num = np.zeros(shape.tolist(), dtype=np.int64)
+    num = np.zeros(shape, dtype=np.int64)
+    levels = _orbit_walk(_orbit_rows(xi.coords), rs._weight_walk)
     for length, k in enumerate(levels):
         num[tuple(k.T)] = (-1) ** length
 

@@ -438,8 +438,8 @@ def _orbit_walk(rows, step: _Step, stop=None) -> Iterator[np.ndarray]:
     such w, the minimal coset representative.  Yields, per level, a copy
     of the columns after x, and walks the next level only when asked for
     it, so a caller that writes each level away holds one at a time;
-    callers that need every level take list(...).  Callers bound the orbit
-    sizes with _orbit_size first.
+    callers that need every level take list(...).  Callers bound the walk
+    first: by _orbit_size, or the character oracle by its box.
 
     Each level takes the same few numpy calls, over all rows and all j at
     once, whatever the rank.  The test needs no s_j x: for i < j not

@@ -226,7 +226,7 @@ def _by_cosets(rs, lam, marks):
 
 
 def _by_orbits(rs, lam, marks):
-    return _answer(lambda rs, lam, s: character._by_orbits(rs, lam, s.h),
+    return _answer(lambda rs, lam, s: character._by_orbits(rs, lam, s),
                    rs, lam, marks)
 
 
@@ -731,12 +731,12 @@ def test_product_rows_match_orbit_rows_on_a_seeded_box(fam, rank):
     for lam in random.Random(rank).sample(box, min(6, len(box))):
         lam = Weight(lam)
         assert np.array_equal(_product_row(rs, lam, s),
-                              character._by_orbits(rs, lam, h)), lam
+                              character._by_orbits(rs, lam, s)), lam
 
 
 def test_principal_values_e6_against_freudenthal():
-    # W(E6) has 51840 elements, past the alternating-sum oracle's cap, so
-    # E6 is checked against Freudenthal and the Weyl dimension only.
+    # E6's box is past the alternating-sum oracle's cap even at lambda = 0,
+    # so E6 is checked against Freudenthal and the Weyl dimension only.
     rs = build([("E", 6)])
     for lam in [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1)]:
         lam = Weight(lam)
@@ -759,10 +759,11 @@ def test_product_row_dtype_boundary(answered, fam, rank, lam, int64):
     rs, lam, h = build([(fam, rank)]), Weight(lam), (2,) * rank
     dim = weyl_dimension(rs, lam)
     assert (dim << len(rs.positive_roots) < 2**63) == int64
-    product = character._weight_row(rs, lam, character._sl2(rs, h))[1]
+    s = character._sl2(rs, h)
+    product = character._weight_row(rs, lam, s)[1]
     assert answered == {"_by_product": 1}
     assert (product.dtype == np.int64) == int64
-    assert np.array_equal(product, character._by_orbits(rs, lam, h))
+    assert np.array_equal(product, character._by_orbits(rs, lam, s))
     assert sum(product.tolist()) == dim
 
 
@@ -792,13 +793,13 @@ def test_orbit_row_past_int64_stays_exact(monkeypatch):
     # Multiplicities scaled by 2^62 put dim L(lambda) past 2^63, so the
     # orbit expansion must add its counts in Python ints, not wrap int64.
     rs = build([("B", 3)])
-    lam, h = Weight((1, 0, 1)), character._sl2(rs, (0, 1, 0)).h
-    want = character._by_orbits(rs, lam, h)
+    lam, s = Weight((1, 0, 1)), character._sl2(rs, (0, 1, 0))
+    want = character._by_orbits(rs, lam, s)
     assert want.dtype == np.int64
     real = character._dominant_weights
     monkeypatch.setattr(character, "_dominant_weights", lambda rs, lam: tuple(
         (mu, k, m << 62) for mu, k, m in real(rs, lam)))
-    row = character._by_orbits(rs, lam, h)
+    row = character._by_orbits(rs, lam, s)
     assert row.dtype == object
     assert row.tolist() == [n << 62 for n in want.tolist()]
     assert sum(row.tolist()) == weyl_dimension(rs, lam) << 62
@@ -952,6 +953,52 @@ def test_orbit_row_refuses_a_span_past_the_weight_cap():
         full_weight_values(rs, Weight((3, 0)), (10**8, 0))
 
 
+class _Walked(Exception):
+    pass
+
+
+def _refuse_walks(monkeypatch, *names):
+    """Make these character functions raise _Walked when called."""
+    def walk(*args):
+        raise _Walked(args)
+
+    for name in names:
+        monkeypatch.setattr(character, name, walk)
+
+
+def test_span_is_refused_before_any_weight_is_found(monkeypatch):
+    # The span c . lambda is known from the record, so a request past it
+    # finds no dominant weight and walks no orbit: E8 L(2 omega_7) at
+    # marks (10^8, 0, ..., 0) has few weights and a span of 1.6 10^9.
+    _refuse_walks(monkeypatch, "_dominant_weights", "_orbit_walk")
+    e8 = build([("E", 8)])
+    with pytest.raises(CharacterError, match="span past twice the weight"):
+        full_weight_values(e8, Weight((0,) * 6 + (2, 0)),
+                           (10**8,) + (0,) * 7)
+
+
+def test_span_at_twice_the_weight_cap_is_expanded(monkeypatch):
+    # The A1 row of L(4) at the mark m spans 4 m: with a cap of 10, m = 5
+    # spans twice the cap and is expanded, m = 6 is refused.
+    monkeypatch.setattr(character, "WEIGHT_CAP", 10)
+    rs, lam = build([("A", 1)]), Weight((4,))
+    row = character._by_orbits(rs, lam, character._sl2(rs, (5,)))
+    assert character._histogram(10, row) == {10: 1, 5: 1, 0: 1, -5: 1, -10: 1}
+    with pytest.raises(CharacterError, match="span past twice the weight"):
+        character._by_orbits(rs, lam, character._sl2(rs, (6,)))
+
+
+def test_marks_past_int64_where_no_weight_moves():
+    # A mark past 2^64 meets only k_j = 0, so the degrees are those of the
+    # other marks: the trivial A2 module, and L(3 omega_2) of A1 x A1,
+    # which is trivial on the first factor.
+    a2 = build([("A", 2)])
+    assert full_weight_values(a2, Weight((0, 0)), (2**70, 0)) == {0: 1}
+    a1a1 = build([("A", 1), ("A", 1)])
+    assert full_weight_values(a1a1, Weight((0, 3)), (2**70, 2)) == \
+        {3: 1, 1: 1, -1: 1, -3: 1}
+
+
 @pytest.mark.parametrize("fam,rank,lam", _SMALL_WEIGHTS, ids=_weight_id)
 def test_every_path_row_sums_to_the_weyl_dimension(fam, rank, lam):
     # The product formula at the principal h; the coset sum and the orbit
@@ -961,7 +1008,7 @@ def test_every_path_row_sums_to_the_weyl_dimension(fam, rank, lam):
     rows = [_product_row(rs, lam, character._sl2(rs, principal))]
     for s in (character._sl2(rs, principal), character._sl2(rs, theta)):
         rows += [_coset_row(rs, lam, s),
-                 character._by_orbits(rs, lam, s.h)]
+                 character._by_orbits(rs, lam, s)]
     assert [sum(row.tolist()) for row in rows] == [weyl_dimension(rs, lam)] * 5
 
 
@@ -1034,14 +1081,15 @@ def test_int64_headroom_check_passes_large_characters(fam, rank, lam):
     # characters; their orbit expansion must count dim L(lambda) weights.
     rs = build([(fam, rank)])
     lam = Weight(lam)
-    assert character._by_orbits(rs, lam, (0,) * rank).tolist() == \
+    s = character._sl2(rs, (0,) * rank)
+    assert character._by_orbits(rs, lam, s).tolist() == \
         [weyl_dimension(rs, lam)]
 
 
 # Histograms of the spec weights under their root sl2s (highest root,
 # highest short root, alpha_1), frozen from the dense Freudenthal box that
 # the orbit expansion replaced.  They are the second algorithm where the
-# alternating-sum oracle cannot go (E6 is past its Weyl-group cap) or is too
+# alternating-sum oracle cannot go (E6 is past its box cap) or is too
 # slow for the suite (about 5 s for B4 (3,3,3,3)).
 _FROZEN = json.loads(
     (Path(__file__).parent / "data" / "large_root_histograms.json").read_text())
@@ -1057,7 +1105,17 @@ def test_large_root_histograms_match_frozen_box(entry):
     assert sorted([v, n] for v, n in N.items()) == entry["weight_values"]
 
 
-def test_oracle_refuses_past_its_weyl_order_cap():
-    # |W(B5)| = 3840 > DEFAULT_WEYL_ORDER_CAP
-    with pytest.raises(RootSystemError, match="exceeds cap 1200"):
-        weyl_alternating_character(build([("B", 5)]), Weight((0,) * 5))
+@pytest.mark.parametrize("fam,rank", [("B", 5), ("D", 5), ("A", 6)])
+def test_oracle_answers_rank_5_and_6_at_zero(fam, rank):
+    # Their boxes fit under the box cap, the oracle's only cap.
+    rs, lam = build([(fam, rank)]), Weight((0,) * rank)
+    assert weyl_alternating_character(rs, lam).mults == \
+        dominant_character(rs, lam).mults
+
+
+def test_oracle_box_past_its_cap_walks_nothing(monkeypatch):
+    # The box is sized from xi + xi* before the walk: E6 at lambda = 0
+    # has one of 274673981 cells, refused without a step of W.
+    _refuse_walks(monkeypatch, "_orbit_walk")
+    with pytest.raises(CharacterError, match="274673981 cells"):
+        weyl_alternating_character(build([("E", 6)]), Weight((0,) * 6))

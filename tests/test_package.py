@@ -56,10 +56,24 @@ def test_the_lazy_modules_resolve_as_attributes():
 
 
 def test_dir_lists_every_public_name_before_it_is_resolved():
+    # and imports neither lazy module
     assert _fresh(
-        "import sl2bounds\n"
-        "print(sorted(set(sl2bounds.__all__) - set(dir(sl2bounds))))\n"
-        ) == "[]\n"
+        "import sys, sl2bounds\n"
+        "print(sorted(set(sl2bounds.__all__) - set(dir(sl2bounds))),\n"
+        "      [m for m in ('sl2bounds.bounds', 'sl2bounds.semigroup')\n"
+        "       if m in sys.modules])\n") == "[] []\n"
+
+
+def test_dir_lists_the_lazy_names_without_resolving_them(monkeypatch):
+    # In process, with every lazy name unresolved and no import possible:
+    # dir reads the table of lazy names, never the modules behind them.
+    for name in sl2bounds._LAZY:
+        monkeypatch.delitem(vars(sl2bounds), name, raising=False)
+    monkeypatch.setattr(sl2bounds, "importlib", None)
+    names = dir(sl2bounds)
+    assert names == sorted(names)
+    assert {*sl2bounds.__all__, "bounds", "semigroup"} <= set(names)
+    assert not set(sl2bounds._LAZY) & set(vars(sl2bounds))
 
 
 def test_an_unknown_name_is_an_attribute_error():

@@ -241,6 +241,19 @@ def test_dominant_representative_examples():
     assert dominant_representative(a2, Weight((-1, 2))).coords == (1, 1)
 
 
+def test_weight_difference_and_negation():
+    a, b = Weight((3, -1, 0)), Weight((1, 2, 5))
+    assert a - b == Weight((2, -3, -5)) == a + -b
+    assert -a == Weight((-3, 1, 0)) and -(-a) == a
+    # -w0 swaps omega_1 and omega_6 of E6, so the lowest weight of
+    # L(omega_1) is -omega_6; lambda + lambda* is in the root lattice
+    e6, lam = build([("E", 6)]), Weight((1, 0, 0, 0, 0, 0))
+    dual = dominant_representative(e6, -lam)
+    assert dual == Weight((0, 0, 0, 0, 0, 1))
+    assert rootsys.weight_to_root_coords(e6, lam + dual) == \
+        [2, 2, 3, 4, 3, 2]
+
+
 @given(st.lists(st.integers(-12, 12), min_size=2, max_size=2),
        st.lists(st.integers(0, 1), min_size=4, max_size=8))
 @settings(max_examples=80, deadline=None)
