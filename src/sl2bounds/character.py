@@ -14,8 +14,8 @@ at most DEFAULT_BOX_CAP cells, sized before the walk, and divides by the
 Weyl denominator with semigroup's partition-function kernel.
 
 _weight_row restricts a character to the sl2 with given marks alpha_i(h),
-and it alone chooses how.  _request validates lambda and the marks and
-reads the record of their sl2, whose h is the dominant conjugate;
+and it alone chooses how.  _request validates lambda and the marks,
+conjugates the marks to the dominant h and reads the record of h;
 _weight_row solves lambda(h) in integers and hands lambda and h to one of
 three paths, each returning one dense row: row[k] is the multiplicity of
 mu(h) = lambda(h) - k, in int64 where a written bound proves that exact
@@ -36,21 +36,23 @@ and in Python ints past it.  full_weight_values is its dict view.
 
 _weight_row forms a request's numbers once: the pairings <lambda + rho,
 alpha_vee> (rootsys._pairings), dim L(lambda) (rootsys._dimension), which
-sets the row dtype, and n = c . (lambda + rho) + 1, c from _sl2, the
-length of either formula's numerator.  Both formulas take them, write
-their numerator into one zero-padded buffer and divide it there in place
-by prod_{alpha(h)>0} (1 - t^alpha(h)), which _sl2 holds (its docstring
-says why the product formula shares it).  The choice reads them too: the
+sets the row dtype and bounds the orbit expansion's entries, and n = c .
+(lambda + rho) + 1, c from _sl2, the length of either formula's
+numerator.  Both formulas take them, write their numerator into one
+zero-padded buffer and divide it there in place by prod_{alpha(h)>0} (1 -
+t^alpha(h)), which _sl2 holds (its docstring says why the product
+formula shares it).  The choice reads them too: the
 product formula for a principal h while its degree in t^2 is at most
 PARABOLIC_CAP; else the orbit expansion when the degree passes
 PARABOLIC_CAP, when W_J\\W has over COSET_CAP cosets (a memory guard),
 or when h has no coset table yet and dim L(lambda) is at most its number
 of cosets; else the coset sum.  So a small lambda builds no table, and
 the lambda of a bound share one.
-The one memo, _sl2, is keyed by the sl2 alone, bounded, and shared across
-builds: conjugate sl2s get one record, which carries its coset table and
-the last certified decomposition of sl2branch.sl2_decompose, so a lambda
-asked for twice in a row (invariant_dim, then g0) is restricted once.
+The one memo, _sl2, is keyed by the dominant h, bounded, and shared across
+builds: conjugate sl2s, however their marks are spelled, get one record,
+which carries its coset table and the last certified decomposition of
+sl2branch.sl2_decompose, so a lambda asked for twice in a row
+(invariant_dim, then g0) is restricted once.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ import numpy as np
 
 from .rootsys import (WEIGHT_CAP, RootSystem, RootSystemError, Weight,
                       _check_weight, _dimension, _orbit_rows, _orbit_size,
-                      _orbit_walk, _pairings, _reflect_to_dominant)
+                      _orbit_walk, _pairings, _reflect_to_dominant,
+                      weight_to_root_coords)
 
 DOMINANT_CAP = 5 * 10**4  # dominant weights of L(lambda)
 PARABOLIC_CAP = 10**5  # degree of either formula
@@ -74,7 +77,7 @@ COSET_CAP = 3 * 10**6  # cosets W_J\W in a coset table; |W(E7)| = 2903040
 COSET_CHUNK = 2**14  # rows of K paired with all roots at once
 
 
-class _Sl2(namedtuple("_Sl2", "h c cosets groups e_sum e_max e_count")):
+class _Sl2(namedtuple("_Sl2", "h y c cosets groups e_sum e_max e_count")):
     table = None   # the _CosetTable of h, set by _by_cosets when first needed
     last = None    # (lambda, Sl2Decomposition), the last decomposition
     #                that sl2branch.sl2_decompose certified at h
@@ -189,27 +192,28 @@ def dominant_character(rs: RootSystem, lam: Weight) -> Character:
 
 def full_weight_values(rs: RootSystem, lam: Weight, marks) -> dict:
     """Histogram of mu(h) over the weights of L(lambda), h of these marks."""
-    return _histogram(*_weight_row(rs, lam, _request(rs, lam, marks)))
+    return _histogram(*_weight_row(
+        rs, lam, _request(rs, lam, marks, "full_weight_values")))
 
 
 def _histogram(lam_h: int, row) -> dict:
     return {lam_h - k: n for k, n in enumerate(row.tolist()) if n}
 
 
-def _request(rs: RootSystem, lam: Weight, marks) -> _Sl2:
-    """The record of the sl2 with these marks, once lambda and the marks
-    are checked."""
+def _request(rs: RootSystem, lam: Weight, marks, caller: str) -> _Sl2:
+    """The record of h, the dominant Weyl conjugate of these marks, which
+    keys the memo, once lambda and the marks are checked for caller."""
     marks = tuple(map(index, marks))
     if len(marks) != rs.rank:
         raise RootSystemError(f"marks must have length {rs.rank}")
-    _check_weight(rs, lam, "full_weight_values")
-    return _sl2(rs, marks)
+    _check_weight(rs, lam, caller)
+    return _sl2(rs, tuple(_reflect_to_dominant(marks, rs.cartan)[0]))
 
 
 def _weight_row(rs: RootSystem, lam: Weight, s: _Sl2) -> tuple:
     """(lambda(h), row) for a request checked by _request, s its record, as
     the module docstring describes: its numbers are formed here, once."""
-    lam_h = _lambda_of_h(rs, lam, s.h)
+    lam_h = _lambda_of_h(rs, lam, s)
     pairs = _pairings(rs, lam.coords)
     dim, rem = _dimension(rs, pairs)
     if rem:
@@ -220,25 +224,26 @@ def _weight_row(rs: RootSystem, lam: Weight, s: _Sl2) -> tuple:
         return lam_h, _by_product(lam, s, pairs, n, dtype)
     if n > PARABOLIC_CAP + 1 or s.cosets > COSET_CAP or (
             s.table is None and dim <= s.cosets):
-        return lam_h, _by_orbits(rs, lam, s)
+        return lam_h, _by_orbits(rs, lam, s, dim)
     return lam_h, _by_cosets(rs, lam, s, pairs, n, dtype)
 
 
 @lru_cache(maxsize=4)
-def _sl2(rs: RootSystem, marks: tuple) -> _Sl2:
-    """The record of the sl2 with these marks; marks not dominant get that
-    of their dominant Weyl conjugate h, so conjugate sl2s share one record,
-    the coset table and the last certified decomposition it carries, and at
-    most four of each are alive.  It holds h, c the coroot coordinates of
-    h + h* with h* = -w0 h, cosets = |W_J\\W|, J the zero marks of h, and
-    the denominator prod (1 - t^e) over the e = alpha(h) > 0, alpha in
-    Phi+: their (e, times) groups, ascending, and their sum, max and
-    count.
+def _sl2(rs: RootSystem, h: tuple) -> _Sl2:
+    """The record of the sl2 with the dominant marks h, which _request
+    reads for every Weyl conjugate of h: the memo is keyed by h, so
+    conjugate sl2s share one record, the coset table and the last
+    certified decomposition it carries, and at most four of each are
+    alive.  It holds h, y = N^T h (N = den A^-1), den times the coroot
+    coordinates of h, c those of h + h* with h* = -w0 h, cosets =
+    |W_J\\W|, J the zero marks of h, and the denominator prod (1 - t^e)
+    over the e = alpha(h) > 0, alpha in Phi+: their (e, times) groups,
+    ascending, and their sum, max and count.
 
     The weights of L(lambda) are W-stable, so h and its conjugates have the
     same weight-value histogram.  h* has the marks alpha_i(h*) =
-    alpha_sigma(i)(h), sigma the node permutation of -w0, and the coroot
-    coordinates of marks m are A^-T m.  |W h| is rootsys._orbit_size, the
+    alpha_sigma(i)(h), sigma the node permutation of -w0, which A^-1
+    commutes with: c = (y + y o sigma) / den.  |W h| is _orbit_size, the
     one Macdonald product.  For xi = lambda + rho both formulas' numerators
     have degree (xi - w0 xi)(h) = c . xi in t (c is the largest row of the
     coset table, that of w0: the w0 image of the identity's row K = 0), or
@@ -247,27 +252,24 @@ def _sl2(rs: RootSystem, marks: tuple) -> _Sl2:
     2 <rho, alpha_vee> = 2 ht(alpha_vee) of the product formula, as Phi
     and its dual have one height partition (Kostant 1959).
     """
-    h = tuple(_reflect_to_dominant(marks, rs.cartan)[0])
-    if h != marks:
-        return _sl2(rs, h)
     den, N = rs._np["Ainv_int"]
-    both = [x + h[j] for x, j in zip(h, rs._np["sigma"])]
-    c = [sum(map(mul, col, both)) for col in zip(*N)]
+    y = tuple(sum(map(mul, col, h)) for col in zip(*N))
+    c = [x + y[j] for x, j in zip(y, rs._np["sigma"])]
     if any(x % den for x in c):
         raise CharacterError(f"h + h* is not integral at marks {h}")
     alpha_h = rs._np["roots"] @ np.array(   # exact in int64 below 2^32
         h, np.int64 if max(h) < 2**32 else object)
     exps = alpha_h[alpha_h > 0].tolist()
-    return _Sl2(h, tuple(x // den for x in c), _orbit_size(rs, h),
+    return _Sl2(h, y, tuple(x // den for x in c), _orbit_size(rs, h),
                 tuple(sorted(Counter(exps).items())), sum(exps),
                 max(exps, default=0), len(exps))
 
 
-def _lambda_of_h(rs: RootSystem, lam: Weight, marks) -> int:
-    """lambda(h) = sum_j marks_j q_j for lambda = sum_j q_j alpha_j, in
-    Python ints: q = N lambda / den, with N = den * A^-1 integral."""
-    den, N = rs._np["Ainv_int"]
-    val = sum(m * sum(map(mul, row, lam.coords)) for m, row in zip(marks, N))
+def _lambda_of_h(rs: RootSystem, lam: Weight, s: _Sl2) -> int:
+    """lambda(h) = y . lambda / den in Python ints, for y = N^T h, den
+    times the coroot coordinates of the dominant h of the record s."""
+    den = rs._np["Ainv_int"][0]
+    val = sum(map(mul, s.y, lam.coords))
     if val % den:
         from fractions import Fraction
         raise CharacterError(
@@ -456,15 +458,15 @@ def _by_cosets(rs: RootSystem, lam: Weight, s: _Sl2, pairs, n: int,
     return _quotient(poly.astype(dtype, copy=False), n, s, lam)
 
 
-def _by_orbits(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
+def _by_orbits(rs: RootSystem, lam: Weight, s: _Sl2, dim: int) -> np.ndarray:
     """The row by the orbit expansion at the dominant h of the record s:
     row[k] counts the weights mu of L(lambda), with multiplicity, at k =
     (lambda - mu)(h) <= (lambda - w0 lambda)(h) = c . lambda, refused past
     twice WEIGHT_CAP before any weight is found.  The orbits of all
     dominant weights are walked at once by _orbit_walk, with the index of
     each row's dominant weight riding along, and one scatter-add puts each
-    weight's multiplicity at its degree, in int64 while dim L(lambda),
-    which bounds every entry, is below 2^63."""
+    weight's multiplicity at its degree, in int64 while dim, dim L(lambda)
+    from _weight_row, which bounds every entry, is below 2^63."""
     if sum(map(mul, s.c, lam.coords)) > 2 * WEIGHT_CAP:
         raise CharacterError(f"weight values of {lam} at marks {s.h} "
                              f"span past twice the weight cap")
@@ -479,9 +481,8 @@ def _by_orbits(rs: RootSystem, lam: Weight, s: _Sl2) -> np.ndarray:
     # marks clipped past it give the same degrees, all exact in int64
     degrees = rows[:, :-1] @ np.array(
         [min(m, 2 * WEIGHT_CAP + 1) for m in s.h], np.int64)
-    mults = [m for _, _, m in doms]
-    dim = sum(map(mul, np.bincount(index).tolist(), mults))
-    mults = np.array(mults, np.int64 if dim < 2**63 else object)
+    mults = np.array([m for _, _, m in doms],
+                     np.int64 if dim < 2**63 else object)
     row = np.zeros(int(degrees.max()) + 1, mults.dtype)
     np.add.at(row, degrees.astype(np.int64), mults[index])
     return row
@@ -505,9 +506,8 @@ def weyl_alternating_character(rs: RootSystem, lam: Weight) -> Character:
     # level l(w), and its k (root coords of xi - w xi) is the offset of the
     # numerator term sgn(w) e^{w(xi) - rho}.  The k of w0, xi - w0 xi = xi +
     # xi*, is the largest, and distinct w(xi) take distinct cells of its box.
-    den, N = rs._np["Ainv_int"]
-    both = [x + xi.coords[j] for x, j in zip(xi.coords, rs._np["sigma"])]
-    shape = [sum(map(mul, row, both)) // den + 1 for row in N]
+    dual = Weight(tuple(xi.coords[j] for j in rs._np["sigma"]))
+    shape = [int(k) + 1 for k in weight_to_root_coords(rs, xi + dual)]
     ncells = math.prod(shape)
     if ncells > DEFAULT_BOX_CAP:
         raise CharacterError(

@@ -95,7 +95,7 @@ def sl2_decompose(rs: RootSystem, lam: Weight, emb: Sl2Embedding) -> Sl2Decompos
     A decomposition that passes is kept on the record of the sl2 until the
     next one, and a request for the same lambda returns it.
     """
-    s = _request(rs, lam, emb.marks)
+    s = _request(rs, lam, emb.marks, "sl2_decompose")
     if s.last is not None and s.last[0] == lam:
         return s.last[1]
     lam_h, row = _weight_row(rs, lam, s)

@@ -178,6 +178,17 @@ def test_parabolic_tables_match_golden():
             assert 2 * row.dim_X == row.dim_g_mod_lss + 1
 
 
+def test_parabolic_table_refuses_an_even_dimension(monkeypatch):
+    # dim g / l_ss is odd for every maximal parabolic; a Levi type with one
+    # A1 too many makes it even at G2's first node, which is refused.
+    real = bounds._levi
+    monkeypatch.setattr(bounds, "_levi", lambda comp, k:
+                        real(comp, k) + (SimpleComponent("A", 1),))
+    with pytest.raises(BoundsError,
+                       match=r"^dim g/l_ss = 8 should be odd \(G2, 1\)$"):
+        parabolic_table(SimpleComponent("G", 2))
+
+
 def test_parabolic_spot_values():
     assert [r.dim_g_mod_lss for r in parabolic_table(SimpleComponent("G", 2))] \
         == [11, 11]

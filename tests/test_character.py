@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -190,13 +191,19 @@ def _weight_values_from(expansion, marks):
     return out
 
 
+def _record(rs, marks):
+    """The per-sl2 record that _request reads for these marks: that of h,
+    their dominant conjugate."""
+    return character._sl2(rs, tuple(_reflect_to_dominant(marks, rs.cartan)[0]))
+
+
 def _answer(path, rs, lam, marks):
     """What full_weight_values returns when this path answers: the path
     runs on the per-sl2 record of the marks, whose h is their dominant
     conjugate, and its row is read as the histogram lambda(h) - k ->
     row[k]."""
-    s = character._sl2(rs, tuple(marks))
-    lam_h = character._lambda_of_h(rs, lam, s.h)
+    s = _record(rs, marks)
+    lam_h = character._lambda_of_h(rs, lam, s)
     return {lam_h - k: n for k, n in enumerate(path(rs, lam, s).tolist()) if n}
 
 
@@ -225,9 +232,14 @@ def _by_cosets(rs, lam, marks):
     return _answer(_coset_row, rs, lam, marks)
 
 
+def _orbit_row(rs, lam, s):
+    """The orbit expansion's row, with dim L(lambda) as _weight_row hands
+    it in."""
+    return character._by_orbits(rs, lam, s, weyl_dimension(rs, lam))
+
+
 def _by_orbits(rs, lam, marks):
-    return _answer(lambda rs, lam, s: character._by_orbits(rs, lam, s),
-                   rs, lam, marks)
+    return _answer(_orbit_row, rs, lam, marks)
 
 
 def _assert_three_ways(rs, lam):
@@ -308,13 +320,16 @@ def test_marks_conjugate_to_dominant():
     # conjugation.
     rs = build([("B", 4)])
     lam = Weight((0, 1, 0, 1))
-    marks = character._sl2(rs, (2, -1, 0, 0)).h
+    s = character._request(rs, lam, (2, -1, 0, 0), "full_weight_values")
+    marks = s.h
     assert marks == tuple(root_embedding(rs, (1, 2, 2, 2)).marks) \
         == (0, 1, 0, 0)
-    # h - h' = sum k_j alpha_j_vee, so lambda(h') = lambda(h) - k . lambda
+    # h - h' = sum k_j alpha_j_vee, so lambda(h') = lambda(h) - k . lambda,
+    # with lambda(h') = sum_j q_j alpha_j(h') for lambda = sum_j q_j alpha_j
     k = _reflect_to_dominant((2, -1, 0, 0), rs.cartan)[1]
-    assert character._lambda_of_h(rs, lam, marks) == \
-        character._lambda_of_h(rs, lam, (2, -1, 0, 0)) - \
+    q = weight_to_root_coords(rs, lam)
+    assert character._lambda_of_h(rs, lam, s) == \
+        sum(map(mul, q, (2, -1, 0, 0))) - \
         sum(ki * li for ki, li in zip(k, lam.coords))
     assert full_weight_values(rs, lam, (2, -1, 0, 0)) == \
         _by_cosets(rs, lam, marks) == \
@@ -338,25 +353,25 @@ def test_parabolic_cap_falls_back_to_orbit_expansion():
 
 
 def test_one_solve_and_one_conjugation_per_request(monkeypatch):
-    # The marks are conjugated once per request, by the per-sl2 record, and
-    # lambda(h) is solved once, on the dominant conjugate; principal and
-    # non-principal requests take the same steps, but a cold request for
-    # marks that are not dominant asks for the record of their dominant
-    # conjugate, which it shares.
+    # The marks are conjugated once per request, by _request, which looks
+    # up the record of their dominant conjugate h, and lambda(h) is solved
+    # once, from that record; principal and non-principal requests take
+    # the same steps.
     calls = []
     for name in ("_sl2", "_lambda_of_h"):
         real = getattr(character, name)
         monkeypatch.setattr(character, name, lambda *a, _r=real, _n=name:
-                            calls.append((_n, a[-1])) or _r(*a))
+                            calls.append((_n, getattr(a[-1], "h", a[-1])))
+                            or _r(*a))
     rs = build([("B", 3)])
     lam = Weight((1, 0, 1))
     full_weight_values(rs, lam, (2, 2, 2))
     assert calls == [("_sl2", (2, 2, 2)), ("_lambda_of_h", (2, 2, 2))]
     calls.clear()
     marks = root_embedding(rs, (1, 0, 0)).marks
+    assert marks != (0, 1, 0)
     full_weight_values(rs, lam, marks)
-    assert calls == [("_sl2", tuple(marks)), ("_sl2", (0, 1, 0)),
-                     ("_lambda_of_h", (0, 1, 0))]
+    assert calls == [("_sl2", (0, 1, 0)), ("_lambda_of_h", (0, 1, 0))]
     # sl2_decompose looks the record up once, and on a hit solves nothing
     for solved in ([("_lambda_of_h", (2, 2, 2))], []):
         calls.clear()
@@ -373,11 +388,46 @@ def test_conjugate_sl2s_share_one_coset_table(answered, builds):
     highest = root_embedding(rs, (1, 2, 2, 2)).marks
     simple = root_embedding(rs, (1, 0, 0, 0)).marks
     assert simple == (2, -1, 0, 0)
-    assert character._sl2(rs, highest) is character._sl2(rs, simple)
+    assert character._request(rs, lam, highest, "full_weight_values") is \
+        character._request(rs, lam, simple, "full_weight_values")
     first = full_weight_values(rs, lam, highest)
     assert full_weight_values(rs, lam, simple) == first
     assert builds == [(0, 1, 0, 0)]
     assert answered == {"_by_cosets": 2}
+
+
+@pytest.mark.parametrize("fam,rank,lam", [("B", 4, (0, 1, 0, 1)),
+                                          ("F", 4, (0, 0, 0, 1))],
+                         ids=["B4", "F4"])
+def test_root_sl2s_in_turn_build_one_table_per_root_length(builds, fam,
+                                                           rank, lam):
+    # The memo is keyed by the dominant h, so the root sl2s asked for in
+    # turn, most by marks that are not dominant, take two records, one per
+    # root length, and build one coset table each.  A memo keyed by the
+    # marks as spelled would hold two sl2s in its four entries and build
+    # 5 tables for B4's 16 roots, 7 for F4's 24.
+    rs, lam = build([(fam, rank)]), Weight(lam)
+    for beta in rs.positive_roots:
+        full_weight_values(rs, lam, root_embedding(rs, beta).marks)
+    assert len(builds) == len(set(builds)) == 2
+
+
+def test_spellings_that_are_not_dominant_hit_their_records(builds):
+    # Three E6 sl2s named by the marks of s_i h, h = omega_i_vee for i =
+    # 1, 2, 6, in turn for two rounds: the first round builds each table,
+    # the second hits each record.  Keyed by the marks as spelled, every
+    # request would take two entries and rebuild its table: 6 builds, no
+    # hit.
+    rs, lam = build([("E", 6)]), Weight((1, 0, 0, 0, 0, 1))
+    marks = [tuple(int(j == i) - a for j, a in enumerate(rs.cartan[i]))
+             for i in (0, 1, 5)]
+    assert not any(Weight(m).is_dominant for m in marks)
+    for _ in range(2):
+        for m in marks:
+            full_weight_values(rs, lam, m)
+    assert builds == [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0),
+                      (0, 0, 0, 0, 0, 1)]
+    assert character._sl2.cache_info().hits == 3
 
 
 def test_e7_subregular_coset_sum_matches_orbit_expansion():
@@ -600,7 +650,7 @@ def test_degree_formula_matches_reflection_of_xi(fam, rank):
     marks += [tuple(a + b for a, b in zip(alpha_1, marks[-1])), (2,) * rank]
     columns = tuple(zip(*rs.cartan))
     for m in marks:
-        s = character._sl2(rs, tuple(m))
+        s = _record(rs, m)
         for _ in range(3):
             xi = [rng.randint(1, 50) for _ in range(rank)]
             k = _reflect_to_dominant([-x for x in xi], columns)[1]
@@ -668,19 +718,26 @@ def test_root_sl2_record_holds_the_positive_root_values(fam, rank):
     for beta in rs.positive_roots:
         marks = root_embedding(rs, beta).marks
         values = (abs(sum(map(mul, a, marks))) for a in rs.positive_roots)
-        assert _record_exponents(character._sl2(rs, marks)) == \
+        assert _record_exponents(_record(rs, marks)) == \
             sorted(v for v in values if v), beta
 
 
 def _reflected_record(rs, marks):
     """The per-sl2 record by reflection, the reference for _sl2: -h
     reflected to dominant gives h* and -h - h* = sum k_j alpha_j_vee, so
-    c = -k; the cosets are rootsys._orbit_size of h."""
+    c = -k; the cosets are rootsys._orbit_size of h.  y, den times the
+    coroot coordinates of h, is solved from the marks of the coroots and
+    checked in integers: alpha_i(sum_j y_j alpha_j_vee) = den h_i."""
     h = tuple(_reflect_to_dominant(marks, rs.cartan)[0])
     k = _reflect_to_dominant([-m for m in h], rs.cartan)[1]
+    den = _inverse_int(rs.cartan)[0]
+    y = np.linalg.solve(np.array(rs.cartan, float).T, np.array(h) * den)
+    y = tuple(int(v) for v in y.round())
+    assert [sum(map(mul, col, y)) for col in zip(*rs.cartan)] == \
+        [den * x for x in h]
     alpha_h = rs._np["roots"] @ np.array(h, np.int64)
     exps = alpha_h[alpha_h > 0].tolist()
-    return character._Sl2(h, tuple(-x for x in k), _orbit_size(rs, h),
+    return character._Sl2(h, y, tuple(-x for x in k), _orbit_size(rs, h),
                           tuple(sorted(Counter(exps).items())), sum(exps),
                           max(exps, default=0), len(exps))
 
@@ -697,12 +754,14 @@ _RECORD_TYPES = ([[(s.family, s.rank)] for s in _all_simple_types(4)]
                               for c in _RECORD_TYPES])
 def test_record_matches_reflection_on_small_marks(comps):
     # c from the node permutation of -w0 and the cosets from the root
-    # heights, against the two reflections and _orbit_size, on every
-    # marks vector with entries in {-1, 0, 1, 2}.
+    # heights, against the two reflections and _orbit_size, on the
+    # dominant conjugate of every marks vector with entries in {-1, 0, 1,
+    # 2}, as _request looks it up.
     rs = build(comps)
+    zero = Weight((0,) * rs.rank)
     for marks in itertools.product((-1, 0, 1, 2), repeat=rs.rank):
-        assert character._sl2.__wrapped__(rs, marks) == \
-            _reflected_record(rs, marks), marks
+        assert character._request(rs, zero, marks, "full_weight_values") \
+            == _reflected_record(rs, marks), marks
 
 
 def test_record_refuses_a_non_integral_h_plus_h_star(monkeypatch):
@@ -731,7 +790,7 @@ def test_product_rows_match_orbit_rows_on_a_seeded_box(fam, rank):
     for lam in random.Random(rank).sample(box, min(6, len(box))):
         lam = Weight(lam)
         assert np.array_equal(_product_row(rs, lam, s),
-                              character._by_orbits(rs, lam, s)), lam
+                              _orbit_row(rs, lam, s)), lam
 
 
 def test_principal_values_e6_against_freudenthal():
@@ -763,7 +822,7 @@ def test_product_row_dtype_boundary(answered, fam, rank, lam, int64):
     product = character._weight_row(rs, lam, s)[1]
     assert answered == {"_by_product": 1}
     assert (product.dtype == np.int64) == int64
-    assert np.array_equal(product, character._by_orbits(rs, lam, s))
+    assert np.array_equal(product, _orbit_row(rs, lam, s))
     assert sum(product.tolist()) == dim
 
 
@@ -794,15 +853,16 @@ def test_orbit_row_past_int64_stays_exact(monkeypatch):
     # orbit expansion must add its counts in Python ints, not wrap int64.
     rs = build([("B", 3)])
     lam, s = Weight((1, 0, 1)), character._sl2(rs, (0, 1, 0))
-    want = character._by_orbits(rs, lam, s)
+    want = _orbit_row(rs, lam, s)
     assert want.dtype == np.int64
     real = character._dominant_weights
     monkeypatch.setattr(character, "_dominant_weights", lambda rs, lam: tuple(
         (mu, k, m << 62) for mu, k, m in real(rs, lam)))
-    row = character._by_orbits(rs, lam, s)
+    dim = weyl_dimension(rs, lam) << 62
+    row = character._by_orbits(rs, lam, s, dim)
     assert row.dtype == object
     assert row.tolist() == [n << 62 for n in want.tolist()]
-    assert sum(row.tolist()) == weyl_dimension(rs, lam) << 62
+    assert sum(row.tolist()) == dim
 
 
 @pytest.mark.parametrize("fam,rank,lam", _SMALL_WEIGHTS, ids=_weight_id)
@@ -818,7 +878,7 @@ def test_coset_sum_in_chunks_matches_orbit_expansion(monkeypatch, fam, rank,
     for beta in rs.positive_roots:
         marks = root_embedding(rs, beta).marks
         assert _by_cosets(rs, lam, marks) == _by_orbits(rs, lam, marks), beta
-        sizes.add(character._sl2(rs, marks).cosets)
+        sizes.add(_record(rs, marks).cosets)
     assert any(n > 7 and n % 7 for n in sizes) or rank <= 2, sizes
 
 
@@ -982,10 +1042,10 @@ def test_span_at_twice_the_weight_cap_is_expanded(monkeypatch):
     # spans twice the cap and is expanded, m = 6 is refused.
     monkeypatch.setattr(character, "WEIGHT_CAP", 10)
     rs, lam = build([("A", 1)]), Weight((4,))
-    row = character._by_orbits(rs, lam, character._sl2(rs, (5,)))
+    row = character._by_orbits(rs, lam, character._sl2(rs, (5,)), 5)
     assert character._histogram(10, row) == {10: 1, 5: 1, 0: 1, -5: 1, -10: 1}
     with pytest.raises(CharacterError, match="span past twice the weight"):
-        character._by_orbits(rs, lam, character._sl2(rs, (6,)))
+        character._by_orbits(rs, lam, character._sl2(rs, (6,)), 5)
 
 
 def test_marks_past_int64_where_no_weight_moves():
@@ -1008,7 +1068,7 @@ def test_every_path_row_sums_to_the_weyl_dimension(fam, rank, lam):
     rows = [_product_row(rs, lam, character._sl2(rs, principal))]
     for s in (character._sl2(rs, principal), character._sl2(rs, theta)):
         rows += [_coset_row(rs, lam, s),
-                 character._by_orbits(rs, lam, s)]
+                 _orbit_row(rs, lam, s)]
     assert [sum(row.tolist()) for row in rows] == [weyl_dimension(rs, lam)] * 5
 
 
@@ -1082,7 +1142,7 @@ def test_int64_headroom_check_passes_large_characters(fam, rank, lam):
     rs = build([(fam, rank)])
     lam = Weight(lam)
     s = character._sl2(rs, (0,) * rank)
-    assert character._by_orbits(rs, lam, s).tolist() == \
+    assert _orbit_row(rs, lam, s).tolist() == \
         [weyl_dimension(rs, lam)]
 
 
@@ -1111,6 +1171,43 @@ def test_oracle_answers_rank_5_and_6_at_zero(fam, rank):
     rs, lam = build([(fam, rank)]), Weight((0,) * rank)
     assert weyl_alternating_character(rs, lam).mults == \
         dominant_character(rs, lam).mults
+
+
+def test_oracle_refuses_a_negative_multiplicity(monkeypatch):
+    # The partition-function kernel with its sign flipped makes every
+    # multiplicity of the box negative, which the oracle must refuse.
+    from sl2bounds import semigroup
+    real = semigroup._partition_fill
+    monkeypatch.setattr(semigroup, "_partition_fill", lambda grid, gens:
+                        real(grid, gens) or np.negative(grid, out=grid))
+    with pytest.raises(CharacterError,
+                       match="^oracle produced negative multiplicity$"):
+        weyl_alternating_character(build([("A", 2)]), Weight((1, 1)))
+
+
+@pytest.mark.parametrize("d,message", [
+    ((1, 1), "division not exact"),
+    ((2, -1), "produced nonpositive multiplicity"),
+], ids=["equal-lengths", "short-node-negated"])
+def test_freudenthal_checks_fire_on_a_wrong_form(d, message):
+    # B2's vector representation with the symmetrizers (2, 1) of its
+    # invariant form replaced: with equal root lengths the recursion's
+    # division at mu = 0 leaves a remainder, and with the short node's sign
+    # flipped the multiplicity it gives there is not positive.
+    rs = dataclasses.replace(build([("B", 2)]), symmetrizers=d)
+    with pytest.raises(CharacterError,
+                       match=rf"^Freudenthal {message} at mu=\(0, 0\)$"):
+        character._dominant_weights(rs, Weight((1, 0)))
+
+
+def test_coset_table_refuses_a_count_other_than_its_cosets():
+    # The walk and its w0 images give the |W| = 6 points of A2's regular
+    # h = (1, 1); a record that expects 7 is refused once the walk ends.
+    rs = build([("A", 2)])
+    s = character._sl2(rs, (1, 1))._replace(cosets=7)
+    with pytest.raises(CharacterError,
+                       match=r"^orbit of marks \(1, 1\) has 6 points, not 7$"):
+        character._coset_table(rs, s)
 
 
 def test_oracle_box_past_its_cap_walks_nothing(monkeypatch):

@@ -328,6 +328,39 @@ def test_e8_root_branch_answers():
         build([("E", 8)]), Weight(tuple(map(int, _E8_PAST_CAP[2:]))))
 
 
+@pytest.mark.parametrize("argv,invariant_dim", [
+    ("E 8 3 0 0 0 0 0 0 5 --embedding root=2,3,4,6,5,4,3,2",
+     41304595834228650),
+    ("F 4 2 1 1 1 --embedding root=1,2,3,2", 2416896),
+    ("E 6 1 0 1 0 0 1 --embedding root=1,2,2,3,2,1", 19320),
+    ("C 4 3 3 3 3 --embedding root=2,2,2,1", 56623104),
+    ("G 2 30 40 --embedding root=1,0", 11726),
+], ids=["E8", "F4", "E6", "C4", "G2"])
+def test_branch_invariant_dims_of_the_console_checks(argv, invariant_dim):
+    # The console-script checks of CI, in process: coset sums over tables
+    # whose upper levels are w0 images, and over Levi coroot pairings that
+    # differ from the root pairings.
+    code, out, _ = run("branch", *argv.split())
+    assert code == EXIT_OK
+    assert f"  invariant dim: {invariant_dim}, g0: 1" in out.splitlines()
+
+
+def test_orbit_expansion_answers_the_e8_console_check(answered, builds):
+    # Marks that are not certified: one warning, and the orbit expansion
+    # answers without building a coset table.
+    code, out, err = run("branch", "E", "8", "1", "0", "0", "0", "0", "0",
+                         "0", "0", "--embedding", "marks=2,2,2,0,2,2,2,2")
+    assert code == EXIT_OK and err.count("warning:") == 1
+    assert "  invariant dim: 2, g0: 1" in out.splitlines()
+    assert answered == {"_by_orbits": 1} and builds == []
+
+
+def test_parabolic_table_d40_last_row():
+    code, out, _ = run("parabolic-table", "D", "40", "--format", "csv")
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == "40,A39,1561,781"
+
+
 def test_character_e8_omega1():
     code, out, _ = run("character", "E", "8", "1", "0", "0", "0", "0", "0",
                        "0", "0", "--format", "json")

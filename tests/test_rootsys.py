@@ -806,6 +806,15 @@ def test_build_refuses_an_empty_component_list():
         build([])
 
 
+def test_build_refuses_a_closure_that_misses_a_root(monkeypatch):
+    real = rootsys._positive_roots_closure
+    monkeypatch.setattr(rootsys, "_positive_roots_closure",
+                        lambda cartan, rank: real(cartan, rank)[:-1])
+    with pytest.raises(RootSystemError, match="^positive-root closure "
+                       "produced 5 roots, expected 6$"):
+        build([("G", 2)])
+
+
 def test_root_to_weight_coords_refuses_a_wrong_length():
     with pytest.raises(RootSystemError, match="length 2"):
         root_to_weight_coords(build([("G", 2)]), (1, 0, 0))

@@ -250,6 +250,19 @@ def test_bad_requests_raise_on_a_warm_record(g2, restricted):
     assert restricted == [(2, 1)]
 
 
+def test_a_weight_not_dominant_is_refused_by_the_entry_called(g2):
+    # The refusal names the public entry: sl2_decompose, the restriction
+    # that invariant_dim and g0 read, or full_weight_values.
+    lam, emb = Weight((-1, 0)), Sl2Embedding((2, 2))
+    for entry in (sl2_decompose, invariant_dim, g0):
+        with pytest.raises(RootSystemError,
+                           match="^sl2_decompose expects a dominant weight$"):
+            entry(g2, lam, emb)
+    with pytest.raises(RootSystemError,
+                       match="^full_weight_values expects a dominant weight$"):
+        full_weight_values(g2, lam, emb.marks)
+
+
 def test_a_shared_decomposition_cannot_be_changed(g2):
     emb = principal_embedding(g2)
     lam = Weight((2, 1))
