@@ -41,13 +41,12 @@ sets the row dtype and bounds the orbit expansion's entries, and n = c .
 numerator.  Both formulas take them, write their numerator into one
 zero-padded buffer and divide it there in place by prod_{alpha(h)>0} (1 -
 t^alpha(h)), which _sl2 holds (its docstring says why the product
-formula shares it).  The choice reads them too: the
-product formula for a principal h while its degree in t^2 is at most
-PARABOLIC_CAP; else the orbit expansion when the degree passes
-PARABOLIC_CAP, when W_J\\W has over COSET_CAP cosets (a memory guard),
-or when h has no coset table yet and dim L(lambda) is at most its number
-of cosets; else the coset sum.  So a small lambda builds no table, and
-the lambda of a bound share one.
+formula shares it).  The choice reads them and h alone, so a lambda
+takes one path in any order of requests: the product formula for a
+principal h while its degree in t^2 is at most PARABOLIC_CAP; else the
+orbit expansion when the degree passes PARABOLIC_CAP, when W_J\\W has
+over COSET_CAP cosets (a memory guard), or when dim L(lambda) is at most
+its number of cosets; else the coset sum, the one reader of h's table.
 The one memo, _sl2, is keyed by the dominant h, bounded, and shared across
 builds: conjugate sl2s, however their marks are spelled, get one record,
 which carries its coset table and the last certified decomposition of
@@ -212,7 +211,7 @@ def _request(rs: RootSystem, lam: Weight, marks, caller: str) -> _Sl2:
 
 def _weight_row(rs: RootSystem, lam: Weight, s: _Sl2) -> tuple:
     """(lambda(h), row) for a request checked by _request, s its record, as
-    the module docstring describes: its numbers are formed here, once."""
+    the module docstring says: the numbers formed here and h pick the path."""
     lam_h = _lambda_of_h(rs, lam, s)
     pairs = _pairings(rs, lam.coords)
     dim, rem = _dimension(rs, pairs)
@@ -222,8 +221,7 @@ def _weight_row(rs: RootSystem, lam: Weight, s: _Sl2) -> tuple:
     dtype = np.int64 if dim << s.e_count < 2**63 else object
     if s.h == (2,) * rs.rank and n <= 2 * PARABOLIC_CAP + 1:
         return lam_h, _by_product(lam, s, pairs, n, dtype)
-    if n > PARABOLIC_CAP + 1 or s.cosets > COSET_CAP or (
-            s.table is None and dim <= s.cosets):
+    if n > PARABOLIC_CAP + 1 or s.cosets > COSET_CAP or dim <= s.cosets:
         return lam_h, _by_orbits(rs, lam, s, dim)
     return lam_h, _by_cosets(rs, lam, s, pairs, n, dtype)
 

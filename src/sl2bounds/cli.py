@@ -1,8 +1,9 @@
 """Command-line surface and golden-table reproduction harness.
 
 Exit codes: 0 success, 1 usage error, 2 golden mismatch, 3 numeric
-overflow, cap or certification failure.  Only ``main`` maps an exception
-to exit 1 or 3, and each prints one line on stderr.
+overflow, cap or certification failure; a --box-bound whose reach grid
+passes semigroup.DEFAULT_BOX_CAP cells is a usage error, exit 1.  Only
+``main`` maps an exception to exit 1 or 3, each with one stderr line.
 
 Each command is defined once, in COMMANDS, and the first ``main`` call
 builds the subcommand tree from it, once per process.  argv[1:] is parsed
@@ -296,6 +297,8 @@ def cmd_e_table(args):
 
 
 def cmd_exclusion_set(args):
+    if args.dim_k < 0:
+        raise UsageError("dim_k must be >= 0")
     es = bounds.E_set(args.dim_k)
     _emit_obj(args, {"dim_k": args.dim_k, "types": [str(c) for c in es]},
               lambda: print(" ".join(str(c) for c in es)))

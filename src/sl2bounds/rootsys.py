@@ -221,18 +221,17 @@ def _positive_roots_closure(cartan, rank):
 
     Every positive root that is not simple is s_i of a lower one, so the
     roots are the closure of the simple roots under beta -> s_i beta =
-    beta + c alpha_i for c = -<beta, alpha_i_vee> > 0.
+    beta + c alpha_i for c = -<beta, alpha_i_vee> > 0, a generation at once.
     """
-    roots = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    seen = set(roots)
-    for beta in roots:               # the list grows while it is walked
-        for i, row in enumerate(cartan):
-            c = -sum(map(mul, row, beta))
-            up = beta[:i] + (beta[i] + c,) + beta[i + 1:]
-            if c > 0 and up not in seen:
-                seen.add(up)
-                roots.append(up)
-    return sorted(roots, key=lambda c: (sum(c), c))
+    A, new, seen = np.array(cartan), np.eye(rank, dtype=np.int64), set()
+    while len(new):
+        seen.update(map(tuple, new.tolist()))
+        c = -new @ A.T
+        r, i = np.nonzero(c > 0)
+        up = new[r] + c[r, i, None] * np.eye(rank, dtype=np.int64)[i]
+        new = np.array([*set(map(tuple, up.tolist())) - seen],
+                       np.int64).reshape(-1, rank)
+    return sorted(seen, key=lambda c: (sum(c), c))
 
 
 def _inverse_int(mat):

@@ -74,14 +74,13 @@ def _e6_subregular_bound():
 
 
 def test_b_bound_walks_the_orbit_of_h_once(answered, builds):
-    # The E6 subregular bound restricts 43 weights to one sl2.  Its first
-    # five, each with dim L(lambda) at most the 25920 cosets of h, are
-    # expanded over their orbits and build no table; the first larger one
-    # builds the one coset table, one walk over the orbit of h, and the
-    # remaining 37 read it from the sl2's record.
+    # The E6 subregular bound restricts 43 weights to one sl2.  The 24 with
+    # dim L(lambda) at most the 25920 cosets of h are expanded over their
+    # orbits; the first of the other 19 builds the one coset table, one
+    # walk over the orbit of h, and the rest read it from the sl2's record.
     _e6_subregular_bound()
     assert builds == [(2, 2, 2, 0, 2, 2)]
-    assert answered == {"_by_orbits": 5, "_by_cosets": 38}
+    assert answered == {"_by_orbits": 24, "_by_cosets": 19}
 
 
 def test_b_bound_e6_subregular_budget():

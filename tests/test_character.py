@@ -455,6 +455,56 @@ def test_small_weight_past_a_million_cosets_builds_no_table(answered):
     assert sum(N.values()) == 248
 
 
+def _path(answered, rs, lam, marks):
+    """The one path that answers lambda at these marks, read from the spy."""
+    before = answered.copy()
+    full_weight_values(rs, lam, marks)
+    (name,) = answered - before
+    return name
+
+
+def test_a_lambda_takes_one_path_in_either_order(monkeypatch, answered):
+    # The path is a function of lambda and h: the 38 weights that the E6
+    # subregular bound restricts (43 restrictions), asked in its order and
+    # in reverse, each from an empty memo, take the same path per weight.
+    # A rule that sent lambda to the orbits only while h had no table would
+    # send its first five to the orbits in its order and none in reverse.
+    from sl2bounds import b_bound, sl2branch
+    rs, marks = build([("E", 6)]), (2, 2, 2, 0, 2, 2)
+    asked, real = [], sl2branch._weight_row
+    monkeypatch.setattr(sl2branch, "_weight_row", lambda rs, lam, s:
+                        asked.append(lam) or real(rs, lam, s))
+    b_bound(rs, Sl2Embedding(marks=marks))
+    lams = list(dict.fromkeys(asked))
+    assert (len(lams), len(asked)) == (38, 43)
+    paths = []
+    for order in (lams, lams[::-1]):
+        character._sl2.cache_clear()
+        paths.append({lam: _path(answered, rs, lam, marks) for lam in order})
+    assert paths[0] == paths[1]
+    assert Counter(paths[0].values()) == {"_by_orbits": 19, "_by_cosets": 19}
+
+
+def test_a_small_lambda_takes_one_path_with_or_without_a_table(answered,
+                                                              builds):
+    # A weight past the 25920 cosets of the E6 subregular h builds its
+    # table; L(0) and the adjoint, asked after it and again once four
+    # other sl2s have evicted h from the memo, are expanded over their
+    # orbits both times and never read the table.
+    rs, marks = build([("E", 6)]), (2, 2, 2, 0, 2, 2)
+    small = [Weight((0,) * 6), Weight((0, 1, 0, 0, 0, 0))]
+    assert _path(answered, rs, Weight((1, 1, 0, 0, 0, 1)), marks) \
+        == "_by_cosets"
+    assert builds == [marks]
+    first = [_path(answered, rs, lam, marks) for lam in small]
+    for i in range(4):
+        character._sl2(rs, tuple(int(j == i) for j in range(6)))
+    assert character._sl2(rs, marks).table is None
+    assert [_path(answered, rs, lam, marks) for lam in small] == first \
+        == ["_by_orbits"] * 2
+    assert builds == [marks]
+
+
 def test_e6_subregular_coset_sum_matches_orbit_expansion():
     rs = build([("E", 6)])
     marks = (2, 2, 2, 0, 2, 2)

@@ -426,6 +426,9 @@ def test_exclusion_set_command():
     assert len(json.loads(out)["types"]) == 14
     # e(s) > rank(s) bounds the ranks walked, so there is no rank cap
     assert run("exclusion-set", "8", "--rank-cap", "10")[0] == EXIT_USAGE
+    # dim_k 0 and 1 have no simple type of rank below them: no type
+    for dim_k in ("0", "1"):
+        assert run("exclusion-set", dim_k) == (EXIT_OK, "\n", "")
 
 
 @pytest.mark.parametrize("dim_k", ["65", "1000", str(2**64)])
@@ -521,12 +524,13 @@ def test_complement_generators_file(tmp_path):
     ("complement", "--gen", "1,0,0", "--gen", "0,1,0", "--gen", "0,0,1",
      "--box-bound", "100000"),
     ("exceptions", "--box-bound", "100000"),
+    ("exclusion-set", "-3"),
 ], ids=["gen-letters", "gen-empty", "root-letter", "marks-letter",
         "weight-short-with-marks",
         "file-missing", "file-object", "type-no-rank", "type-letter-rank",
         "type-no-family", "table-negative", "golden-out-of-range",
         "bound-cap-zero", "bound-cap-negative", "complement-box-past-cap",
-        "exceptions-box-past-cap"])
+        "exceptions-box-past-cap", "exclusion-set-negative"])
 def test_malformed_input_gives_one_error_line(argv, tmp_path):
     obj = tmp_path / "object.json"
     obj.write_text('{"generators": [[2], [3]]}')

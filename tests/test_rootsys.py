@@ -815,6 +815,34 @@ def test_build_refuses_a_closure_that_misses_a_root(monkeypatch):
         build([("G", 2)])
 
 
+def _closure_one_root_at_a_time(cartan, rank):
+    """The positive roots by the closure in Python, one root and one simple
+    reflection at a time: the reference for rootsys's numpy closure."""
+    roots = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    seen = set(roots)
+    for beta in roots:               # the list grows while it is walked
+        for i, row in enumerate(cartan):
+            c = -sum(map(mul, row, beta))
+            up = beta[:i] + (beta[i] + c,) + beta[i + 1:]
+            if c > 0 and up not in seen:
+                seen.add(up)
+                roots.append(up)
+    return sorted(roots, key=lambda c: (sum(c), c))
+
+
+_CLOSURE_TYPES = [[(s.family, s.rank)] for s in _all_simple_types(12)] + [
+    [("A", 1), ("G", 2)], [("B", 3), ("A", 2)]]
+
+
+@pytest.mark.parametrize("comps", _CLOSURE_TYPES, ids=[
+    "".join(f"{f}{n}" for f, n in c) for c in _CLOSURE_TYPES])
+def test_closure_by_generations_matches_one_root_at_a_time(comps):
+    rs = build(comps)
+    roots = rootsys._positive_roots_closure(rs.cartan, rs.rank)
+    assert roots == _closure_one_root_at_a_time(rs.cartan, rs.rank)
+    assert all(type(x) is int for beta in roots for x in beta)
+
+
 def test_root_to_weight_coords_refuses_a_wrong_length():
     with pytest.raises(RootSystemError, match="length 2"):
         root_to_weight_coords(build([("G", 2)]), (1, 0, 0))

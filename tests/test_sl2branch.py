@@ -324,3 +324,30 @@ def test_non_integral_marks_and_roots_are_refused_not_truncated(g2):
         root_embedding(g2, (1.5, 0))
     with pytest.raises(TypeError):
         full_weight_values(g2, Weight((1, 0)), (2.5, 2))
+
+
+_SEMIGROUP_BOXES = [("G", 2, 9), ("B", 2, 6), ("A", 3, 3), ("B", 3, 3),
+                    ("C", 3, 3)]
+
+
+@pytest.mark.parametrize("fam,rank,top", _SEMIGROUP_BOXES,
+                         ids=[f"{f}{n}" for f, n, _ in _SEMIGROUP_BOXES])
+def test_weights_with_invariants_form_a_semigroup(fam, rank, top):
+    # The paper's prop_semigroup under the principal sl2 K: if L(lambda)^K
+    # and L(mu)^K are nonzero, so is L(lambda + mu)^K, as the product of
+    # two invariants in the domain of highest-weight vectors lies in
+    # L(lambda + mu).  Checked on every pair of such weights in [0, top]^rank.
+    rs = build([(fam, rank)])
+    emb = principal_embedding(rs)
+    invariant = {}
+
+    def has(lam):
+        if lam not in invariant:
+            invariant[lam] = invariant_dim(rs, Weight(lam), emb) > 0
+        return invariant[lam]
+
+    box = [lam for lam in itertools.product(range(top + 1), repeat=rank)
+           if has(lam)]
+    pairs = itertools.combinations_with_replacement(box, 2)
+    assert [(lam, mu) for lam, mu in pairs
+            if not has(tuple(map(sum, zip(lam, mu))))] == []
