@@ -8,7 +8,7 @@ from sl2bounds import (GeneratorSet, SimpleComponent, Weight, build,
                        principal_embedding)
 
 # Classic numerical semigroup <2, 3>: only 1 is missing.
-gs = GeneratorSet(1, [(2,), (3,)])
+gs = GeneratorSet([(2,), (3,)])
 print("<2,3> complement:", complement(gs, box_bound=10).points)
 print("member(7):", member(gs, (7,)))
 
@@ -17,7 +17,7 @@ print("member(7):", member(gs, (7,)))
 # in the 20x20 table are enough to pin down the complement.
 gens = [(0, 2), (0, 17), (4, 0), (6, 0), (15, 0), (5, 1), (1, 3), (7, 1),
         (1, 6)]
-res = complement(GeneratorSet(2, gens), box_bound=64)
+res = complement(GeneratorSet(gens), box_bound=64)
 print(f"9-generator complement: {len(res.points)} points, "
       f"certified={res.certified}")
 

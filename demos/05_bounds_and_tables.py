@@ -12,14 +12,14 @@ emb = principal_embedding(g2)
 # m(G, H, j) is the least n >= 1 with an H-invariant in L(n w_j); the
 # m-values bound a box C0 outside which invariants are guaranteed.
 mv = m_values(g2, emb)
-print("m-values for G2 principal:", mv.values)
+print("m-values for G2 principal:", mv)
 
 # b(k, g): every irreducible g-module contains a k-irreducible of
 # dimension < b.  For the principal sl2 in G2 the answer is 8, attained
 # because g0 <= 7 on the box and invariants exist outside it.
 res = b_bound(g2, emb)
 print(f"b = {res.b}  (max g0 over the "
-      f"{mv.values[0]}x{mv.values[1]} box is {res.box_max_g0})")
+      f"{mv[0]}x{mv[1]} box is {res.box_max_g0})")
 
 # Maximal parabolics: delete one Dynkin node, measure dim g/l_ss, and
 # halve (plus one) for the dimension of the highest weight orbit X.

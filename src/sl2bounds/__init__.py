@@ -26,9 +26,8 @@ __version__ = "0.1.0"
 
 # the names of semigroup and bounds, each imported on first access
 _SEMIGROUP = ("ComplementResult", "GeneratorSet", "complement", "member")
-_BOUNDS = ("BoundResult", "E_set", "MValues", "ParabolicRow", "b_bound",
-           "e_value", "levi_ss_components", "m_value", "m_values",
-           "parabolic_table")
+_BOUNDS = ("BoundResult", "E_set", "ParabolicRow", "b_bound", "e_value",
+           "levi_ss_components", "m_value", "m_values", "parabolic_table")
 _LAZY = {**dict.fromkeys((*_SEMIGROUP, "semigroup"), "semigroup"),
          **dict.fromkeys((*_BOUNDS, "bounds"), "bounds")}
 

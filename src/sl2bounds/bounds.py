@@ -23,11 +23,6 @@ class BoundsError(ValueError):
     pass
 
 
-class MValues(NamedTuple):
-    values: tuple  # per node; 0 means not found within cap
-    cap: int
-
-
 class ParabolicRow(NamedTuple):
     node: int  # 1-based Bourbaki node
     levi_ss_components: tuple
@@ -37,7 +32,7 @@ class ParabolicRow(NamedTuple):
 
 class BoundResult(NamedTuple):
     b: int
-    m_values: MValues
+    m_values: tuple  # m per node, as m_values gives them
     box_max_weight: Weight  # lambda in C0 achieving the max g0
     box_max_g0: int
 
@@ -57,9 +52,9 @@ def m_value(rs: RootSystem, emb: Sl2Embedding, j: int,
 
 
 def m_values(rs: RootSystem, emb: Sl2Embedding,
-             cap: int = DEFAULT_M_CAP) -> MValues:
-    return MValues(values=tuple(m_value(rs, emb, j, cap)
-                                for j in range(1, rs.rank + 1)), cap=cap)
+             cap: int = DEFAULT_M_CAP) -> tuple:
+    """m_value per node, node 1 first; 0 where none is found within cap."""
+    return tuple(m_value(rs, emb, j, cap) for j in range(1, rs.rank + 1))
 
 
 def b_bound(rs: RootSystem, emb: Sl2Embedding,
@@ -70,11 +65,11 @@ def b_bound(rs: RootSystem, emb: Sl2Embedding,
     irreducible of dimension < b.
     """
     mv = m_values(rs, emb, cap)
-    missing = [j + 1 for j, m in enumerate(mv.values) if m == 0]
+    missing = [j + 1 for j, m in enumerate(mv) if m == 0]
     if missing:
         raise BoundsError(
             f"m-value not found within cap {cap} for nodes {missing}")
-    box = map(Weight, product(*(range(m) for m in mv.values)))
+    box = map(Weight, product(*(range(m) for m in mv)))
     g, lam = max(((g0(rs, lam, emb), lam) for lam in box),
                  key=lambda pair: pair[0])   # the first of the largest
     return BoundResult(b=g + 1, m_values=mv, box_max_weight=lam, box_max_g0=g)

@@ -1,9 +1,15 @@
 """Command-line surface and golden-table reproduction harness.
 
 Exit codes: 0 success, 1 usage error, 2 golden mismatch, 3 numeric
-overflow, cap or certification failure; a --box-bound whose reach grid
-passes semigroup.DEFAULT_BOX_CAP cells is a usage error, exit 1.  Only
-``main`` maps an exception to exit 1 or 3, each with one stderr line.
+overflow, cap or certification failure; a complement --box-bound whose
+reach grid passes semigroup.DEFAULT_BOX_CAP cells is a usage error, exit
+1.  Only ``main`` maps an exception to exit 1 or 3, each with one stderr
+line.
+
+The paper's G2 results are fixed: table1 and table2 print the 20 x 20
+grid 0 <= i, j <= 19 of the golden fixtures, and exceptions reads the
+certified complement of the fixture's nine generators in the default box.
+complement takes its generators from repeated --gen.
 
 Each command is defined once, in COMMANDS, and the first ``main`` call
 builds the subcommand tree from it, once per process.  argv[1:] is parsed
@@ -70,19 +76,6 @@ def _int_tuple(text: str, what: str) -> tuple:
     except ValueError as exc:
         raise UsageError(
             f"{what} must be comma-separated integers, got {text!r}") from exc
-
-
-def _read_generators(path: str) -> list:
-    try:
-        with open(path) as f:
-            gens = json.load(f)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read generators file: {exc}") from exc
-    if not (isinstance(gens, list) and all(
-            isinstance(g, list) and all(type(x) is int for x in g)
-            for g in gens)):
-        raise UsageError(f"{path} must hold a JSON list of integer lists")
-    return gens
 
 
 def _parse_embedding(rs: RootSystem, spec: str) -> Sl2Embedding:
@@ -193,16 +186,14 @@ def cmd_branch(args):
 
 
 def _table_cmd(args, entry_fn, fixture, label):
-    if min(args.max_i, args.max_j) < 0:
-        raise UsageError("--max-i and --max-j must be >= 0")
-    if args.golden and max(args.max_i, args.max_j) > 19:
-        raise UsageError("golden table covers 0..19 only")
+    """The paper's 20 x 20 grid of entry_fn over the G2 weights (i, j),
+    0 <= i, j <= 19, under the principal sl2."""
     rs = build([SimpleComponent("G", 2)])
     emb = principal_embedding(rs)
-    grid = [[entry_fn(rs, Weight((i, j)), emb) for j in range(args.max_j + 1)]
-            for i in range(args.max_i + 1)]
-    header = ["i\\j"] + list(range(args.max_j + 1))
-    rows = [[i] + grid[i] for i in range(args.max_i + 1)]
+    side = range(20)
+    grid = [[entry_fn(rs, Weight((i, j)), emb) for j in side] for i in side]
+    header = ["i\\j", *side]
+    rows = [[i] + row for i, row in enumerate(grid)]
     _emit_table(args, rows, header)
     if args.golden:
         gold = _load_fixture(fixture)["table"]
@@ -229,8 +220,8 @@ def cmd_exceptions(args):
     rs = build([SimpleComponent("G", 2)])
     emb = principal_embedding(rs)
     gens = semigroup.GeneratorSet(
-        2, _load_fixture("g2_semigroup_complement9.json")["generators"])
-    comp = semigroup.complement(gens, args.box_bound)
+        _load_fixture("g2_semigroup_complement9.json")["generators"])
+    comp = semigroup.complement(gens)
     _require_certified(comp)
     zero = sorted(v for v in comp.points
                   if invariant_dim(rs, Weight(v), emb) == 0)
@@ -245,14 +236,7 @@ def cmd_exceptions(args):
 
 
 def cmd_complement(args):
-    if args.generators_file:
-        gens = _read_generators(args.generators_file)
-    else:
-        gens = [_int_tuple(g, "generator") for g in args.gen]
-    if not gens:
-        raise UsageError("no generators given (use --gen or --generators-file)")
-    r = len(gens[0])
-    gs = semigroup.GeneratorSet(r, gens)
+    gs = semigroup.GeneratorSet([_int_tuple(g, "generator") for g in args.gen])
     comp = semigroup.complement(gs, args.box_bound)
     obj = {"points": [list(p) for p in comp.points],
            "certified": comp.certified, "box_bound": comp.box_bound}
@@ -269,13 +253,13 @@ def cmd_bound(args):
     rs = build([_simple_type(args.type, args.rank)])
     emb = _parse_embedding(rs, args.embedding)
     res = bounds.b_bound(rs, emb, args.cap)
-    obj = {"b": res.b, "m_values": list(res.m_values.values),
-           "c0_box": list(res.m_values.values),
+    obj = {"b": res.b, "m_values": list(res.m_values),
+           "c0_box": list(res.m_values),
            "max_g0": res.box_max_g0,
            "argmax": list(res.box_max_weight.coords)}
     _emit_obj(args, obj, lambda: print(
-        f"b = {res.b}  (m = {list(res.m_values.values)}, C0 = box "
-        f"{'x'.join(str(m) for m in res.m_values.values)}, max g0 = "
+        f"b = {res.b}  (m = {list(res.m_values)}, C0 = box "
+        f"{'x'.join(str(m) for m in res.m_values)}, max g0 = "
         f"{res.box_max_g0} at {res.box_max_weight})"))
     return EXIT_OK
 
@@ -312,26 +296,23 @@ _TEXT, _TABLE = ("text", "json"), ("text", "csv", "json")
 _TYPE = ("type", {}), ("rank", dict(type=int))
 _COORDS = "coords", dict(type=int, nargs="+")
 _EMBEDDING = "--embedding", dict(default="principal")
-_BOX = "--box-bound", dict(type=int, default=64)
-_GRID = (("--max-i", dict(type=int, default=19)),
-         ("--max-j", dict(type=int, default=19)),
-         ("--golden", dict(action="store_true",
-                           help="diff against the embedded table")))
+_GOLDEN = (("--golden", dict(action="store_true",
+                            help="diff against the embedded table")),)
 COMMANDS = {
     "describe": (cmd_describe, "root-system summary", _TEXT, _TYPE),
     "character": (cmd_character, "dominant character and dimension", _TEXT,
                   (*_TYPE, _COORDS)),
     "branch": (cmd_branch, "restrict to an sl2-subalgebra", _TEXT,
                (*_TYPE, _COORDS, _EMBEDDING)),
-    "table1": (cmd_table1, "G2 principal invariant dimensions", _TABLE, _GRID),
-    "table2": (cmd_table2, "G2 principal g0 values", _TABLE, _GRID),
+    "table1": (cmd_table1, "G2 principal invariant dimensions", _TABLE,
+               _GOLDEN),
+    "table2": (cmd_table2, "G2 principal g0 values", _TABLE, _GOLDEN),
     "exceptions": (cmd_exceptions, "dominant G2 weights with no principal "
-                   "invariant", _TEXT, (_BOX,)),
+                   "invariant", _TEXT, ()),
     "complement": (cmd_complement, "certified semigroup complement", _TEXT, (
         ("--gen", dict(action="append", default=[], help="generator as "
                        "comma-separated integers (repeatable)")),
-        ("--generators-file", dict(help="JSON file with a list of generators")),
-        _BOX)),
+        ("--box-bound", dict(type=int, default=64)))),
     "bound": (cmd_bound, "uniform bound b and m-values", _TEXT, (
         *_TYPE, _EMBEDDING,
         ("--cap", dict(type=int, default=bounds.DEFAULT_M_CAP)))),

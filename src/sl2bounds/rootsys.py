@@ -33,6 +33,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 WEIGHT_CAP = 10**7  # weights of a Weyl orbit, or of L(lambda) over its orbits
+ROOT_CAP = 25_000   # positive roots of a root system that build accepts
 
 
 def _chain(n):
@@ -259,12 +260,18 @@ def build(components) -> RootSystem:
     ``components`` is a list of SimpleComponent (or (family, rank) pairs).
     The Cartan matrix is block diagonal with Bourbaki numbering inside each
     block; positive roots are the closure of the simple roots under the
-    simple reflections that raise height.
+    simple reflections that raise height.  A type with more than ROOT_CAP
+    positive roots, counted by the closed forms of _DYNKIN, is refused
+    before anything is built.
     """
     comps = tuple(c if isinstance(c, SimpleComponent) else SimpleComponent(*c)
                   for c in components)
     if not comps:
         raise RootSystemError("component list must be nonempty")
+    expected = sum(c.num_positive_roots for c in comps)
+    if expected > ROOT_CAP:
+        raise RootSystemError(f"{'+'.join(map(str, comps))} has {expected} "
+                              f"positive roots, past cap {ROOT_CAP}")
     d, bonds = [], []
     for comp in comps:
         fam = _DYNKIN[comp.family]
@@ -274,7 +281,6 @@ def build(components) -> RootSystem:
     cartan = _cartan(d, bonds)
 
     roots = _positive_roots_closure(cartan, rank)
-    expected = sum(c.num_positive_roots for c in comps)
     if len(roots) != expected:
         raise RootSystemError(
             f"positive-root closure produced {len(roots)} roots, "
@@ -287,16 +293,15 @@ def build(components) -> RootSystem:
     rootmat = np.array(roots, dtype=np.int64)           # (nroots, rank)
     rs._np["A"] = A
     rs._np["Ainv_int"] = _inverse_int(cartan)
-    rs._np["d"] = np.array(d, dtype=np.int64)
     rs._np["roots"] = rootmat
     rs._np["heights"] = rootmat.sum(axis=1)
     rs._np["roots_wc"] = rootmat @ A.T                  # weight coords per root
     # (alpha, mu) = roots_d[alpha] . mu for mu in weight coords, as
     # (alpha_i, omega_j) = d_i delta_ij
-    roots_d = rootmat * rs._np["d"]
-    rs._np["roots_norm"] = (roots_d * rs._np["roots_wc"]).sum(axis=1)
+    roots_d = rootmat * np.array(d, dtype=np.int64)
+    norms = (roots_d * rs._np["roots_wc"]).sum(axis=1)  # (alpha, alpha)
     # simple-coroot coordinates of alpha_vee = 2 alpha / (alpha, alpha)
-    rs._np["coroots"] = 2 * roots_d // rs._np["roots_norm"][:, None]
+    rs._np["coroots"] = 2 * roots_d // norms[:, None]
     # the Weyl denominator: the product of the <rho, alpha_vee> = ht alpha_vee
     rs._np["weyl_den"] = math.prod(rs._np["coroots"].sum(axis=1).tolist())
     # -w0 permutes the nodes, alpha_i -> alpha_sigma(i): the marks -(1, 2,

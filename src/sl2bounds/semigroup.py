@@ -28,8 +28,7 @@ class SemigroupError(ValueError):
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    r: int
-    gens: tuple  # tuples in N^r, nonzero
+    gens: tuple  # tuples in N^r, nonzero, all of one length r
 
     def __post_init__(self):
         gens = tuple(tuple(map(index, g)) for g in self.gens)
@@ -43,6 +42,11 @@ class GeneratorSet:
                 raise SemigroupError(f"generator {g} has negative entries")
             if all(x == 0 for x in g):
                 raise SemigroupError("zero vector is not a valid generator")
+
+    @property
+    def r(self) -> int:
+        """The dimension of N^r, the length of the first generator."""
+        return len(self.gens[0])
 
 
 class ComplementResult(NamedTuple):

@@ -30,13 +30,9 @@ class BranchingError(ArithmeticError):
 @dataclass(frozen=True)
 class Sl2Embedding:
     marks: tuple  # alpha_i(h)
-    kind: str = "custom"
 
     def __post_init__(self):
         object.__setattr__(self, "marks", tuple(map(index, self.marks)))
-
-    def __str__(self):
-        return f"{self.kind}{list(self.marks)}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +68,7 @@ class Sl2Decomposition:
 
 def principal_embedding(rs: RootSystem) -> Sl2Embedding:
     """Principal sl2: all marks equal 2."""
-    return Sl2Embedding(marks=(2,) * rs.rank, kind="principal")
+    return Sl2Embedding(marks=(2,) * rs.rank)
 
 
 def root_embedding(rs: RootSystem, beta) -> Sl2Embedding:
@@ -83,8 +79,7 @@ def root_embedding(rs: RootSystem, beta) -> Sl2Embedding:
     if beta not in rs.positive_roots:
         raise RootSystemError(f"{beta} is not a positive root")
     coroot = rs._np["coroots"][rs.positive_roots.index(beta)]
-    return Sl2Embedding(marks=tuple((coroot @ rs._np["A"]).tolist()),
-                        kind=f"root{beta}")
+    return Sl2Embedding(marks=tuple((coroot @ rs._np["A"]).tolist()))
 
 
 def sl2_decompose(rs: RootSystem, lam: Weight, emb: Sl2Embedding) -> Sl2Decomposition:

@@ -72,17 +72,17 @@ def test_criterion_2_table2(g2_grids):
 
 def test_criterion_3_bound(g2):
     res = b_bound(g2, principal_embedding(g2))
-    ok = (res.b == 8 and tuple(res.m_values.values) == (4, 2)
+    ok = (res.b == 8 and res.m_values == (4, 2)
           and res.box_max_g0 == 7)
     _report("criterion 3 (b = 8, m-values (4, 2), 4x2 box)", ok,
-            f"b={res.b}, m={tuple(res.m_values.values)}, "
+            f"b={res.b}, m={res.m_values}, "
             f"max g0 over box={res.box_max_g0}")
 
 
 def test_criterion_4_certified_complement(g2):
     start = time.monotonic()
     comp9 = _data("g2_semigroup_complement9.json")
-    gs9 = GeneratorSet(2, [tuple(g) for g in comp9["generators"]])
+    gs9 = GeneratorSet([tuple(g) for g in comp9["generators"]])
     res9 = complement(gs9, box_bound=64)
     golden_pts = sorted(tuple(p) for p in comp9["points"])
     ok_eprime = (res9.certified and len(res9.points) == 73
@@ -96,7 +96,7 @@ def test_criterion_4_certified_complement(g2):
 
     # Complement of the smaller 6-generator set: every element must be a
     # known exception or carry a positive invariant.
-    gs6 = GeneratorSet(2, [(0, 2), (0, 17), (4, 0), (15, 0), (5, 1), (1, 3)])
+    gs6 = GeneratorSet([(0, 2), (0, 17), (4, 0), (15, 0), (5, 1), (1, 3)])
     res6 = complement(gs6, box_bound=64)
     ok_cover = res6.certified and all(
         p in exceptions or invariant_dim(g2, Weight(p), emb) > 0

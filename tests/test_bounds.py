@@ -38,7 +38,7 @@ def test_m_values_g2_principal():
 def test_m_values_a2_principal():
     rs = build([("A", 2)])
     emb = principal_embedding(rs)
-    assert m_values(rs, emb).values == (2, 2)
+    assert m_values(rs, emb) == (2, 2)
 
 
 def test_m_value_sentinel_zero_at_small_cap():
@@ -52,15 +52,14 @@ def test_m_positive_g2_all_embeddings():
     long_ = max(rs.positive_roots, key=sum)
     for emb in (principal_embedding(rs), root_embedding(rs, short),
                 root_embedding(rs, long_)):
-        mv = m_values(rs, emb, cap=24)
-        assert all(m > 0 for m in mv.values), emb
+        assert all(m > 0 for m in m_values(rs, emb, cap=24)), emb
 
 
 def test_b_bound_g2():
     rs = build([("G", 2)])
     res = b_bound(rs, principal_embedding(rs))
     assert res.b == 8
-    assert res.m_values.values == (4, 2)
+    assert res.m_values == (4, 2)
     assert res.box_max_g0 == 7
     assert res.box_max_weight.coords == (1, 0)
 
@@ -69,7 +68,7 @@ def _e6_subregular_bound():
     rs = build([("E", 6)])
     res = b_bound(rs, Sl2Embedding(marks=(2, 2, 2, 0, 2, 2)))
     assert res.b == 6
-    assert res.m_values.values == (2, 2, 2, 1, 2, 2)
+    assert res.m_values == (2, 2, 2, 1, 2, 2)
     assert res.box_max_weight.coords == (0, 0, 0, 0, 0, 1)
 
 
@@ -91,20 +90,26 @@ def test_b_bound_e6_subregular_budget():
     assert time.monotonic() - start < 2.0
 
 
+def _root_norms(rs):
+    """(alpha, alpha) per positive root, in the order of positive_roots."""
+    return (rs._np["roots"] * rs.symmetrizers * rs._np["roots_wc"]).sum(axis=1)
+
+
 def _named_sl2s():
-    """(root system, embedding) for the principal, highest-root and
+    """(root system, name, embedding) for the principal, highest-root and
     highest-short-root sl2s of every simple type of rank 2-4, each set of
-    marks once."""
+    marks once, named 'principal' or by the root."""
     for f, n in (("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
                  ("C", 3), ("C", 4), ("D", 4), ("F", 4), ("G", 2)):
         rs = build([(f, n)])
-        norms = rs._np["roots_norm"]
+        norms = _root_norms(rs)
         short = [r for r, x in zip(rs.positive_roots, norms)
                  if x == norms.min()]
-        embs = (principal_embedding(rs),
-                root_embedding(rs, rs.positive_roots[-1]),
-                root_embedding(rs, short[-1]))
-        yield from ((rs, emb) for emb in {e.marks: e for e in embs}.values())
+        embs = [("principal", principal_embedding(rs))] + [
+            (f"root{beta}", root_embedding(rs, beta))
+            for beta in (rs.positive_roots[-1], short[-1])]
+        yield from ((rs, name, emb) for name, emb in
+                    {e.marks: (name, e) for name, e in embs}.values())
 
 
 _NAMED_SL2S = list(_named_sl2s())
@@ -114,20 +119,21 @@ def test_named_sl2s_are_29_marks():
     assert len(_NAMED_SL2S) == 29
 
 
-@pytest.mark.parametrize("rs,emb", _NAMED_SL2S,
-                         ids=[f"{rs.fingerprint}-{e}" for rs, e in _NAMED_SL2S])
+@pytest.mark.parametrize("rs,emb", [(rs, e) for rs, _, e in _NAMED_SL2S],
+                         ids=[f"{rs.fingerprint}-{name}{list(e.marks)}"
+                              for rs, name, e in _NAMED_SL2S])
 def test_g0_past_c0_stays_below_b(rs, emb):
     # The paper's theorem: every lambda is some lambda_0 in C0 plus a sum
     # of m_j omega_j, and g0 does not grow along it, so max g0 over the
     # box 2 C0 = {a_i < 2 m_i} is b - 1, as over C0, which it contains.
     res = b_bound(rs, emb)
-    box = product(*(range(2 * m) for m in res.m_values.values))
+    box = product(*(range(2 * m) for m in res.m_values))
     assert max(g0(rs, Weight(lam), emb) for lam in box) == res.b - 1
 
 
 def test_principal_b_of_rank_2_to_4():
     b = {rs.fingerprint: b_bound(rs, emb).b
-         for rs, emb in _NAMED_SL2S if emb.kind == "principal"}
+         for rs, name, emb in _NAMED_SL2S if name == "principal"}
     assert b == {"A2": 4, "A3": 5, "A4": 6, "B2": 6, "B3": 8, "B4": 10,
                  "C3": 7, "C4": 9, "D4": 4, "F4": 10, "G2": 8}
 
@@ -463,7 +469,7 @@ def test_levi_components_agree_with_root_closure(comp):
 
     rs = build([comp])
     roots = rs.positive_roots
-    norms = dict(zip(roots, rs._np["roots_norm"].tolist()))
+    norms = dict(zip(roots, _root_norms(rs).tolist()))
     for row in parabolic_table(comp):
         k = row.node
         levi_roots = [r for r in roots if r[k - 1] == 0]

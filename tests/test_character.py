@@ -557,7 +557,7 @@ def test_levi_products_past_int64_stay_exact():
     emb = root_embedding(rs, rs.positive_roots[-1])
     levi = rs._np["roots"][rs._np["roots"] @ emb.marks == 0]
     assert len(levi) == 15
-    assert math.prod(((levi * rs._np["d"]) @ ([101] * 6)).tolist()) > 2**63
+    assert math.prod(((levi * rs.symmetrizers) @ ([101] * 6)).tolist()) > 2**63
     N = _by_cosets(rs, lam, emb.marks)
     assert all(N[-v] == n for v, n in N.items())
     assert sum(N.values()) == weyl_dimension(rs, lam)

@@ -92,8 +92,8 @@ def test_help_and_usage_errors_build_no_parser_after_a_call(built, argv):
 
 _PARITY_ARGS = {
     "describe": ["G", "2"], "character": ["G", "2", "1", "0"],
-    "branch": ["G", "2", "1", "1"], "table1": ["--max-i", "3"],
-    "table2": ["--max-j", "2"], "exceptions": [],
+    "branch": ["G", "2", "1", "1"], "table1": [], "table2": ["--golden"],
+    "exceptions": [],
     "complement": ["--gen", "2", "--gen", "3"], "bound": ["G", "2"],
     "parabolic-table": ["E", "8"], "e-table": ["G2", "B4"],
     "exclusion-set": ["8"]}
@@ -104,6 +104,37 @@ _PARITY = [
     ["-h"], [], ["nope"], ["--format", "json", "describe", "G", "2"],
     ["describe", "G"], ["bound", "G", "2", "--format", "csv"],
     ["bound", "G", "2", "--bogus"]]
+
+
+# The arguments of each command, --format included: 33 in all.  The
+# paper's tables are fixed and exceptions reads one fixture, so neither
+# takes a size or a box.
+_ARGUMENTS = {
+    "describe": ["format", "type", "rank"],
+    "character": ["format", "type", "rank", "coords"],
+    "branch": ["format", "type", "rank", "coords", "embedding"],
+    "table1": ["format", "golden"], "table2": ["format", "golden"],
+    "exceptions": ["format"],
+    "complement": ["format", "gen", "box_bound"],
+    "bound": ["format", "type", "rank", "embedding", "cap"],
+    "parabolic-table": ["format", "type", "rank"],
+    "e-table": ["format", "types", "rank_cap"],
+    "exclusion-set": ["format", "dim_k"]}
+
+
+def test_each_command_takes_its_arguments_alone():
+    commands = cli._build_parser()[1]
+    assert {name: [a.dest for a in parser._actions if a.dest != "help"]
+            for name, parser in commands.items()} == _ARGUMENTS
+    assert sum(map(len, _ARGUMENTS.values())) == 33
+    for argv in (("table1", "--max-i", "3"),
+                 ("exceptions", "--box-bound", "20"),
+                 ("complement", "--generators-file", "f")):
+        code, out, err = run(*argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage: sl2bounds ")
+        assert err.splitlines()[-1] == (
+            "sl2bounds: error: unrecognized arguments: " + " ".join(argv[1:]))
 
 
 def test_parity_covers_every_command():
@@ -164,28 +195,33 @@ def test_branch_command():
 
 
 def test_table1_golden_block():
-    code, out, _ = run("table1", "--max-i", "2", "--max-j", "2",
-                       "--format", "json")
+    code, out, _ = run("table1", "--format", "json")
     assert code == EXIT_OK
-    rows = json.loads(out)["rows"]
-    assert [[r[1], r[2], r[3]] for r in rows] == [[1, 0, 1], [0, 0, 0],
-                                                  [0, 0, 1]]
+    obj = json.loads(out)
+    assert obj["header"] == ["i\\j", *range(20)]
+    rows = obj["rows"]
+    assert [r[0] for r in rows] == list(range(20))
+    assert [[r[1], r[2], r[3]] for r in rows[:3]] == [[1, 0, 1], [0, 0, 0],
+                                                      [0, 0, 1]]
 
 
 def test_table2_spot_values():
-    code, out, _ = run("table2", "--max-i", "5", "--max-j", "5",
-                       "--format", "json")
+    code, out, _ = run("table2", "--format", "json")
     assert code == EXIT_OK
     rows = json.loads(out)["rows"]
+    assert len(rows) == 20 and {len(r) for r in rows} == {21}
     assert rows[1][1] == 7   # g0(omega_1)
     assert rows[0][2] == 3
     assert rows[5][6] == 1
 
 
 def test_table_golden_mode_small_box():
-    code, _, err = run("table1", "--max-i", "4", "--max-j", "4", "--golden")
-    assert code == EXIT_OK
-    assert "golden check passed" in err
+    # The tables are the paper's 20 x 20 grids; no option makes them
+    # smaller, so the golden check covers every cell.
+    for table in ("table1", "table2"):
+        code, _, err = run(table, "--golden")
+        assert code == EXIT_OK
+        assert "golden check passed" in err
 
 
 def test_bound_command():
@@ -220,11 +256,6 @@ def test_complement_uncertified_exit_code():
     assert code == EXIT_NUMERIC
     assert err.startswith("numeric error: complement not certified")
     assert err.count("\n") == 1
-    # exceptions words its uncertified complement as complement does
-    gens = cli._load_fixture("g2_semigroup_complement9.json")["generators"]
-    code, _, err = run("complement", *(a for g in gens for a in (
-        "--gen", ",".join(map(str, g)))), "--box-bound", "20")
-    assert (code, err) == run("exceptions", "--box-bound", "20")[::2]
 
 
 _ODD_BELOW_64 = json.dumps([[k] for k in range(1, 64, 2)])
@@ -232,12 +263,10 @@ _ODD_BELOW_64 = json.dumps([[k] for k in range(1, 64, 2)])
 
 @pytest.mark.parametrize("argv,stdout,reason", [
     (("bound", "G", "2", "--cap", "1"), "", "m-value not found"),
-    (("exceptions", "--box-bound", "20"), "", "complement not certified"),
     (("complement", "--gen", "2"),
      f"32 non-members (certified=False):\n{_ODD_BELOW_64}\n",
      "complement not certified"),
-], ids=["bound-m-cap", "exceptions-uncertified",
-        "complement-uncertified"])
+], ids=["bound-m-cap", "complement-uncertified"])
 def test_cap_and_certification_failures_exit_3(argv, stdout, reason):
     code, out, err = run(*argv)
     assert (code, out) == (EXIT_NUMERIC, stdout)
@@ -478,8 +507,7 @@ def _alter_fixture(monkeypatch, key, edit):
 
 def test_table_golden_mismatch_exits_2(monkeypatch):
     _alter_fixture(monkeypatch, "table", lambda t: t[1].__setitem__(0, 5))
-    code, out, err = run("table1", "--max-i", "1", "--max-j", "1",
-                         "--golden")
+    code, out, err = run("table1", "--golden")
     assert code == EXIT_GOLDEN_MISMATCH and out.startswith("i\\j")
     assert err == "dim^K[1][0]: got 0, expected 5\n"
 
@@ -492,18 +520,9 @@ def test_exceptions_mismatch_exits_2(monkeypatch):
 
 
 def test_determinism():
-    a = run("table1", "--max-i", "3", "--max-j", "3", "--format", "csv")
-    b = run("table1", "--max-i", "3", "--max-j", "3", "--format", "csv")
+    a = run("table1", "--format", "csv")
+    b = run("table1", "--format", "csv")
     assert a == b
-
-
-def test_complement_generators_file(tmp_path):
-    f = tmp_path / "gens.json"
-    f.write_text("[[2], [3]]")
-    code, out, _ = run("complement", "--generators-file", str(f),
-                       "--box-bound", "10", "--format", "json")
-    assert code == EXIT_OK
-    assert json.loads(out)["points"] == [[1]]
 
 
 @pytest.mark.parametrize("argv", [
@@ -512,30 +531,22 @@ def test_complement_generators_file(tmp_path):
     ("branch", "G", "2", "1", "1", "--embedding", "root=1,x"),
     ("branch", "G", "2", "1", "1", "--embedding", "marks=1,x"),
     ("branch", "G", "2", "1", "--embedding", "marks=2,2"),
-    ("complement", "--generators-file", "MISSING"),
-    ("complement", "--generators-file", "OBJECT"),
     ("e-table", "G"),
     ("e-table", "Gx"),
     ("e-table", "2"),
-    ("table1", "--max-i", "-1"),
-    ("table1", "--max-i", "25", "--golden"),
     ("bound", "G", "2", "--cap", "0"),
     ("bound", "G", "2", "--cap", "-1"),
     ("complement", "--gen", "1,0,0", "--gen", "0,1,0", "--gen", "0,0,1",
      "--box-bound", "100000"),
-    ("exceptions", "--box-bound", "100000"),
     ("exclusion-set", "-3"),
+    ("describe", "A", "100000"),
 ], ids=["gen-letters", "gen-empty", "root-letter", "marks-letter",
-        "weight-short-with-marks",
-        "file-missing", "file-object", "type-no-rank", "type-letter-rank",
-        "type-no-family", "table-negative", "golden-out-of-range",
-        "bound-cap-zero", "bound-cap-negative", "complement-box-past-cap",
-        "exceptions-box-past-cap", "exclusion-set-negative"])
-def test_malformed_input_gives_one_error_line(argv, tmp_path):
-    obj = tmp_path / "object.json"
-    obj.write_text('{"generators": [[2], [3]]}')
-    paths = {"MISSING": str(tmp_path / "missing.json"), "OBJECT": str(obj)}
-    code, out, err = run(*(paths.get(a, a) for a in argv))
+        "weight-short-with-marks", "type-no-rank", "type-letter-rank",
+        "type-no-family", "bound-cap-zero", "bound-cap-negative",
+        "complement-box-past-cap", "exclusion-set-negative",
+        "describe-past-root-cap"])
+def test_malformed_input_gives_one_error_line(argv):
+    code, out, err = run(*argv)
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1

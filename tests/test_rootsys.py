@@ -113,6 +113,25 @@ def test_invalid_ranks_rejected(fam, rank, bad):
         SimpleComponent(fam, rank)
 
 
+@pytest.mark.parametrize("comps,roots", [
+    ([("A", 100000)], 5000050000), ([("A", 200), ("A", 100)], 25150)],
+    ids=["A100000", "A200+A100"])
+def test_build_refuses_past_the_root_cap_before_any_matrix(
+        monkeypatch, comps, roots):
+    # |Phi+| is summed over the components by their closed forms, so a
+    # type past the cap allocates no Cartan matrix; each part of the second
+    # is below the cap.
+    def forbidden(*args):
+        raise AssertionError("formed a Cartan matrix past the cap")
+
+    monkeypatch.setattr(rootsys, "_cartan", forbidden)
+    with pytest.raises(RootSystemError) as refused:
+        build(comps)
+    assert str(refused.value) == (
+        f"{'+'.join(f'{f}{n}' for f, n in comps)} has {roots} positive "
+        "roots, past cap 25000")
+
+
 # (cartan, d) written out from Bourbaki, Lie Groups and Lie Algebras VI,
 # Plates I-IX, with cartan[i][j] = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i)
 BOURBAKI_BLOCKS = {
@@ -542,7 +561,8 @@ def _table_marks(rs, fam):
     highest short root's sl2, and, where W_J\\W has at most 10^5 cosets,
     the principal and the subregular h."""
     roots = rs.positive_roots
-    norms = rs._np["roots_norm"].tolist()
+    norms = (rs._np["roots"] * rs.symmetrizers
+             * rs._np["roots_wc"]).sum(axis=1).tolist()
     short = [r for r, n in zip(roots, norms) if n == min(norms)][-1]
     marks = [(0,) * rs.rank, root_embedding(rs, roots[-1]).marks,
              root_embedding(rs, short).marks, (2,) * rs.rank,

@@ -22,25 +22,25 @@ def _fixture(name):
 
 
 def test_zero_is_member():
-    gs = GeneratorSet(2, GENS9)
+    gs = GeneratorSet(GENS9)
     assert member(gs, (0, 0))
 
 
 def test_membership_examples():
-    gs = GeneratorSet(2, GENS9)
+    gs = GeneratorSet(GENS9)
     assert not member(gs, (1, 0))
     assert member(gs, (4, 0))
 
 
 def test_numerical_semigroup_2_3():
-    gs = GeneratorSet(1, [(2,), (3,)])
+    gs = GeneratorSet([(2,), (3,)])
     res = complement(gs, 10)
     assert res.certified
     assert res.points == ((1,),)
 
 
 def test_nine_generator_complement_matches_golden():
-    gs = GeneratorSet(2, GENS9)
+    gs = GeneratorSet(GENS9)
     res = complement(gs, 64)
     assert res.certified
     gold = [tuple(p) for p in _fixture("g2_semigroup_complement9.json")["points"]]
@@ -49,17 +49,17 @@ def test_nine_generator_complement_matches_golden():
 
 
 def test_six_generator_complement_certified():
-    gs = GeneratorSet(2, GENS6)
+    gs = GeneratorSet(GENS6)
     res = complement(gs, 64)
     assert res.certified
     # DP output is authoritative for this set; the nine-generator semigroup
     # is larger, so its complement embeds in this one
-    nine = set(complement(GeneratorSet(2, GENS9), 64).points)
+    nine = set(complement(GeneratorSet(GENS9), 64).points)
     assert nine <= set(res.points)
 
 
 def test_complement_soundness():
-    gs = GeneratorSet(2, GENS9)
+    gs = GeneratorSet(GENS9)
     res = complement(gs, 64)
     pts = set(res.points)
     for p in res.points:
@@ -78,20 +78,20 @@ def test_complement_soundness():
        st.sampled_from(GENS9))
 @settings(max_examples=60, deadline=None)
 def test_generator_absorption(x, y, g):
-    gs = GeneratorSet(2, GENS9)
+    gs = GeneratorSet(GENS9)
     if member(gs, (x, y)):
         assert member(gs, (x + g[0], y + g[1]))
 
 
 def test_missing_axis_generator_rejected():
-    gs = GeneratorSet(2, [(1, 1), (0, 2)])
+    gs = GeneratorSet([(1, 1), (0, 2)])
     with pytest.raises(SemigroupError):
         complement(gs, 10)
 
 
 def test_uncertified_when_box_too_small():
     # box 17 barely fits gmax=17 but the shell is not fully covered
-    gs = GeneratorSet(2, GENS6)
+    gs = GeneratorSet(GENS6)
     res = complement(gs, 17)
     assert isinstance(res, ComplementResult)
     assert not res.certified
@@ -99,20 +99,28 @@ def test_uncertified_when_box_too_small():
 
 def test_box_past_cap_is_refused_before_allocating():
     # (10^6 + 1)^2 cells would take about 1 TB as bools
-    gs = GeneratorSet(2, [(1, 0), (0, 1)])
+    gs = GeneratorSet([(1, 0), (0, 1)])
     with pytest.raises(SemigroupError, match="exceeds cap 10000000"):
         member(gs, (10**6, 10**6))
 
 
 def test_invalid_generators_rejected():
     with pytest.raises(SemigroupError):
-        GeneratorSet(2, [])
+        GeneratorSet([])
     with pytest.raises(SemigroupError):
-        GeneratorSet(2, [(0, 0)])
+        GeneratorSet([(0, 0)])
     with pytest.raises(SemigroupError):
-        GeneratorSet(2, [(1, -1)])
-    with pytest.raises(SemigroupError):
-        GeneratorSet(2, [(1, 2, 3)])
+        GeneratorSet([(1, -1)])
+    # r is the common length of the generators, so lengths must agree
+    with pytest.raises(SemigroupError, match="wrong dimension"):
+        GeneratorSet([(1, 0), (1, 2, 3)])
+
+
+def test_r_is_read_off_the_generators():
+    assert GeneratorSet([(2,), (3,)]).r == 1
+    assert GeneratorSet(GENS9).r == 2
+    with pytest.raises(AttributeError):
+        GeneratorSet(GENS9).r = 3
 
 
 def _combinations(gens, bound):
@@ -139,12 +147,12 @@ def test_against_brute_force(r):
         gens += [tuple(rng.randint(0, 3) for _ in range(r))
                  for _ in range(rng.randint(0, 2))]
         gens.append(tuple(bound + rng.randint(1, 3) for _ in range(r)))
-        gs = GeneratorSet(r, [g for g in gens if any(g)])
+        gs = GeneratorSet([g for g in gens if any(g)])
         members = _combinations(gs.gens, bound)
         for v in product(range(bound + 1), repeat=r):
             assert member(gs, v) == (v in members), (gs.gens, v)
         # the generator past the box leaves the complement's box too
-        fits = GeneratorSet(r, [g for g in gs.gens if max(g) <= bound])
+        fits = GeneratorSet([g for g in gs.gens if max(g) <= bound])
         res = complement(fits, bound)
         assert set(res.points) == set(product(range(bound + 1), repeat=r)) \
             - members
@@ -193,11 +201,11 @@ def test_blocked_fill_matches_row_by_row(dtype):
                                       ((-1, 2), "not in N")])
 def test_member_refuses_a_vector_outside_n_r(v, reason):
     with pytest.raises(SemigroupError, match=reason):
-        member(GeneratorSet(2, GENS9), v)
+        member(GeneratorSet(GENS9), v)
 
 
 def test_non_integral_vectors_are_refused_not_truncated():
     with pytest.raises(TypeError):
-        GeneratorSet(1, [(2.5,)])
+        GeneratorSet([(2.5,)])
     with pytest.raises(TypeError):
-        member(GeneratorSet(1, [(2,)]), (2.5,))
+        member(GeneratorSet([(2,)]), (2.5,))
