@@ -28,9 +28,11 @@ and in Python ints past it.  full_weight_values is its dict view.
   W_J, J the zero marks of h, at h (Bourbaki, Lie Groups and Lie Algebras
   VIII 9; Humphreys, Introduction to Lie Algebras and Representation
   Theory 24), over a table of the Weyl orbit of h, built once per h
-  from a walk of its lower half, written level by level as it is walked,
-  and the w0 images of that half; its Levi products run in int64 per
-  chunk of the table where their float64 products prove them exact.
+  from half the orbit, read off the coroots when h is one (a root sl2)
+  and else walked, written level by level as it is walked, and the w0
+  images of that half; its Levi products run in int64 per chunk of the
+  table where their float64 products prove them exact, and its Levi
+  quotients where a check modulo 2^64 certifies them.
 * _by_orbits: Freudenthal's multiplicities of the dominant weights
   expanded over their Weyl orbits, bounded by WEIGHT_CAP.
 
@@ -315,56 +317,86 @@ class _CosetTable(NamedTuple):
     den: int            # prod_{beta in Phi_J+} <rho, beta_vee> = ht beta_vee
 
 
+def _coroot(rs: RootSystem, h: tuple):
+    """The index of the positive root beta with beta_vee = h, or None if h
+    is no coroot: marks determine h, and beta_vee has the marks (its
+    coroot coordinates) @ A."""
+    hit = np.flatnonzero((rs._np["coroots"] @ rs._np["A"] == h).all(axis=1))
+    return int(hit[0]) if hit.size else None
+
+
 def _coset_table(rs: RootSystem, s: _Sl2) -> _CosetTable:
     """The table of the W-orbit of the dominant h of the record s.
 
-    The points h' = w^-1 h are the minimal representatives w of W_J\\W, at
-    level l(w) = #{beta > 0 : beta(h') < 0} of _orbit_walk, and the walk's
-    k column holds K; the degree cap keeps every K_j below 2^31.  A
-    positive root beta vanishes on h' when beta(h - h') = sum_j K_j <beta,
-    alpha_j_vee> equals beta(h); that matrix is formed COSET_CHUNK rows at
-    a time, and exactly |Phi_J+| roots vanish on each h' (they are w^-1
-    Phi_J+ up to sign).
+    The points h' = w^-1 h are the minimal representatives w of W_J\\W,
+    of length l(w) = #{beta > 0 : beta(h') < 0}; the degree cap keeps
+    every K_j below 2^31.  A positive root beta vanishes on h' when beta(h
+    - h') = sum_j K_j <beta, alpha_j_vee> equals beta(h); that matrix is
+    formed COSET_CHUNK rows at a time, and exactly |Phi_J+| roots vanish
+    on each h' (they are w^-1 Phi_J+ up to sign).  The table is allocated
+    first, s.cosets rows, and a count of points other than that is
+    refused; row order is free, as the coset sum is a scatter-add.
 
-    Only levels 0 to L // 2 are walked, L = s.e_count the level of w0; the
-    rest are the w0 images of levels 0 to L - L // 2 - 1, a prefix of the
-    walked rows.  -w0 permutes Phi+, so w0 h' is at level L - l(w): its
-    sign is (-1)^L times that of h', its vanishing roots are the -w0
-    images of those of h', and its K is c - K[sigma] (h - w0 h' = h + h*
-    - w0 (h - h'), and -w0 alpha_j_vee = alpha_sigma(j)_vee).  The images
-    are written in place after the walked rows; row order is free, as the
-    coset sum is a scatter-add.  The table is allocated first, s.cosets
-    rows, and each level is written into it as the walk yields it, so the
-    build holds the table and one level; a walk that yields more rows than
-    that is refused before it writes past them.
+    The first rows are formed one of two ways, chosen by _coroot from h
+    alone.  A root sl2's h = beta_vee is read off the coroots: W acts
+    transitively on the roots of each length of a simple component
+    (Humphreys, Introduction to Lie Algebras and Representation Theory
+    10.4 Lemma C), so the orbit of h is the +-gamma_vee over the gamma > 0
+    of beta's component and length.  The gamma_vee come first, with K =
+    beta_vee - gamma_vee and signs counted on the chunk's matrix: beta(h')
+    < 0 where beta(h - h') > beta(h).  Any other h is walked by
+    _orbit_walk, whose levels are the l(w) and whose k column holds K, but
+    only levels 0 to L // 2, L = s.e_count the level of w0.  Each level is
+    written into the table as the walk yields it, so the build holds the
+    table and one level; a walk that yields more rows than the table's is
+    refused before it writes past them.
+
+    The rest are the w0 images of a prefix of the first rows: the
+    -gamma_vee, as w0 maps Phi+ onto -Phi+ keeping lengths and components,
+    or the levels L // 2 + 1 to L, as -w0 permutes Phi+ and so w0 h' is at
+    level L - l(w).  The image of h' has sign (-1)^L times that of h', the
+    -w0 images of the roots vanishing on h', and K = c - K[sigma] (h - w0
+    h' = h + h* - w0 (h - h'), and -w0 alpha_j_vee = alpha_sigma(j)_vee);
+    the images are written in place after the first rows.
 
     An entry takes 4 rank + 1 + |Phi_J+| bytes per coset, for at most
     COSET_CAP cosets.  Among simple types of rank <= 8 the largest is E8
     with J of type A4 + A1 (2903040 cosets, |Phi_J+| = 11): about 128 MB.
     E7's subregular h (1451520 cosets, |Phi_J+| = 1) takes about 44 MB.
     """
-    roots, L = rs._np["roots"], s.e_count
+    roots, coroots, L = rs._np["roots"], rs._np["coroots"], s.e_count
     alpha_h = roots @ s.h
     K = np.empty((s.cosets, len(s.h)), np.int32)
     signs = np.empty(s.cosets, np.int8)
     vanish = np.empty((s.cosets, int((alpha_h == 0).sum())),
                       rs._neg_w0.dtype)
-    sizes, walked = [], 0
-    # walked in int32, which holds h' and K under the degree cap and
-    # halves the transients of each level
-    rows = _orbit_rows(s.h).astype(np.int32)
-    for k in _orbit_walk(rows, rs._coweight_walk, L // 2 + 1):
-        end = walked + len(k)
-        if end > s.cosets:
-            raise CharacterError(f"orbit of marks {s.h} has more than "
-                                 f"{s.cosets} points")
-        K[walked:end] = k
-        signs[walked:end] = (-1) ** len(sizes)
-        walked = end
-        sizes.append(len(k))
-    mirrored = sum(sizes[:L - L // 2])
-    if walked + mirrored != s.cosets:
-        raise CharacterError(f"orbit of marks {s.h} has {walked + mirrored} "
+    beta = _coroot(rs, s.h)
+    if beta is None:
+        sizes, formed = [], 0
+        # walked in int32, which holds h' and K under the degree cap and
+        # halves the transients of each level
+        rows = _orbit_rows(s.h).astype(np.int32)
+        for k in _orbit_walk(rows, rs._coweight_walk, L // 2 + 1):
+            end = formed + len(k)
+            if end > s.cosets:
+                raise CharacterError(f"orbit of marks {s.h} has more than "
+                                     f"{s.cosets} points")
+            K[formed:end] = k
+            signs[formed:end] = (-1) ** len(sizes)
+            formed = end
+            sizes.append(len(k))
+        mirrored = sum(sizes[:L - L // 2])
+    else:
+        # (gamma, gamma) = sum_i c_i d_i <gamma, alpha_i_vee>, and the
+        # dominant beta_vee has its whole component for support
+        norms = (roots * rs.symmetrizers * rs._np["roots_wc"]).sum(axis=1)
+        gamma = coroots[(norms == norms[beta])
+                        & (roots @ (coroots[beta] > 0) > 0)]
+        formed = mirrored = len(gamma)
+        if 2 * formed == s.cosets:
+            K[:formed] = coroots[beta] - gamma
+    if formed + mirrored != s.cosets:
+        raise CharacterError(f"orbit of marks {s.h} has {formed + mirrored} "
                              f"points, not {s.cosets}")
     # in float64 for BLAS, and exact: K >= 0 and K . xi <= PARABOLIC_CAP
     # with xi >= 1, so every partial sum of beta(h - h') is an integer of
@@ -373,18 +405,23 @@ def _coset_table(rs: RootSystem, s: _Sl2) -> _CosetTable:
     # the w0 images; mode="clip" (the indices are in range) writes to out
     # without a buffered copy, and the vanishing roots of the images are
     # taken a chunk at a time, as np.take widens its indices to intp
-    for a in range(0, walked, COSET_CHUNK):
-        b = min(a + COSET_CHUNK, walked)
-        hits = np.flatnonzero(K[a:b] @ wc == alpha_h)
+    for a in range(0, formed, COSET_CHUNK):
+        b = min(a + COSET_CHUNK, formed)
+        values = K[a:b] @ wc
+        if beta is not None:
+            signs[a:b] = 1 - 2 * ((values > alpha_h).sum(axis=1) % 2)
+        vanishing = values == alpha_h
+        del values   # before hits and its remainders, each as large
+        hits = np.flatnonzero(vanishing)
         vanish[a:b] = (hits % len(roots)).reshape(b - a, -1)
         if a < mirrored:
             c = min(b, mirrored)
-            np.take(rs._neg_w0, vanish[a:c], out=vanish[walked + a:walked + c],
+            np.take(rs._neg_w0, vanish[a:c], out=vanish[formed + a:formed + c],
                     mode="clip")
-    np.take(K[:mirrored], rs._np["sigma"], axis=1, out=K[walked:], mode="clip")
-    np.subtract(np.array(s.c, np.int32), K[walked:], out=K[walked:])
-    np.multiply(signs[:mirrored], (-1) ** L, out=signs[walked:])
-    den = math.prod(rs._np["coroots"][alpha_h == 0].sum(axis=1).tolist())
+    np.take(K[:mirrored], rs._np["sigma"], axis=1, out=K[formed:], mode="clip")
+    np.subtract(np.array(s.c, np.int32), K[formed:], out=K[formed:])
+    np.multiply(signs[:mirrored], (-1) ** L, out=signs[formed:])
+    den = math.prod(coroots[alpha_h == 0].sum(axis=1).tolist())
     for a in (K, signs, vanish):
         a.setflags(write=False)
     return _CosetTable(K, signs, vanish, den)
@@ -414,10 +451,19 @@ def _by_cosets(rs: RootSystem, lam: Weight, s: _Sl2, pairs, n: int,
     rounded partial product leaves the product at 2^53 or above), and are
     then its products; below 2^62 they prove each int64 product of the
     chunk below 2^63, as a float64 product of |Phi_J+| exact factors is
-    within a factor (1 + 2^-53) ** |Phi_J+| of the exact one.  Every
-    other chunk forms its products in Python ints.  The sum runs in int64
-    while a running bound, each chunk's length times its largest quotient
-    (every pairing is > 0), stays below 2^63; past it, in Python ints.
+    within a factor (1 + 2^-53) ** |Phi_J+| of the exact one.  Past 2^62
+    the quotients may still fit: _levi_quotients takes q = rint(products /
+    den) in int64 where den, every q and max product (|Phi_J+| + 2) / 2^53
+    are below 2^62, and accepts q only if q den equals the int64 product p,
+    both wrapped modulo 2^64.  The float quotient has |Phi_J+| + 1
+    roundings (|Phi_J+| - 1 products, den, the division), so |q den - p|
+    <= den / 2 + p (|Phi_J+| + 2) 2^-53 < 2^61 + 2^62 (1 + 2^-40) < 2^63,
+    and equality modulo 2^64 is exact equality: it certifies both that den
+    divides p and that q is the quotient.  Every other chunk forms its
+    products in Python ints, and divides them by den only where den
+    divides every one.  The sum runs in int64 while a running bound, each
+    chunk's length times its largest quotient (every pairing is > 0),
+    stays below 2^63; past it, in Python ints.
     """
     if s.table is None:
         s.table = _coset_table(rs, s)
@@ -437,23 +483,41 @@ def _by_cosets(rs: RootSystem, lam: Weight, s: _Sl2, pairs, n: int,
         # take, not floats[v]: it widens the uint8 rows faster
         prods = None if floats is None else floats.take(v).prod(axis=1)
         top = math.inf if prods is None else prods.max()
-        if top >= 2**62:
-            prods = pairs.astype(object).take(v).prod(axis=1)
-        elif top >= 2**53:
-            prods = pairs.astype(np.int64).take(v).prod(axis=1)
-        else:
+        den = t.den
+        if top < 2**53:
             prods = prods.astype(np.int64)
-        if t.den != 1:
-            if (prods % t.den).any():
+        elif top < 2**62:
+            prods = pairs.astype(np.int64).take(v).prod(axis=1)
+        elif (quots := _levi_quotients(prods, top, pairs, v, den)) is not None:
+            prods, den = quots, 1
+        else:
+            prods = pairs.astype(object).take(v).prod(axis=1)
+        if den != 1:
+            if (prods % den).any():
                 raise CharacterError(
                     f"Levi dimension at marks {s.h} is not integral")
-            prods //= t.den
+            prods //= den
         bound += len(prods) * int(prods.max())
         if bound >= 2**63:
             poly = poly.astype(object, copy=False)
         np.add.at(poly, t.K[a:b] @ clipped, t.signs[a:b] * prods)
     # the sum's bound set its dtype, and the row dtype sets the division's
     return _quotient(poly.astype(dtype, copy=False), n, s, lam)
+
+
+def _levi_quotients(prods, top, pairs, v, den: int):
+    """The int64 quotients rint(prods / den) of a chunk of _by_cosets whose
+    float64 products prods (largest top) pass 2^62, or None unless its
+    docstring's certificate proves them exact: q den must equal the
+    chunk's int64 products of the pairings, both wrapped modulo 2^64."""
+    if top * (v.shape[1] + 2) >= 2**115 or den >= 2**62:
+        return None
+    q = np.rint(prods / den)
+    if q.max() >= 2**62:
+        return None
+    q = q.astype(np.int64)
+    exact = q * den == pairs.astype(np.int64).take(v).prod(axis=1)
+    return q if exact.all() else None
 
 
 def _by_orbits(rs: RootSystem, lam: Weight, s: _Sl2, dim: int) -> np.ndarray:

@@ -932,6 +932,14 @@ def test_coset_sum_in_chunks_matches_orbit_expansion(monkeypatch, fam, rank,
     assert any(n > 7 and n % 7 for n in sizes) or rank <= 2, sizes
 
 
+def _walked_table(monkeypatch, rs, s):
+    """The coset table of the record s built by the half walk and its w0
+    images, the construction of every h that is not a coroot."""
+    with monkeypatch.context() as m:
+        m.setattr(character, "_coroot", lambda rs, h: None)
+        return character._coset_table(rs, s)
+
+
 def test_coset_sum_past_int64_in_a_middle_chunk(monkeypatch, scatter_dtypes):
     # L(omega_2) at D4's highest-root h (J = 3 A1, |Phi_J+| = 3, 24 cosets,
     # den = 1, chunks of 3): pairings scaled by f, through _pairings, stay
@@ -940,10 +948,12 @@ def test_coset_sum_past_int64_in_a_middle_chunk(monkeypatch, scatter_dtypes):
     # in the second chunk, and so does a numerator coefficient: a sum that
     # stayed in int64 would wrap.  The table's den is not scaled, so the
     # row scales by f^3.
+    # The rows are in the walk's order, which puts the crossing in the
+    # second chunk; the table read off the coroots orders them otherwise.
     monkeypatch.setattr(character, "COSET_CHUNK", 3)
     rs, lam = build([("D", 4)]), Weight((0, 1, 0, 0))
     s = character._sl2(rs, (0, 1, 0, 0))
-    s.table = t = character._coset_table(rs, s)
+    s.table = t = _walked_table(monkeypatch, rs, s)
     xi = [x + 1 for x in lam.coords]
     pairs = _levi_pairings(rs, lam)
     prods = [math.prod(pairs[i] for i in v) for v in t.vanish.tolist()]
@@ -1052,6 +1062,94 @@ def test_coset_products_in_python_ints_in_a_middle_chunk(monkeypatch,
     assert scatter_dtypes == [np.int64, object, np.int64]
     assert row.tolist() == _coset_row_in_python_ints(rs, lam, s).tolist()
     assert sum(row.tolist()) == weyl_dimension(rs, lam)
+
+
+def test_levi_certificate_needs_den_below_2_62():
+    # Two pairings of 2^50 and den = 2^64: q = 2^36 and the product bound
+    # hold, but q den has no int64 form to compare, so the chunk is
+    # refused before one is formed.
+    pairs = np.array([2**50, 2**50], np.int64)
+    v = np.array([[0, 1]], np.uint8)
+    prods = pairs.astype(np.float64).take(v).prod(axis=1)
+    assert character._levi_quotients(prods, prods.max(), pairs, v,
+                                     2**64) is None
+
+
+# E6 at its highest root's h: J of type A5, |Phi_J+| = 15, 72 cosets in one
+# chunk, den = 34560.
+_E6_THETA = (0, 1, 0, 0, 0, 0)
+
+
+def _e6_theta_chunk(lam):
+    """E6, lambda, the record of _E6_THETA with its table, and its one
+    chunk's largest exact Levi product."""
+    rs, lam = build([("E", 6)]), Weight(lam)
+    s = character._sl2(rs, _E6_THETA)
+    s.table = character._coset_table(rs, s)
+    assert s.table.den == 34560 and s.table.vanish.shape == (72, 15)
+    return rs, lam, s, _chunk_products(rs, lam, s, character.COSET_CHUNK)[0][0]
+
+
+def test_levi_quotients_past_2_63_certified_in_int64(scatter_dtypes):
+    # lambda = 5 rho: the products reach 2^68.9, past 2^63, but their
+    # quotients by den only 2^53.8, so the chunk's quotients are certified
+    # and scatter in int64.
+    rs, lam, s, top = _e6_theta_chunk((5,) * 6)
+    assert top >= 2**63 and top // s.table.den < 2**54
+    row = _coset_row(rs, lam, s)
+    assert scatter_dtypes == [np.int64]
+    assert row.tolist() == _coset_row_in_python_ints(rs, lam, s).tolist()
+    assert sum(row.tolist()) == weyl_dimension(rs, lam)
+
+
+def test_levi_quotients_past_2_62_take_python_ints(scatter_dtypes):
+    # lambda = 8 rho: the quotients reach 2^62.6, past the bound that keeps
+    # them in int64 with room, so the chunk forms its products in Python
+    # ints.
+    rs, lam, s, top = _e6_theta_chunk((8,) * 6)
+    assert 2**62 <= top // s.table.den and top * 17 < 2**115
+    row = _coset_row(rs, lam, s)
+    assert scatter_dtypes == [object]
+    assert row.tolist() == _coset_row_in_python_ints(rs, lam, s).tolist()
+
+
+def test_levi_certificate_catches_a_wrong_denominator(monkeypatch):
+    # At lambda = 5 rho the chunk is in the certified tier; with den + 1,
+    # which divides no product, the certificate fails and the exact path
+    # refuses the chunk.
+    _corrupt_levi_denominator(monkeypatch)
+    with pytest.raises(CharacterError, match="Levi dimension .* not integral"):
+        _by_cosets(build([("E", 6)]), Weight((5,) * 6), _E6_THETA)
+
+
+def test_levi_certificate_refuses_an_off_by_one_rint(monkeypatch,
+                                                     scatter_dtypes):
+    # A rint that rounds one too high gives q den = p + den, not p modulo
+    # 2^64: every certificate fails, and the chunk takes Python ints.
+    rs, lam, s, _ = _e6_theta_chunk((5,) * 6)
+    real = np.rint
+    monkeypatch.setattr(np, "rint", lambda x: real(x) + 1)
+    row = _coset_row(rs, lam, s)
+    assert scatter_dtypes == [object]
+    assert row.tolist() == _coset_row_in_python_ints(rs, lam, s).tolist()
+
+
+def test_levi_certificate_needs_the_float_bound():
+    # A forged chunk of three pairings below 2^53, den = 2^61: the float64
+    # product 2^64 fl(xyz) is 2^64 below the exact one, as xyz = 1 mod 64
+    # in [2^58, 2^59) rounds to a multiple of 64.  So q = rint(product /
+    # den) is below 2^62 and q den equals the product modulo 2^64 but not
+    # exactly; only the bound max product (|Phi_J+| + 2) < 2^115 refuses it.
+    x = y = 3 * 2**18 + 1
+    z = 466049
+    assert x * y * z % 64 == 1 and 2**58 <= x * y * z < 2**59
+    pairs = np.array([2**22 * x, 2**21 * y, 2**21 * z], np.int64)
+    v, den = np.array([[0, 1, 2]], np.uint8), 2**61
+    prods = pairs.astype(np.float64).take(v).prod(axis=1)
+    q, p = int(np.rint(prods / den)[0]), 2**64 * x * y * z
+    assert max(pairs) < 2**53 and q < 2**62 and prods[0] * 5 >= 2**115
+    assert (q * den - p) % 2**64 == 0 and q * den != p
+    assert character._levi_quotients(prods, prods.max(), pairs, v, den) is None
 
 
 def test_orbit_row_refuses_a_span_past_the_weight_cap():
@@ -1258,6 +1356,64 @@ def test_coset_table_refuses_a_count_other_than_its_cosets():
     with pytest.raises(CharacterError,
                        match=r"^orbit of marks \(1, 1\) has 6 points, not 7$"):
         character._coset_table(rs, s)
+
+
+def _table_rows(t):
+    """The rows (K, sign, sorted vanishing roots) of a coset table, sorted,
+    so that two tables compare as multisets."""
+    rows = np.concatenate([t.K, t.signs[:, None], np.sort(t.vanish, axis=1)],
+                          axis=1, dtype=np.int64)
+    return rows[np.lexsort(rows.T)]
+
+
+@pytest.mark.parametrize("types", [[(f, r)] for f, r in _SIMPLE_TYPES]
+                         + [[("A", 1), ("G", 2)], [("B", 3), ("A", 2)]],
+                         ids=lambda t: "".join(f"{f}{r}" for f, r in t))
+def test_root_sl2_tables_read_off_match_the_walk(monkeypatch, types):
+    # Every root sl2's table, half read off the coroots, against the half
+    # walk over the same record, each with its w0 images: the same rows as
+    # multisets, and the same den.  In A1+G2 and B3+A2 the orbit stays in
+    # beta's component.
+    rs = build(types)
+    for beta in rs.positive_roots:
+        s = _record(rs, root_embedding(rs, beta).marks)
+        assert character._coroot(rs, s.h) is not None, beta
+        read, walked = character._coset_table(rs, s), _walked_table(
+            monkeypatch, rs, s)
+        assert read.den == walked.den, beta
+        assert (_table_rows(read) == _table_rows(walked)).all(), beta
+
+
+@pytest.mark.parametrize("types", [[("A", 1), ("G", 2)], [("B", 3)],
+                                   [("C", 3)]])
+def test_coroot_test_is_exact(types):
+    # Marks are a coroot's exactly when they are a root sl2's marks, and
+    # the index found is that root's.
+    rs = build(types)
+    marks = {root_embedding(rs, b).marks: i
+             for i, b in enumerate(rs.positive_roots)}
+    for m in itertools.product(range(-2, 3), repeat=rs.rank):
+        assert character._coroot(rs, m) == marks.get(m), m
+
+
+def test_root_sl2_restrictions_walk_no_orbit(monkeypatch, answered, builds):
+    # Every root sl2 of F4 answers L(2,1,1,1) by the coset sum over a table
+    # read off the coroots, with no step of W; E6's subregular h, no
+    # coroot, still walks its orbit for its table.
+    walks = []
+    real = character._orbit_walk
+    monkeypatch.setattr(character, "_orbit_walk",
+                        lambda *a: walks.append(a) or real(*a))
+    f4 = build([("F", 4)])
+    for beta in f4.positive_roots:
+        full_weight_values(f4, Weight((2, 1, 1, 1)),
+                           root_embedding(f4, beta).marks)
+    assert answered == {"_by_cosets": 24} and len(builds) == 2
+    assert walks == []
+    full_weight_values(build([("E", 6)]), Weight((1, 0, 1, 0, 0, 1)),
+                       (2, 2, 2, 0, 2, 2))
+    assert answered["_by_cosets"] == 25 and builds[-1] == (2, 2, 2, 0, 2, 2)
+    assert len(walks) == 1
 
 
 def test_oracle_box_past_its_cap_walks_nothing(monkeypatch):
